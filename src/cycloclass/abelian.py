@@ -156,14 +156,7 @@ class DirichletCharacter:
             cond *= _local_conductor(
                 p, pe, tuple(exps[i] for i in idx), tuple(data.orders[i] for i in idx)
             )
-        parity = (
-            sum(
-                Fraction(e * k, o)
-                for e, k, o in zip(exps, data.minus_one, data.orders)
-            )
-            % 1
-            == Fraction(1, 2)
-        )
+        parity = sum(e for e, k in zip(exps, data.minus_one) if k) % 2 == 1
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "conductor", cond)
         object.__setattr__(self, "is_odd", parity)
@@ -195,11 +188,6 @@ class DirichletCharacter:
 
     def __pow__(self, k: int) -> DirichletCharacter:
         return DirichletCharacter(self.modulus, tuple(k * e for e in self.exponents))
-
-
-def char_value(chi: DirichletCharacter, a: int) -> Fraction | None:
-    """chi(a) as a root-of-unity exponent (Fraction mod 1), None on non-units."""
-    return chi.value(a)
 
 
 def characters(u: int) -> list[DirichletCharacter]:
@@ -330,147 +318,81 @@ def cyclic_subfield_spec(u: int, n: int) -> AbelianFieldSpec:
     return _spec_from_tuples(u, [((step * k) % m,) for k in range(n)])
 
 
-class SubfieldLimitExceeded(Exception):
-    pass
+# subfields() refuses lattices with more subgroups than this
+_MAX_SUBGROUPS = 100_000
 
 
-@dataclass(frozen=True)
-class SubfieldListing:
-    """Result of a subfield enumeration; complete=False means only the
-    prime-index subgroups and the full group were listed."""
-
-    fields: tuple[AbelianFieldSpec, ...]
-    complete: bool
-    note: str | None = None
-
-    def __iter__(self):
-        return iter(self.fields)
-
-    def __len__(self):
-        return len(self.fields)
+def _in_span(v: list[int], rows: list[tuple[int, ...]], start: int) -> bool:
+    """Whether v (zero before column `start`) is an integer combination of
+    the echelon rows, whose pivots sit on columns start, start+1, ..., k-1."""
+    for i, row in enumerate(rows, start):
+        q, rem = divmod(v[i], row[i])
+        if rem:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return True
 
 
-def _tuple_order(t: tuple[int, ...], orders: tuple[int, ...]) -> int:
-    return reduce(math.lcm, (o // math.gcd(e, o) for e, o in zip(t, orders)), 1)
+def _subgroups(orders: tuple[int, ...], order: int | None = None):
+    """Every subgroup of prod Z/o_i (only those of the given order, if any),
+    as the Hermite-normal-form rows of its preimage lattice in Z^k.
 
+    Row i is (0, ..., 0, d_i, t_{i+1}, ..., t_{k-1}) with d_i | o_i and
+    0 <= t_j < d_j; the subgroup has order prod(o_i / d_i).  A lattice between
+    (+) o_i Z and Z^k has exactly one such basis (Cohen, GTM 138, 2.4), so
+    each subgroup is yielded once.  Rows are chosen last-first; row i is kept
+    only if o_i e_i lies in the lattice, i.e. (o_i/d_i) * tail is in the span
+    of the rows below it.
+    """
 
-def _all_subgroups(orders: tuple[int, ...], limit: int) -> set[frozenset]:
-    """Every subgroup of prod Z/o_i as a frozenset of tuples; caps at `limit`."""
-    elements = list(itertools.product(*(range(o) for o in orders)))
-    triv = (0,) * len(orders)
-
-    def add(a, b):
-        return tuple((x + y) % o for x, y, o in zip(a, b, orders))
-
-    cyclics: set[frozenset] = set()
-    by_order: dict[int, list[frozenset]] = {}
-    for g in elements:
-        og = _tuple_order(g, orders)
-        # g inside a known cyclic subgroup of size ord(g) already generates it.
-        if any(g in S for S in by_order.get(og, ())):
-            continue
-        cur, S = g, {triv}
-        while cur != triv:
-            S.add(cur)
-            cur = add(cur, g)
-        fs = frozenset(S)
-        if fs not in cyclics:
-            cyclics.add(fs)
-            by_order.setdefault(og, []).append(fs)
-    subs: set[frozenset] = {frozenset({triv})} | cyclics
-    frontier = list(subs)
-    while frontier:
-        S = frontier.pop()
-        for C in cyclics:
-            if C <= S:
+    def extend(i: int, below: list[tuple[int, ...]], size: int):
+        if i < 0:
+            if order is None or size == order:
+                yield tuple(below)
+            return
+        o = orders[i]
+        for d in range(1, o + 1):
+            m = o // d
+            if o % d or (order is not None and order % (size * m)):
                 continue
-            T = frozenset(add(a, b) for a in S for b in C)
-            if T not in subs:
-                subs.add(T)
-                frontier.append(T)
-                if len(subs) > limit:
-                    raise SubfieldLimitExceeded(
-                        f"more than {limit} subgroups; refusing to enumerate"
-                    )
-    return subs
+            pivots = [r[j] for j, r in enumerate(below, i + 1)]
+            for tail in itertools.product(*map(range, pivots)):
+                if _in_span([0] * (i + 1) + [m * t for t in tail], below, i + 1):
+                    yield from extend(i - 1, [(0,) * i + (d,) + tail] + below, size * m)
+
+    yield from extend(len(orders) - 1, [], 1)
 
 
-def _prime_index_subgroups(orders: tuple[int, ...]) -> set[frozenset]:
-    """Subgroups of prime index q, for each prime q dividing the group order."""
-    elements = list(itertools.product(*(range(o) for o in orders)))
-    size = len(elements)
-    out: set[frozenset] = set()
-    for q in factorize(size).primes():
-        out |= _index_n_subgroups(elements, orders, q)
-    return out
-
-
-def _index_n_subgroups(elements, orders, n: int) -> set[frozenset]:
-    """All index-n subgroups (n prime) of X, via hyperplanes of X/X^n over F_n."""
-
-    def add(a, b):
-        return tuple((x + y) % o for x, y, o in zip(a, b, orders))
-
-    def scale(a, k):
-        return tuple((x * k) % o for x, o in zip(a, orders))
-
-    Xn = frozenset(scale(x, n) for x in elements)
-    basis: list[tuple[int, ...]] = []
-    span = set(Xn)
-    for x in sorted(elements):
-        if len(span) == len(elements):
-            break
-        if x in span:
-            continue
-        basis.append(x)
-        span = {add(s, scale(x, k)) for s in span for k in range(n)}
-    r = len(basis)
-    if r == 0:
-        return set()
-    out = set()
-    for a in itertools.product(range(n), repeat=r):
-        # One functional per hyperplane: first nonzero coefficient scaled to 1.
-        nz = next((i for i, c in enumerate(a) if c), None)
-        if nz is None or a[nz] != 1 or any(a[i] for i in range(nz)):
-            continue
-        kernel_coords = [
-            ks
-            for ks in itertools.product(range(n), repeat=r)
-            if sum(c * k for c, k in zip(a, ks)) % n == 0
+def _members(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The exponent tuples of the subgroup with the given HNF rows."""
+    elements = [(0,) * len(orders)]
+    for i, row in enumerate(rows):
+        gen = tuple(r % o for r, o in zip(row, orders))
+        elements = [
+            tuple((e + c * g) % o for e, g, o in zip(el, gen, orders))
+            for el in elements
+            for c in range(orders[i] // row[i])
         ]
-        sub = set()
-        for ks in kernel_coords:
-            shift = triv = (0,) * len(orders)
-            for b, k in zip(basis, ks):
-                shift = add(shift, scale(b, k))
-            for s in Xn:
-                sub.add(add(s, shift))
-        out.add(frozenset(sub))
-    return out
+    return elements
 
 
-def subfields(u: int, limit: int = 100_000) -> SubfieldListing:
+def subfields(u: int) -> tuple[AbelianFieldSpec, ...]:
     """All subfields of Q(zeta_u) (as field specs), sorted by degree then |disc|.
 
-    If the subgroup lattice exceeds `limit`, only the prime-index subgroups and
-    the full group are returned, with complete=False.
+    Raises ValueError when the subgroup lattice has more than _MAX_SUBGROUPS
+    members.
     """
     u = normalize_conductor(u)
-    data = _unit_data(u)
-    try:
-        groups = _all_subgroups(data.orders, limit)
-        complete, note = True, None
-    except SubfieldLimitExceeded:
-        groups = _prime_index_subgroups(data.orders)
-        groups.add(frozenset(itertools.product(*(range(o) for o in data.orders))))
-        complete = False
-        note = (
-            f"subgroup count exceeds {limit}; listing only prime-index "
-            "subgroups and the full group"
-        )
-    specs = [_spec_from_tuples(u, g) for g in groups]
-    specs.sort(key=AbelianFieldSpec._sort_key)
-    return SubfieldListing(tuple(specs), complete, note)
+    orders = _unit_data(u).orders
+    groups = []
+    for rows in _subgroups(orders):
+        groups.append(rows)
+        if len(groups) > _MAX_SUBGROUPS:
+            raise ValueError(
+                f"Q(zeta_{u}) has more than {_MAX_SUBGROUPS} subfields; refusing to list them"
+            )
+    specs = [_spec_from_tuples(u, _members(rows, orders)) for rows in groups]
+    return tuple(sorted(specs, key=AbelianFieldSpec._sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -481,12 +403,13 @@ def descent_subfield(K: AbelianFieldSpec, n: int) -> AbelianFieldSpec:
         raise ValueError(f"descent degree must be an odd prime, got {n}")
     if K.degree % n != 0:
         raise ValueError(f"{n} does not divide the degree {K.degree}")
-    data = _unit_data(K.modulus)
-    elements = [ch.exponents for ch in K.chars]
-    subs = _index_n_subgroups(elements, data.orders, n)
-    if not subs:
-        raise AssertionError("index-n subgroup must exist when n divides |X|")
-    specs = [_spec_from_tuples(K.modulus, g) for g in subs]
+    orders = _unit_data(K.modulus).orders
+    exps = {ch.exponents for ch in K.chars}
+    specs = [
+        _spec_from_tuples(K.modulus, _members(rows, orders))
+        for rows in _subgroups(orders, K.degree // n)
+        if all(tuple(r % o for r, o in zip(row, orders)) in exps for row in rows)
+    ]
     return min(specs, key=AbelianFieldSpec._sort_key)
 
 

@@ -12,12 +12,8 @@ from cycloclass.arith import divisors, euler_phi, factorize
 from cycloclass.abelian import (
     AbelianFieldSpec,
     DirichletCharacter,
-    SubfieldListing,
-    _all_subgroups,
-    _index_n_subgroups,
     _spec_from_tuples,
     _unit_data,
-    char_value,
     characters,
     cyclic_subfield_spec,
     cyclotomic_field_spec,
@@ -28,8 +24,12 @@ from cycloclass.abelian import (
     subfields,
     unit_group_structure,
 )
+from cycloclass.cli import EXIT_USAGE, main
+import cycloclass.abelian as abelian
+from subgroup_oracle import _all_subgroups, _index_n_subgroups
 
 MODULI = [u for u in range(3, 201) if u % 4 != 2]
+ORACLE_MODULI = [u for u in MODULI if u <= 120] + [168, 240]
 
 
 def _conductor_oracle(chi: DirichletCharacter) -> int:
@@ -101,8 +101,8 @@ def test_character_multiplicativity():
 
 def test_char_value_function_and_nonunits():
     chi = characters(12)[1]
-    assert char_value(chi, 2) is None
-    assert char_value(chi, 12 + 5) == chi.value(5)
+    assert chi.value(2) is None
+    assert chi.value(12 + 5) == chi.value(5)
 
 
 def test_character_order_against_scan():
@@ -204,7 +204,7 @@ def test_cyclic_subfield_spec_errors():
 
 def test_subfields_prime_modulus():
     listing = subfields(59)
-    assert isinstance(listing, SubfieldListing) and listing.complete
+    assert isinstance(listing, tuple)
     degrees = sorted(F.degree for F in listing)
     assert degrees == sorted(divisors(58))
     for F in listing:
@@ -228,12 +228,20 @@ def test_subfields_sorted_and_deterministic():
     assert keys == sorted(keys)
 
 
-def test_subfields_limit_fallback():
-    listing = subfields(24, limit=3)
-    assert not listing.complete
-    assert listing.note is not None
-    # Prime-index subgroups (order 4, there are 7) plus the full group.
-    assert sorted(F.degree for F in listing) == [4] * 7 + [8]
+def test_subfields_against_oracle():
+    for u in ORACLE_MODULI:
+        orders = _unit_data(u).orders
+        expect = sorted(tuple(sorted(S)) for S in _all_subgroups(orders, 10_000))
+        got = sorted(F.sorted_exponents for F in subfields(u))
+        assert got == expect, u
+
+
+def test_subfields_refuses_oversized_lattice(monkeypatch, capsys):
+    monkeypatch.setattr(abelian, "_MAX_SUBGROUPS", 3)
+    with pytest.raises(ValueError):
+        subfields(24)
+    assert main(["subfields", "24"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_descent_subfield_prime_cyclic():
@@ -268,6 +276,22 @@ def test_descent_subfield_minimizes_disc():
     for c in cands:
         c.validate_subgroup()
         assert c.degree == K.degree // 3
+
+
+def test_descent_subfield_against_oracle():
+    for u in ORACLE_MODULI:
+        orders = _unit_data(u).orders
+        for K in (cyclotomic_field_spec(u), real_cyclotomic_field_spec(u)):
+            elements = [ch.exponents for ch in K.chars]
+            for n in factorize(K.degree).primes():
+                if n == 2:
+                    continue
+                cands = [
+                    _spec_from_tuples(u, g)
+                    for g in _index_n_subgroups(elements, orders, n)
+                ]
+                best = min(cands, key=AbelianFieldSpec._sort_key)
+                assert descent_subfield(K, n) == best, (u, K.degree, n)
 
 
 def test_index_n_subgroups_against_full_enumeration():

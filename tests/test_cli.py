@@ -78,6 +78,14 @@ def test_subfields_59(capsys):
     assert rows[3][2] == "~10^100"
 
 
+def test_subfields_discriminant_beyond_str_limit(capsys):
+    # |disc Q(zeta_2003)| = 2003^2001 has more digits than str() converts.
+    rc, out, _ = run(capsys, "subfields", "2003")
+    assert rc == EXIT_OK
+    last = out.splitlines()[-1].split()
+    assert last[:3] == ["2002", "2003", "~10^6606"]
+
+
 def test_audit_clean_file(tmp_path, capsys):
     f = tmp_path / "recs.jsonl"
     f.write_text(

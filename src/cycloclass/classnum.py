@@ -1,9 +1,12 @@
 """Relative class numbers h^-(u) via generalized Bernoulli numbers.
 
 h^-(u) = Q * w * prod_{chi odd} (-B_{1,chi}/2), the product taken over Galois
-orbits as exact rational norms. Norms are integer resultants Res(Phi_d, A)
-computed by CRT over word-size primes. An independent check is available for
-prime u through the classical half-matrix determinant (maillet_hminus).
+orbits as exact rational norms. A norm is the integer Res(Phi_d, A) =
+prod_{k in (Z/d)^*} A(omega^k) modulo primes q = 1 (mod d) below 2^62, with
+omega of order d mod q; the products come from one chirp-z convolution per
+prime and are CRT-combined past a Parseval bound. An independent check is
+available for prime u through the classical half-matrix determinant
+(maillet_hminus).
 """
 
 from __future__ import annotations
@@ -54,9 +57,15 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Coefficients of Phi_d, ascending; Phi_d = (x^d - 1) / prod_{e|d, e<d} Phi_e."""
+    """Coefficients of Phi_d, ascending. Phi_d(x) = Phi_r(x^(d/r)) for r = rad d;
+    for squarefree d, Phi_d = (x^d - 1) / prod_{e|d, e<d} Phi_e."""
     if d < 1:
         raise ValueError(f"cyclotomic_polynomial expects d >= 1, got {d}")
+    r = math.prod(factorize(d).primes())
+    if r < d:
+        poly = [0] * (euler_phi(d) + 1)
+        poly[:: d // r] = cyclotomic_polynomial(r)
+        return tuple(poly)
     poly = [-1] + [0] * (d - 1) + [1]
     for e in divisors(d)[:-1]:
         poly = _poly_div_exact(poly, cyclotomic_polynomial(e))
@@ -199,155 +208,77 @@ def b1_chi(chi: DirichletCharacter) -> CyclotomicNumber:
         v = chi.value(b)
         acc[int(v * d)] += a
     rows = _power_rows(d)
-    phi = euler_phi(d)
-    out = [Fraction(0)] * phi
+    out = [0] * euler_phi(d)
     for k, c in enumerate(acc):
         if c:
             for i, r in enumerate(rows[k]):
                 if r:
-                    out[i] += Fraction(c * r, f)
-    return CyclotomicNumber(d, tuple(out))
+                    out[i] += c * r
+    return CyclotomicNumber(d, tuple(Fraction(c, f) for c in out))
 
 
 # ---------------------------------------------------------------------------
-# Integer resultants by CRT over word-size primes.
+# Orbit norms: Res(Phi_d, A) = prod_{k in (Z/d)^*} A(omega^k) modulo primes
+# q = 1 (mod d), where Phi_d splits with roots omega^k, CRT-combined.
 
-_PRIME_POOL: list[int] = []
+_ROOT_POOLS: dict[int, list[tuple[int, int]]] = {}
 
 
-def _crt_primes():
-    """Yield fixed 62-bit primes, descending from 2^62; pool grows lazily."""
+def _norm_primes(d: int):
+    """Yield (q, omega) for the primes q = m*d + 1 < 2^62, descending, with
+    omega of exact order d mod q; one pool per d, grown lazily."""
+    pool = _ROOT_POOLS.setdefault(d, [])
+    cofactors = [d // p for p in factorize(d).primes()]
     i = 0
-    candidate = (1 << 62) - 1 if not _PRIME_POOL else _PRIME_POOL[-1] - 2
     while True:
-        while i >= len(_PRIME_POOL):
-            if is_prime(candidate):
-                _PRIME_POOL.append(candidate)
-            candidate -= 2
-        yield _PRIME_POOL[i]
+        if i == len(pool):
+            q = pool[-1][0] - d if pool else ((1 << 62) - 2) // d * d + 1
+            while not is_prime(q):
+                q -= d
+            roots = (pow(g, (q - 1) // d, q) for g in range(2, q))
+            omega = next(w for w in roots if all(pow(w, c, q) != 1 for c in cofactors))
+            pool.append((q, omega))
+        yield pool[i]
         i += 1
 
 
-def _poly_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over F_p (b trimmed, lc(b) nonzero), ascending."""
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        off = len(a) - 1 - db
-        for j in range(db + 1):
-            a[off + j] = (a[off + j] - c * b[j]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _norm_mod(A: tuple[int, ...], d: int, q: int, omega: int) -> int:
+    """prod A(omega^k) mod q over the units k mod d, for even d, len(A) <= d/2
+    and omega of exact order d.
+
+    The units are the odd k = 2j + 1, and A(omega^(2j+1)) is a length-d/2 DFT
+    of a_i omega^i. Bluestein's 2ij = i^2 + j^2 - (j-i)^2 makes it
+    omega^(j^2) sum_i (a_i omega^(i+i^2)) omega^(-(j-i)^2): one convolution
+    with a chirp, done as a single big-integer product of W-byte slots
+    (Kronecker substitution). A slot holds at most len(A) products below q^2.
+    """
+    L, n = len(A), d // 2
+    pw = [1] * d
+    for k in range(1, d):
+        pw[k] = pw[k - 1] * omega % q
+    W = (2 * q.bit_length() + L.bit_length() + 7) // 8
+    a = b"".join(
+        (c * pw[(i + i * i) % d] % q).to_bytes(W, "little") for i, c in enumerate(A)
+    )
+    chirp = b"".join(pw[-m * m % d].to_bytes(W, "little") for m in range(1 - L, n))
+    conv = int.from_bytes(a, "little") * int.from_bytes(chirp, "little")
+    conv = conv.to_bytes(len(a) + len(chirp), "little")
+    acc, e = 1, 0
+    for j in range(n):
+        if math.gcd(2 * j + 1, d) == 1:
+            t = (j + L - 1) * W
+            acc = acc * int.from_bytes(conv[t:t + W], "little") % q
+            e += j * j
+    return acc * pow(omega, e, q) % q
 
 
-def _resultant_mod(f: list[int], g: list[int], p: int) -> int:
-    """Res(f, g) over F_p by the Euclidean remainder sequence."""
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while f and f[-1] == 0:
-        f.pop()
-    while g and g[-1] == 0:
-        g.pop()
-    res = 1
-    while True:
-        df, dg = len(f) - 1, len(g) - 1
-        if dg < 0:
-            return 0 if df > 0 else res
-        if dg == 0:
-            return res * pow(g[0], df, p) % p
-        r = _poly_mod_p(f, g, p)
-        dr = len(r) - 1
-        res = res * pow(g[-1], df - dr, p) % p
-        if (df * dg) % 2 == 1:
-            res = (p - res) % p
-        f, g = g, r
-
-
-def _resultant_int(f: tuple[int, ...], g: tuple[int, ...]) -> int:
-    """Res(f, g) over Z: modular images CRT-combined past a Hadamard-type bound."""
-    f = list(f)
-    g = list(g)
-    while f and f[-1] == 0:
-        f.pop()
-    while g and g[-1] == 0:
-        g.pop()
-    if not f or not g:
-        return 0 if (len(f) > 1 or len(g) > 1) else 1
-    df, dg = len(f) - 1, len(g) - 1
-    if df == 0:
-        return f[0] ** dg
-    if dg == 0:
-        return g[0] ** df
-    # |Res| <= ||f||_2^dg * ||g||_2^df  (Hadamard on the Sylvester matrix).
-    bits = (
-        dg * (sum(c * c for c in f).bit_length() + 1)
-        + df * (sum(c * c for c in g).bit_length() + 1)
-    ) // 2 + 3
-    x, mod = 0, 1
-    for p in _crt_primes():
-        if f[-1] % p == 0 or g[-1] % p == 0:
-            continue  # degree would drop mod p
-        r = _resultant_mod(f, g, p)
-        # CRT: combine (x mod mod) with (r mod p).
-        t = (r - x) * pow(mod, -1, p) % p
-        x += mod * t
-        mod *= p
-        if mod.bit_length() > bits + 1:
-            break
-    return x - mod if 2 * x > mod else x
-
-
-def _sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
-    df, dg = len(f) - 1, len(g) - 1
-    n = df + dg
-    rows = []
-    for i in range(dg):
-        row = [0] * n
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(df):
-        row = [0] * n
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return rows
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact integer determinant."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    M = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
-def _sylvester_resultant(f, g) -> int:
-    """Reference resultant: determinant of the Sylvester matrix (slow, exact)."""
-    return _bareiss_det(_sylvester_matrix(list(f), list(g)))
+def _norm_bound_bits(A: tuple[int, ...], d: int) -> int:
+    """b with |Res(Phi_d, A)| < 2^b, for len(A) <= d. Parseval gives
+    sum_{k mod d} |A(zeta^k)|^2 = d * sum a_i^2, and AM-GM over the phi(d)
+    primitive k gives |Res|^2 <= (d * sum a_i^2 / phi)^phi."""
+    phi = euler_phi(d)
+    t = -(-((d * sum(c * c for c in A)) ** phi) // phi**phi)
+    return (t.bit_length() + 1) // 2
 
 
 def orbit_norm(orbit: CharacterOrbit) -> Fraction:
@@ -361,22 +292,21 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     w = b1_chi(chi) * Fraction(-1, 2)
     if d == 2:
         return w.coeffs[0]
+    # chi(-1) = -1 makes d even, as _norm_mod needs.
     denom = reduce(math.lcm, (c.denominator for c in w.coeffs), 1)
     A = tuple(int(c * denom) for c in w.coeffs)
-    res = _resultant_int(cyclotomic_polynomial(d), A)
+    bits = _norm_bound_bits(A, d)
+    x, mod = 0, 1
+    for q, omega in _norm_primes(d):
+        r = _norm_mod(A, d, q, omega)
+        # CRT: combine (x mod mod) with (r mod q).
+        t = (r - x) * pow(mod, -1, q) % q
+        x += mod * t
+        mod *= q
+        if mod.bit_length() > bits + 1:
+            break
+    res = x - mod if 2 * x > mod else x
     return Fraction(res, denom ** euler_phi(d))
-
-
-def _orbit_norm_conjugates(orbit: CharacterOrbit) -> Fraction:
-    """Same norm as the explicit product of Galois conjugates (test route)."""
-    chi = orbit.members[0]
-    d = chi.order
-    w = b1_chi(chi) * Fraction(-1, 2)
-    prod = CyclotomicNumber.one(d)
-    for k in range(1, d + 1):
-        if math.gcd(k, d) == 1:
-            prod = prod * w.galois_map(k)
-    return prod.constant()
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +365,30 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
     if h.denominator != 1 or h <= 0:
         raise IntegralityError(f"h^-({u}) is not a positive integer", h)
     return RelativeClassNumber(u, int(h), factorize(int(h)), tuple(norms), q, w)
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination; exact integer determinant."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    M = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[-1][-1]
 
 
 def maillet_hminus(p: int) -> int:

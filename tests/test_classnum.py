@@ -1,5 +1,6 @@
-"""Relative class numbers: Bernoulli character sums, orbit norms via three
-independent resultant routes, assembly, and the Maillet determinant oracle."""
+"""Relative class numbers: Bernoulli character sums, orbit norms by the
+transform route against the resultant routes of norm_oracle, assembly, and the
+Maillet determinant oracle."""
 
 import math
 import random
@@ -12,14 +13,20 @@ from cycloclass.arith import euler_phi, factorize, is_prime
 from cycloclass.classnum import (
     CyclotomicNumber,
     TimeLimitExceeded,
-    _orbit_norm_conjugates,
-    _resultant_int,
-    _sylvester_resultant,
+    _norm_bound_bits,
+    _norm_mod,
+    _norm_primes,
     b1_chi,
     cyclotomic_polynomial,
     maillet_hminus,
     orbit_norm,
     relative_class_number,
+)
+from norm_oracle import (
+    _orbit_norm_conjugates,
+    _resultant_int,
+    _sylvester_resultant,
+    oracle_orbit_norm,
 )
 
 # Conductors with relative class number exactly 1 (classical: finitely many).
@@ -36,7 +43,7 @@ def _poly_eval(coeffs, x):
 
 def test_cyclotomic_polynomial_product_identity():
     # prod_{d | n} Phi_d(x) = x^n - 1, checked as exact integer evaluation
-    for n in list(range(1, 31)) + [105]:
+    for n in list(range(1, 31)) + [105, 1008]:
         for x in (2, -3, 10):
             prod = 1
             for d in range(1, n + 1):
@@ -93,6 +100,51 @@ def test_orbit_norm_matches_conjugate_product():
         odd = [ch for ch in characters(u) if ch.is_odd]
         for ob in galois_orbits(odd):
             assert orbit_norm(ob) == _orbit_norm_conjugates(ob), (u, ob.members[0].exponents)
+
+
+def _odd_orbits_up_to(n):
+    for u in range(3, n + 1):
+        if u % 4 != 2:
+            yield from galois_orbits([ch for ch in characters(u) if ch.is_odd])
+
+
+def test_orbit_norm_matches_oracle():
+    # transform route vs Euclidean resultants, every odd orbit of u <= 150
+    for ob in _odd_orbits_up_to(150):
+        chi = ob.members[0]
+        assert orbit_norm(ob) == oracle_orbit_norm(ob), (chi.modulus, chi.exponents)
+
+
+def test_orbit_norm_bound_holds():
+    # |Res(Phi_d, A)| < 2^_norm_bound_bits(A, d), A the integer numerators of -B_1/2
+    for ob in _odd_orbits_up_to(150):
+        chi, d = ob.members[0], ob.order
+        if d == 2:
+            continue
+        w = b1_chi(chi) * Fraction(-1, 2)
+        denom = math.lcm(*(c.denominator for c in w.coeffs))
+        A = tuple(int(c * denom) for c in w.coeffs)
+        res = _resultant_int(cyclotomic_polynomial(d), A)
+        assert abs(res) < 2 ** _norm_bound_bits(A, d), (chi.modulus, chi.exponents)
+
+
+def test_norm_mod_matches_horner():
+    # chirp-z kernel vs direct prod_{k unit} A(omega^k) mod q
+    rng = random.Random(11)
+    for d in (4, 6, 8, 12, 30, 64, 210, 1008):
+        phi = euler_phi(d)
+        units = [k for k in range(d) if math.gcd(k, d) == 1]
+        primes = _norm_primes(d)
+        for length, zeros in ((phi, 0), (phi, phi // 2), (rng.randrange(1, phi + 1), 0)):
+            q, omega = next(primes)
+            assert q % d == 1 and q < 2**62 and is_prime(q)
+            assert pow(omega, d, q) == 1
+            assert all(pow(omega, d // p, q) != 1 for p in factorize(d).primes())
+            A = [rng.randrange(-2**40, 2**40) for _ in range(length - zeros)] + [0] * zeros
+            want = 1
+            for k in units:
+                want = want * _poly_eval(A, pow(omega, k, q)) % q
+            assert _norm_mod(tuple(A), d, q, omega) == want, (d, length)
 
 
 def test_orbit_norm_rejects_even_orbits():
@@ -194,8 +246,8 @@ def test_maillet_validation():
 
 
 def test_hminus_121_regression():
-    # composite prime-power conductor; value fixed by two independent
-    # resultant routes at generation time
+    # composite prime-power conductor (orbit orders up to 110); value and
+    # factorization pinned, independent of the orbit-norm route
     r = relative_class_number(121)
     assert r.value == 12188792628211
     assert [(p, e) for p, e in r.factorization.factors] == [

@@ -1,12 +1,14 @@
 """Relative class numbers h^-(u) via generalized Bernoulli numbers.
 
 h^-(u) = Q * w * prod_{chi odd} (-B_{1,chi}/2), the product taken over Galois
-orbits as exact rational norms. A norm is the integer Res(Phi_d, A) =
-prod_{k in (Z/d)^*} A(omega^k) modulo primes q = 1 (mod d) below 2^62, with
-omega of order d mod q; the products come from one chirp-z convolution per
-prime and are CRT-combined past a Parseval bound. An independent check is
-available for prime u through the classical half-matrix determinant
-(maillet_hminus).
+orbits as exact rational norms. b1_chi gives B_{1,chi} as integers c_i over the
+conductor f on the power basis of Q(zeta_d): a length-d character sum reduced by
+one long division by Phi_d. With -B_{1,chi}/2 = (1/denom) sum A_i zeta^i in
+lowest terms, a norm is the integer Res(Phi_d, A) = prod_{k in (Z/d)^*}
+A(omega^k) modulo primes q = 1 (mod d) below 2^62, with omega of order d mod q;
+the products come from one chirp-z convolution per prime and are CRT-combined
+past a Parseval bound. An independent check is available for prime u through
+the classical half-matrix determinant (maillet_hminus).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .arith import PrimeFactorization, divisors, euler_phi, factorize, is_prime
 from .abelian import (
@@ -39,20 +41,19 @@ class TimeLimitExceeded(Exception):
     pass
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact polynomial division by a monic divisor, ascending coefficients."""
+def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by a monic divisor, ascending coefficients."""
     num = list(num)
     dd = len(den) - 1
+    terms = [(j, c) for j, c in enumerate(den) if c]
     q = [0] * (len(num) - dd)
     for i in range(len(q) - 1, -1, -1):
         c = num[i + dd]
         q[i] = c
         if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    if any(num):
-        raise AssertionError("division not exact")
-    return q
+            for j, t in terms:
+                num[i + j] -= c * t
+    return q, num[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -68,132 +69,17 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
         return tuple(poly)
     poly = [-1] + [0] * (d - 1) + [1]
     for e in divisors(d)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(e))
+        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(e))
+        if any(rem):
+            raise AssertionError("division not exact")
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _power_rows(d: int) -> tuple[tuple[int, ...], ...]:
-    """x^k reduced mod Phi_d for 0 <= k < max(d, 2*phi(d) - 1), as integer rows."""
-    phi = euler_phi(d)
-    Phi = cyclotomic_polynomial(d)
-    neg_low = tuple(-c for c in Phi[:phi])
-    rows = [tuple(1 if i == k else 0 for i in range(phi)) for k in range(phi)]
-    for _ in range(phi, max(d, 2 * phi - 1)):
-        prev = rows[-1]
-        c = prev[-1]
-        shifted = (0,) + prev[:-1]
-        rows.append(tuple(s + c * n for s, n in zip(shifted, neg_low)))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class CyclotomicNumber:
-    """Element of Q(zeta_d) on the power basis 1, zeta, ..., zeta^(phi(d)-1)."""
-
-    order: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.order):
-            raise ValueError(
-                f"need {euler_phi(self.order)} coefficients for order {self.order}"
-            )
-
-    @classmethod
-    def zero(cls, d: int) -> CyclotomicNumber:
-        return cls(d, (Fraction(0),) * euler_phi(d))
-
-    @classmethod
-    def one(cls, d: int) -> CyclotomicNumber:
-        return cls.from_rational(d, Fraction(1))
-
-    @classmethod
-    def from_rational(cls, d: int, q) -> CyclotomicNumber:
-        coeffs = [Fraction(0)] * euler_phi(d)
-        coeffs[0] = Fraction(q)
-        return cls(d, tuple(coeffs))
-
-    @classmethod
-    def root_of_unity(cls, d: int, k: int) -> CyclotomicNumber:
-        row = _power_rows(d)[k % d]
-        return cls(d, tuple(Fraction(c) for c in row))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def constant(self) -> Fraction:
-        """The value as a rational; raises if any higher coefficient is nonzero."""
-        if any(self.coeffs[1:]):
-            raise ValueError(f"not rational: {self}")
-        return self.coeffs[0]
-
-    def __add__(self, other: CyclotomicNumber) -> CyclotomicNumber:
-        self._check(other)
-        return CyclotomicNumber(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: CyclotomicNumber) -> CyclotomicNumber:
-        self._check(other)
-        return CyclotomicNumber(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> CyclotomicNumber:
-        return CyclotomicNumber(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.order, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        self._check(other)
-        phi = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        rows = _power_rows(self.order)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(conv):
-            if c:
-                for i, r in enumerate(rows[k]):
-                    if r:
-                        out[i] += c * r
-        return CyclotomicNumber(self.order, tuple(out))
-
-    __rmul__ = __mul__
-
-    def galois_map(self, k: int) -> CyclotomicNumber:
-        """sigma_k: zeta -> zeta^k, for gcd(k, d) = 1."""
-        d = self.order
-        if math.gcd(k, d) != 1:
-            raise ValueError(f"sigma_{k} is not an automorphism for order {d}")
-        rows = _power_rows(d)
-        phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for i, r in enumerate(rows[(j * k) % d]):
-                    if r:
-                        out[i] += c * r
-        return CyclotomicNumber(d, tuple(out))
-
-    def _check(self, other: CyclotomicNumber) -> None:
-        if self.order != other.order:
-            raise ValueError("mixed cyclotomic orders")
-
-    def __str__(self) -> str:
-        return f"({' , '.join(str(c) for c in self.coeffs)}) in Q(zeta_{self.order})"
-
-
-def b1_chi(chi: DirichletCharacter) -> CyclotomicNumber:
+def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
     """B_{1,chi} = (1/f) sum_{a=1}^{f} chi*(a) a, chi* the primitive character
-    of conductor f inducing chi; an element of Q(zeta_d), d = order of chi."""
+    of conductor f inducing chi, as (c, f) with B_{1,chi} = (1/f) sum c_i zeta^i:
+    the phi(d) integer coefficients on the power basis of Q(zeta_d), d = order
+    of chi, and the conductor."""
     if chi.is_trivial:
         raise ValueError("B_{1,chi} is defined here only for nontrivial chi")
     d, f, u = chi.order, chi.conductor, chi.modulus
@@ -207,14 +93,8 @@ def b1_chi(chi: DirichletCharacter) -> CyclotomicNumber:
             b += f
         v = chi.value(b)
         acc[int(v * d)] += a
-    rows = _power_rows(d)
-    out = [0] * euler_phi(d)
-    for k, c in enumerate(acc):
-        if c:
-            for i, r in enumerate(rows[k]):
-                if r:
-                    out[i] += c * r
-    return CyclotomicNumber(d, tuple(Fraction(c, f) for c in out))
+    _, c = _poly_divmod(acc, cyclotomic_polynomial(d))
+    return tuple(c), f
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +169,13 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     d = chi.order
     if euler_phi(d) != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
-    w = b1_chi(chi) * Fraction(-1, 2)
+    c, f = b1_chi(chi)
+    # -B_{1,chi}/2 = (1/denom) sum A_i zeta^i in lowest terms.
+    g = math.gcd(2 * f, *c)
+    A, denom = tuple(-x // g for x in c), 2 * f // g
     if d == 2:
-        return w.coeffs[0]
+        return Fraction(A[0], denom)
     # chi(-1) = -1 makes d even, as _norm_mod needs.
-    denom = reduce(math.lcm, (c.denominator for c in w.coeffs), 1)
-    A = tuple(int(c * denom) for c in w.coeffs)
     bits = _norm_bound_bits(A, d)
     x, mod = 0, 1
     for q, omega in _norm_primes(d):
@@ -355,7 +236,10 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
     norms = []
     for ob in orbits:
         if deadline is not None and time.monotonic() > deadline:
-            raise TimeLimitExceeded(f"h^-({u}) exceeded {time_limit}s")
+            raise TimeLimitExceeded(
+                f"h^-({u}): time limit {time_limit}s exceeded in orbit norms "
+                f"after {len(norms)} of {len(orbits)} orbits"
+            )
         norms.append(
             OrbitNorm(ob.order, ob.size, ob.members[0].exponents, orbit_norm(ob))
         )

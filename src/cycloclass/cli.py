@@ -46,7 +46,7 @@ def cmd_hminus(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TimeLimitExceeded as exc:
-        print(f"error: time limit exceeded: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except IntegralityError as exc:
         print(f"integrality failure: {exc}", file=sys.stderr)

@@ -246,15 +246,9 @@ def theorem2_audit(
             INCONCLUSIVE,
             base | {"reason": "p <= H_F; the bounded descent theorem is silent"},
         )
-    for r in hyp.admissible_ranks:
-        if hyp.p % n == 0:
-            return Verdict(
-                CONSISTENT, base | {"r": r, "congruence": "p = 0 (mod n)"}
-            )
-        if pow(hyp.p, r, n) == 1:
-            return Verdict(
-                CONSISTENT, base | {"r": r, "congruence": "p^r = 1 (mod n)"}
-            )
+    hit = _odd_prime_witness(hyp, (n,))
+    if hit is not None:
+        return Verdict(CONSISTENT, base | hit)
     return Verdict(
         VIOLATION,
         base

@@ -1,26 +1,165 @@
-"""Resultant routes to orbit norms: the reference that the transform route in
-cycloclass.classnum.orbit_norm is tested against.
+"""Reference routes to B_{1,chi} and orbit norms: the independent code that
+b1_chi and the transform route in cycloclass.classnum.orbit_norm are tested
+against.
 
-oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder sequence
-over F_p for descending 62-bit primes p, CRT-combined past a Hadamard bound.
-_sylvester_resultant is the Sylvester determinant, and _orbit_norm_conjugates
-the explicit product of Galois conjugates.
+CyclotomicNumber is exact arithmetic in Q(zeta_d) on the power basis, with
+x^k mod Phi_d taken from the rows of _power_rows; oracle_b1 sums roots of unity
+in it. oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder
+sequence over F_p for descending 62-bit primes p, CRT-combined past a Hadamard
+bound. _sylvester_resultant is the Sylvester determinant, and
+_orbit_norm_conjugates the explicit product of Galois conjugates.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
-from cycloclass.abelian import CharacterOrbit
+from cycloclass.abelian import CharacterOrbit, DirichletCharacter
 from cycloclass.arith import euler_phi, is_prime
-from cycloclass.classnum import (
-    CyclotomicNumber,
-    _bareiss_det,
-    b1_chi,
-    cyclotomic_polynomial,
-)
+from cycloclass.classnum import _bareiss_det, cyclotomic_polynomial
+
+
+@lru_cache(maxsize=None)
+def _power_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    """x^k reduced mod Phi_d for 0 <= k < max(d, 2*phi(d) - 1), as integer rows."""
+    phi = euler_phi(d)
+    Phi = cyclotomic_polynomial(d)
+    neg_low = tuple(-c for c in Phi[:phi])
+    rows = [tuple(1 if i == k else 0 for i in range(phi)) for k in range(phi)]
+    for _ in range(phi, max(d, 2 * phi - 1)):
+        prev = rows[-1]
+        c = prev[-1]
+        shifted = (0,) + prev[:-1]
+        rows.append(tuple(s + c * n for s, n in zip(shifted, neg_low)))
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
+class CyclotomicNumber:
+    """Element of Q(zeta_d) on the power basis 1, zeta, ..., zeta^(phi(d)-1)."""
+
+    order: int
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.coeffs) != euler_phi(self.order):
+            raise ValueError(
+                f"need {euler_phi(self.order)} coefficients for order {self.order}"
+            )
+
+    @classmethod
+    def zero(cls, d: int) -> CyclotomicNumber:
+        return cls(d, (Fraction(0),) * euler_phi(d))
+
+    @classmethod
+    def one(cls, d: int) -> CyclotomicNumber:
+        return cls.from_rational(d, Fraction(1))
+
+    @classmethod
+    def from_rational(cls, d: int, q) -> CyclotomicNumber:
+        coeffs = [Fraction(0)] * euler_phi(d)
+        coeffs[0] = Fraction(q)
+        return cls(d, tuple(coeffs))
+
+    @classmethod
+    def root_of_unity(cls, d: int, k: int) -> CyclotomicNumber:
+        row = _power_rows(d)[k % d]
+        return cls(d, tuple(Fraction(c) for c in row))
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def constant(self) -> Fraction:
+        """The value as a rational; raises if any higher coefficient is nonzero."""
+        if any(self.coeffs[1:]):
+            raise ValueError(f"not rational: {self}")
+        return self.coeffs[0]
+
+    def __add__(self, other: CyclotomicNumber) -> CyclotomicNumber:
+        self._check(other)
+        return CyclotomicNumber(
+            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __sub__(self, other: CyclotomicNumber) -> CyclotomicNumber:
+        self._check(other)
+        return CyclotomicNumber(
+            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __neg__(self) -> CyclotomicNumber:
+        return CyclotomicNumber(self.order, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicNumber(self.order, tuple(c * other for c in self.coeffs))
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
+        self._check(other)
+        phi = len(self.coeffs)
+        conv = [Fraction(0)] * (2 * phi - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        conv[i + j] += a * b
+        rows = _power_rows(self.order)
+        out = [Fraction(0)] * phi
+        for k, c in enumerate(conv):
+            if c:
+                for i, r in enumerate(rows[k]):
+                    if r:
+                        out[i] += c * r
+        return CyclotomicNumber(self.order, tuple(out))
+
+    __rmul__ = __mul__
+
+    def galois_map(self, k: int) -> CyclotomicNumber:
+        """sigma_k: zeta -> zeta^k, for gcd(k, d) = 1."""
+        d = self.order
+        if math.gcd(k, d) != 1:
+            raise ValueError(f"sigma_{k} is not an automorphism for order {d}")
+        rows = _power_rows(d)
+        phi = len(self.coeffs)
+        out = [Fraction(0)] * phi
+        for j, c in enumerate(self.coeffs):
+            if c:
+                for i, r in enumerate(rows[(j * k) % d]):
+                    if r:
+                        out[i] += c * r
+        return CyclotomicNumber(d, tuple(out))
+
+    def _check(self, other: CyclotomicNumber) -> None:
+        if self.order != other.order:
+            raise ValueError("mixed cyclotomic orders")
+
+    def __str__(self) -> str:
+        return f"({' , '.join(str(c) for c in self.coeffs)}) in Q(zeta_{self.order})"
+
+
+def oracle_b1(chi: DirichletCharacter) -> CyclotomicNumber:
+    """B_{1,chi} = (1/f) sum_{a=1}^{f} chi*(a) a as a sum of roots of unity
+    zeta^k in Q(zeta_d), chi* the primitive character of conductor f."""
+    d, f, u = chi.order, chi.conductor, chi.modulus
+    weight = [0] * d  # weight[k] = sum of the a with chi*(a) = zeta^k
+    for a in range(1, f + 1):
+        if math.gcd(a, f) != 1:
+            continue
+        # Lift a to a unit mod u congruent to a mod f; chi*(a) = chi(lift).
+        b = a
+        while math.gcd(b, u) != 1:
+            b += f
+        weight[int(chi.value(b) * d)] += a
+    total = CyclotomicNumber.zero(d)
+    for k, w in enumerate(weight):
+        if w:
+            total = total + CyclotomicNumber.root_of_unity(d, k) * w
+    return total * Fraction(1, f)
+
 
 _PRIME_POOL: list[int] = []
 
@@ -145,7 +284,7 @@ def oracle_orbit_norm(orbit: CharacterOrbit) -> Fraction:
     d = chi.order
     if euler_phi(d) != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
-    w = b1_chi(chi) * Fraction(-1, 2)
+    w = oracle_b1(chi) * Fraction(-1, 2)
     if d == 2:
         return w.coeffs[0]
     denom = reduce(math.lcm, (c.denominator for c in w.coeffs), 1)
@@ -158,7 +297,7 @@ def _orbit_norm_conjugates(orbit: CharacterOrbit) -> Fraction:
     """Same norm as the explicit product of Galois conjugates (test route)."""
     chi = orbit.members[0]
     d = chi.order
-    w = b1_chi(chi) * Fraction(-1, 2)
+    w = oracle_b1(chi) * Fraction(-1, 2)
     prod = CyclotomicNumber.one(d)
     for k in range(1, d + 1):
         if math.gcd(k, d) == 1:

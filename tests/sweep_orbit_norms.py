@@ -1,34 +1,39 @@
 """Equality sweep: every odd-orbit norm of every conductor 3 <= u <= N with
 u != 2 (mod 4), by cycloclass.classnum.orbit_norm (transform route) against
-norm_oracle.oracle_orbit_norm (Euclidean resultants). Not collected by pytest.
+norm_oracle.oracle_orbit_norm (Euclidean resultants), and each orbit's
+b1_chi against norm_oracle.oracle_b1 (sum of roots of unity). Not collected by
+pytest.
 
     PYTHONPATH=src:tests python tests/sweep_orbit_norms.py 1000
 
-Prints each mismatch, then the number of norms compared and both routes'
-total times; exits 1 on any mismatch. The x^k mod Phi_d rows that b1_chi
-needs are built outside the timed calls and dropped after each conductor,
-which keeps memory flat.
+Prints each mismatch, then the number of norms compared, the number of
+mismatches of each kind and both norm routes' total times; exits 1 on any
+mismatch. Phi_d is built before the timed calls, so the first conductor with a
+given orbit order does not charge it to orbit_norm; the x^k mod Phi_d rows
+that oracle_b1 needs are dropped after each conductor, which keeps memory flat.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from fractions import Fraction
 
 from cycloclass.abelian import characters, galois_orbits
-from cycloclass.classnum import _power_rows, orbit_norm
-from norm_oracle import oracle_orbit_norm
+from cycloclass.classnum import b1_chi, cyclotomic_polynomial, orbit_norm
+from norm_oracle import _power_rows, oracle_b1, oracle_orbit_norm
 
 
 def main(argv: list[str]) -> int:
     n = int(argv[1]) if len(argv) > 1 else 1000
-    count = mismatches = 0
+    count = mismatches = b1_mismatches = 0
     new_s = oracle_s = 0.0
     for u in range(3, n + 1):
         if u % 4 == 2:
             continue
         for ob in galois_orbits([ch for ch in characters(u) if ch.is_odd]):
-            _power_rows(ob.order)
+            chi = ob.members[0]
+            cyclotomic_polynomial(ob.order)
             t0 = time.perf_counter()
             new = orbit_norm(ob)
             t1 = time.perf_counter()
@@ -39,13 +44,18 @@ def main(argv: list[str]) -> int:
             count += 1
             if new != old:
                 mismatches += 1
-                print(f"MISMATCH u={u} order={ob.order} rep={ob.members[0].exponents}")
+                print(f"MISMATCH u={u} order={ob.order} rep={chi.exponents}")
+            c, f = b1_chi(chi)
+            if tuple(Fraction(x, f) for x in c) != oracle_b1(chi).coeffs:
+                b1_mismatches += 1
+                print(f"B1 MISMATCH u={u} order={ob.order} rep={chi.exponents}")
         _power_rows.cache_clear()
     print(
-        f"u <= {n}: {count} odd-orbit norms, {mismatches} mismatches; "
+        f"u <= {n}: {count} odd-orbit norms, {mismatches} mismatches, "
+        f"{b1_mismatches} b1_chi mismatches; "
         f"orbit_norm {new_s:.1f} s, oracle_orbit_norm {oracle_s:.1f} s"
     )
-    return 1 if mismatches else 0
+    return 1 if mismatches or b1_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -184,7 +184,7 @@ def test_acceptance_7_property_suites(capsys):
                 continue
             for ch in characters(u):
                 if not ch.is_odd and ch.order > 1:
-                    assert b1_chi(ch).is_zero, (u, ch)
+                    assert not any(b1_chi(ch)[0]), (u, ch)
 
         # assembled h- is an integer with a verified factorization everywhere
         for u in range(3, 51):

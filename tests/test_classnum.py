@@ -11,7 +11,6 @@ import pytest
 from cycloclass.abelian import characters, galois_orbits
 from cycloclass.arith import euler_phi, factorize, is_prime
 from cycloclass.classnum import (
-    CyclotomicNumber,
     TimeLimitExceeded,
     _norm_bound_bits,
     _norm_mod,
@@ -23,9 +22,11 @@ from cycloclass.classnum import (
     relative_class_number,
 )
 from norm_oracle import (
+    CyclotomicNumber,
     _orbit_norm_conjugates,
     _resultant_int,
     _sylvester_resultant,
+    oracle_b1,
     oracle_orbit_norm,
 )
 
@@ -70,16 +71,37 @@ def test_cyclotomic_number_roots_multiply_like_exponents():
 def test_b1_quadratic_character_values():
     # mod 3: B_{1,chi} = (1*1 + 2*(-1))/3 = -1/3; mod 4: (1 - 3)/4 = -1/2
     chi3 = next(ch for ch in characters(3) if ch.is_odd)
-    assert b1_chi(chi3).constant() == Fraction(-1, 3)
+    (c0,), f = b1_chi(chi3)
+    assert Fraction(c0, f) == Fraction(-1, 3)
     chi4 = next(ch for ch in characters(4) if ch.is_odd)
-    assert b1_chi(chi4).constant() == Fraction(-1, 2)
+    (c0,), f = b1_chi(chi4)
+    assert Fraction(c0, f) == Fraction(-1, 2)
 
 
 def test_b1_even_nontrivial_characters_vanish():
     for u in (5, 7, 8, 9, 11, 12, 13, 15, 16, 21, 24, 36, 40):
         for ch in characters(u):
             if not ch.is_odd and not ch.is_trivial:
-                assert b1_chi(ch).is_zero, (u, ch.exponents)
+                assert not any(b1_chi(ch)[0]), (u, ch.exponents)
+
+
+def _b1_fractions(chi):
+    c, f = b1_chi(chi)
+    return tuple(Fraction(x, f) for x in c)
+
+
+def test_b1_chi_matches_oracle():
+    # integer coefficients over the conductor vs the sum of roots of unity
+    chars = [ch for u in range(3, 61) if u % 4 != 2 for ch in characters(u)]
+    # the orbits of orders 105 and 210 mod 211, by representative: Phi_105 and
+    # Phi_210(x) = Phi_105(-x) have the coefficients -2 and 2 at x^7
+    chars += [ob.members[0] for ob in galois_orbits(characters(211)) if ob.order in (105, 210)]
+    for ch in chars:
+        if not ch.is_trivial:
+            c, f = b1_chi(ch)
+            assert f == ch.conductor, (ch.modulus, ch.exponents)
+            want = oracle_b1(ch).coeffs
+            assert tuple(Fraction(x, f) for x in c) == want, (ch.modulus, ch.exponents)
 
 
 def test_b1_galois_equivariance():
@@ -91,7 +113,8 @@ def test_b1_galois_equivariance():
             d = ch.order
             for k in range(2, d):
                 if math.gcd(k, d) == 1:
-                    assert b1_chi(ch).galois_map(k) == b1_chi(ch**k), (u, ch.exponents, k)
+                    want = _b1_fractions(ch**k)
+                    assert oracle_b1(ch).galois_map(k).coeffs == want, (u, ch.exponents, k)
 
 
 def test_orbit_norm_matches_conjugate_product():
@@ -121,9 +144,9 @@ def test_orbit_norm_bound_holds():
         chi, d = ob.members[0], ob.order
         if d == 2:
             continue
-        w = b1_chi(chi) * Fraction(-1, 2)
-        denom = math.lcm(*(c.denominator for c in w.coeffs))
-        A = tuple(int(c * denom) for c in w.coeffs)
+        c, f = b1_chi(chi)
+        g = math.gcd(2 * f, *c)
+        A = tuple(-x // g for x in c)
         res = _resultant_int(cyclotomic_polynomial(d), A)
         assert abs(res) < 2 ** _norm_bound_bits(A, d), (chi.modulus, chi.exponents)
 
@@ -232,7 +255,8 @@ def test_hminus_rejects_bad_input():
 
 
 def test_hminus_time_limit_fires():
-    with pytest.raises(TimeLimitExceeded):
+    # (Z/191)^* is cyclic of order 190: odd orbits of orders 2, 10, 38, 190
+    with pytest.raises(TimeLimitExceeded, match=r"in orbit norms after 0 of 4 orbits"):
         relative_class_number(191, time_limit=0.0)
 
 

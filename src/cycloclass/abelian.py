@@ -3,6 +3,11 @@
 Characters mod u are stored as exponent tuples against a fixed generating set
 of (Z/u)^*; values are exact root-of-unity exponents (Fraction k/d), so all
 downstream arithmetic stays in Q(zeta_d) with no floating point anywhere.
+
+A subfield of Q(zeta_u) is its character group X < prod Z/o_i, held as the
+Hermite-normal-form rows of its preimage lattice in Z^k; its invariants are
+integer functions of the member tuples, so DirichletCharacter objects are
+built only where character values are needed (B_1 and Galois orbits).
 """
 
 from __future__ import annotations
@@ -127,6 +132,21 @@ def _local_conductor(p: int, e: int, exps: tuple[int, ...], orders: tuple[int, .
     raise AssertionError("unreachable: local order always divides phi(p^e)")
 
 
+def _conductor(data: _UnitData, exps: tuple[int, ...]) -> int:
+    """Conductor of the character with the given exponents."""
+    cond = 1
+    for p, pe, idx in data.components:
+        cond *= _local_conductor(
+            p, pe, tuple(exps[i] for i in idx), tuple(data.orders[i] for i in idx)
+        )
+    return cond
+
+
+def _is_odd(data: _UnitData, exps: tuple[int, ...]) -> bool:
+    # -1 has order 2: its exponents are 0 or o_i/2, so chi(-1) = (-1)^(sum e_i)
+    return sum(e for e, k in zip(exps, data.minus_one) if k) % 2 == 1
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
     """Character mod u given by exponents against the fixed unit-group generators.
@@ -151,15 +171,9 @@ class DirichletCharacter:
         order = reduce(
             math.lcm, (o // math.gcd(e, o) for e, o in zip(exps, data.orders)), 1
         )
-        cond = 1
-        for p, pe, idx in data.components:
-            cond *= _local_conductor(
-                p, pe, tuple(exps[i] for i in idx), tuple(data.orders[i] for i in idx)
-            )
-        parity = sum(e for e, k in zip(exps, data.minus_one) if k) % 2 == 1
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "conductor", cond)
-        object.__setattr__(self, "is_odd", parity)
+        object.__setattr__(self, "conductor", _conductor(data, exps))
+        object.__setattr__(self, "is_odd", _is_odd(data, exps))
 
     @property
     def is_trivial(self) -> bool:
@@ -176,14 +190,6 @@ class DirichletCharacter:
         return (
             sum(Fraction(e * k, o) for e, k, o in zip(self.exponents, ks, data.orders))
             % 1
-        )
-
-    def __mul__(self, other: DirichletCharacter) -> DirichletCharacter:
-        if self.modulus != other.modulus:
-            raise ValueError("cannot multiply characters of different moduli")
-        return DirichletCharacter(
-            self.modulus,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
         )
 
     def __pow__(self, k: int) -> DirichletCharacter:
@@ -251,58 +257,47 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[CharacterOrbit]:
 class AbelianFieldSpec:
     """An abelian field presented by its group X of Dirichlet characters mod u.
 
-    Degree = |X|, conductor = lcm of character conductors, and by
-    conductor-discriminant |disc| = product of character conductors.
+    Built from any exponent tuples generating X; `rows` holds the canonical
+    HNF rows (as _subgroups yields them).  Degree = |X|, conductor = lcm of
+    character conductors, and by conductor-discriminant |disc| = product of
+    character conductors.
     """
 
     modulus: int
-    chars: frozenset[DirichletCharacter]
+    rows: tuple[tuple[int, ...], ...]
     degree: int = field(init=False, compare=False, default=0)
     conductor: int = field(init=False, compare=False, default=0)
     abs_discriminant: int = field(init=False, compare=False, default=0)
 
     def __post_init__(self):
-        if not self.chars:
-            raise ValueError("character group must contain the trivial character")
-        conds = [ch.conductor for ch in self.chars]
-        object.__setattr__(self, "degree", len(self.chars))
+        data = _unit_data(self.modulus)
+        rows = _hnf(self.rows, data.orders)
+        conds = [_conductor(data, exps) for exps in _members(rows, data.orders)]
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "degree", len(conds))
         object.__setattr__(self, "conductor", reduce(math.lcm, conds, 1))
         object.__setattr__(self, "abs_discriminant", math.prod(conds))
 
-    @property
-    def sorted_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(ch.exponents for ch in self.chars))
-
-    def validate_subgroup(self) -> None:
-        """Check X is a subgroup (contains 1, closed under product). O(|X|^2)."""
-        exps = {ch.exponents for ch in self.chars}
-        data = _unit_data(self.modulus)
-        if (0,) * len(data.orders) not in exps:
-            raise ValueError("character set lacks the trivial character")
-        for a in exps:
-            for b in exps:
-                prod = tuple((x + y) % o for x, y, o in zip(a, b, data.orders))
-                if prod not in exps:
-                    raise ValueError("character set is not closed under products")
-
     def _sort_key(self):
-        return (self.degree, self.abs_discriminant, self.conductor, self.sorted_exponents)
-
-
-def _spec_from_tuples(u: int, tuples) -> AbelianFieldSpec:
-    return AbelianFieldSpec(u, frozenset(DirichletCharacter(u, t) for t in tuples))
+        return (self.degree, self.abs_discriminant, self.conductor, self.rows)
 
 
 def cyclotomic_field_spec(u: int) -> AbelianFieldSpec:
     """Q(zeta_u) as a field spec (the full character group mod u)."""
     u = normalize_conductor(u)
-    return AbelianFieldSpec(u, frozenset(characters(u)))
+    k = len(_unit_data(u).orders)
+    return AbelianFieldSpec(u, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
 
 
 def real_cyclotomic_field_spec(u: int) -> AbelianFieldSpec:
-    """The maximal real subfield Q(zeta_u)^+: the even characters mod u."""
+    """The maximal real subfield Q(zeta_u)^+: the even characters mod u,
+    generated by e_i where -1 has exponent 0 and by e_s + e_i where it has
+    exponent o_i/2 (s the first such i, so 2e_s is among them)."""
     u = normalize_conductor(u)
-    return AbelianFieldSpec(u, frozenset(ch for ch in characters(u) if not ch.is_odd))
+    m = _unit_data(u).minus_one
+    s = next(i for i, k in enumerate(m) if k)
+    gens = [[(j == i) + (j == s) * (k > 0) for j in range(len(m))] for i, k in enumerate(m)]
+    return AbelianFieldSpec(u, gens)
 
 
 def cyclic_subfield_spec(u: int, n: int) -> AbelianFieldSpec:
@@ -314,8 +309,7 @@ def cyclic_subfield_spec(u: int, n: int) -> AbelianFieldSpec:
     m = data.orders[0]
     if m % n != 0:
         raise ValueError(f"no degree-{n} subfield: {n} does not divide {m}")
-    step = m // n
-    return _spec_from_tuples(u, [((step * k) % m,) for k in range(n)])
+    return AbelianFieldSpec(u, ((m // n,),))
 
 
 # subfields() refuses lattices with more subgroups than this
@@ -363,6 +357,30 @@ def _subgroups(orders: tuple[int, ...], order: int | None = None):
     yield from extend(len(orders) - 1, [], 1)
 
 
+def _hnf(gens, orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rows _subgroups yields for the subgroup generated by the exponent
+    tuples gens: Euclid down each column, starting from o_i e_i, then each
+    tail reduced by the pivots below it."""
+    k, gens = len(orders), list(gens)
+    if any(len(g) != k for g in gens):
+        raise ValueError(f"expected {k} exponents per generator")
+    pool = [[e % o for e, o in zip(g, orders)] for g in gens]
+    rows = []
+    for i, o in enumerate(orders):
+        piv = [o * (j == i) for j in range(k)]
+        for n, v in enumerate(pool):
+            while v[i]:
+                q = piv[i] // v[i]
+                piv, v = v, [(a - q * b) % m for a, b, m in zip(piv, v, orders)]
+            pool[n] = v
+        rows.append(piv)
+    for i, row in enumerate(rows):
+        for j in range(i + 1, k):
+            q = row[j] // rows[j][j]
+            row[:] = [a - q * b for a, b in zip(row, rows[j])]
+    return tuple(map(tuple, rows))
+
+
 def _members(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The exponent tuples of the subgroup with the given HNF rows."""
     elements = [(0,) * len(orders)]
@@ -383,41 +401,38 @@ def subfields(u: int) -> tuple[AbelianFieldSpec, ...]:
     members.
     """
     u = normalize_conductor(u)
-    orders = _unit_data(u).orders
     groups = []
-    for rows in _subgroups(orders):
+    for rows in _subgroups(_unit_data(u).orders):
         groups.append(rows)
         if len(groups) > _MAX_SUBGROUPS:
             raise ValueError(
                 f"Q(zeta_{u}) has more than {_MAX_SUBGROUPS} subfields; refusing to list them"
             )
-    specs = [_spec_from_tuples(u, _members(rows, orders)) for rows in groups]
+    specs = [AbelianFieldSpec(u, rows) for rows in groups]
     return tuple(sorted(specs, key=AbelianFieldSpec._sort_key))
 
 
 @lru_cache(maxsize=None)
 def descent_subfield(K: AbelianFieldSpec, n: int) -> AbelianFieldSpec:
     """The degree-N/n subfield F of K (index-n character subgroup) minimizing
-    |disc(F)|; ties broken by conductor, then by exponent tuples."""
+    |disc(F)|; ties broken by conductor, then by HNF rows."""
     if not is_prime(n) or n == 2:
         raise ValueError(f"descent degree must be an odd prime, got {n}")
     if K.degree % n != 0:
         raise ValueError(f"{n} does not divide the degree {K.degree}")
-    orders = _unit_data(K.modulus).orders
-    exps = {ch.exponents for ch in K.chars}
     specs = [
-        _spec_from_tuples(K.modulus, _members(rows, orders))
-        for rows in _subgroups(orders, K.degree // n)
-        if all(tuple(r % o for r, o in zip(row, orders)) in exps for row in rows)
+        AbelianFieldSpec(K.modulus, rows)
+        for rows in _subgroups(_unit_data(K.modulus).orders, K.degree // n)
+        if all(_in_span(row, K.rows, 0) for row in rows)
     ]
     return min(specs, key=AbelianFieldSpec._sort_key)
 
 
 def two_power_subfield(K: AbelianFieldSpec) -> AbelianFieldSpec:
     """The unique subfield of K of degree 2^a where 2^a || [K:Q]: the fixed
-    field of the odd part of Gal(K/Q), i.e. the 2-primary characters of K."""
-    chars = frozenset(ch for ch in K.chars if ch.order & (ch.order - 1) == 0)
-    return AbelianFieldSpec(K.modulus, chars)
+    field of the odd part of Gal(K/Q): X^odd, odd the odd part of [K:Q]."""
+    odd = K.degree // (K.degree & -K.degree)
+    return AbelianFieldSpec(K.modulus, tuple(tuple(odd * e for e in row) for row in K.rows))
 
 
 def quadratic_signed_discriminant(F: AbelianFieldSpec) -> int:
@@ -425,5 +440,5 @@ def quadratic_signed_discriminant(F: AbelianFieldSpec) -> int:
     nontrivial character is odd (imaginary field), +conductor when even."""
     if F.degree != 2:
         raise ValueError(f"need a quadratic field, got degree {F.degree}")
-    chi = next(ch for ch in F.chars if not ch.is_trivial)
-    return -F.conductor if chi.is_odd else F.conductor
+    data = _unit_data(F.modulus)
+    return -F.conductor if any(_is_odd(data, row) for row in F.rows) else F.conductor

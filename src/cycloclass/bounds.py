@@ -60,7 +60,7 @@ def _exact_result(abs_disc: int, m: int, value: int, note: str | None) -> BoundR
 
 
 @lru_cache(maxsize=None)
-def class_number_bound(abs_disc: int, m: int, min_prec: int = 128) -> BoundResult:
+def class_number_bound(abs_disc: int, m: int) -> BoundResult:
     """H(|D|, m), certified upward; exact in the degenerate/perfect-square cases.
 
     Rejects abs_disc = 1 with m >= 2: the formula gives 0 there, and the only
@@ -81,7 +81,7 @@ def class_number_bound(abs_disc: int, m: int, min_prec: int = 128) -> BoundResul
             return _exact_result(abs_disc, 1, r, "m=1: H = sqrt(|D|), exact")
         note = "m=1: formula reduces to sqrt(|D|); hypothesis check deferred to user"
 
-    prec = max(min_prec, 128)
+    prec = 128
     fact = math.factorial(m - 1)
     while True:
         iv = mpmath.iv

@@ -69,7 +69,7 @@ def cmd_hminus(args) -> int:
 
 def cmd_bound(args) -> int:
     try:
-        result = class_number_bound(args.disc, args.m, args.precision)
+        result = class_number_bound(args.disc, args.m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -171,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disc", type=_positive_int, required=True, metavar="D",
                    help="absolute value of the field discriminant")
     p.add_argument("--m", type=_positive_int, required=True, help="field degree")
-    p.add_argument("--precision", type=_positive_int, default=128, metavar="BITS",
-                   help="starting interval precision (default 128 bits)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("subfields", help="subfield lattice of Q(zeta_u)")

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize, is_prime, multiplicative_order
-from .abelian import AbelianFieldSpec, descent_subfield
-from .bounds import class_number_bound, field_bound
+from .bounds import class_number_bound
 
 CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
@@ -205,40 +204,21 @@ def theorem1_audit(N: int, hyp: RankHypothesis, two_part: str = "unknown") -> Ve
     )
 
 
-def theorem2_audit(
-    hyp: RankHypothesis,
-    n: int,
-    *,
-    K: AbelianFieldSpec | None = None,
-    F_abs_disc: int | None = None,
-    F_degree: int | None = None,
-) -> Verdict:
-    """Bounded-descent audit at the odd prime n.
-
-    The descent subfield F (index n in K) is either derived from an explicit
-    field spec K or supplied directly via (F_abs_disc, F_degree).  The
+def theorem2_audit(hyp: RankHypothesis, n: int, *, F_abs_disc: int, F_degree: int) -> Verdict:
+    """Bounded-descent audit at the odd prime n for the descent subfield F
+    (index n in K) with |disc F| = F_abs_disc and [F:Q] = F_degree.  The
     theorem applies only when p > H_F; below the bound the verdict is
     INCONCLUSIVE.
     """
     if n < 3 or n % 2 == 0 or not is_prime(n):
         raise ValueError(f"n = {n} is not an odd prime")
-    if K is not None:
-        if F_abs_disc is not None or F_degree is not None:
-            raise ValueError("give either K or (F_abs_disc, F_degree), not both")
-        F = descent_subfield(K, n)
-        bound = field_bound(F)
-        disc, degree = F.abs_discriminant, F.degree
-    else:
-        if F_abs_disc is None or F_degree is None:
-            raise ValueError("need both F_abs_disc and F_degree without K")
-        disc, degree = F_abs_disc, F_degree
-        bound = class_number_bound(disc, degree)
+    bound = class_number_bound(F_abs_disc, F_degree)
     base = {
         "theorem": "theorem2",
         "p": hyp.p,
         "n": n,
-        "F_abs_disc": encode_int(disc),
-        "F_degree": degree,
+        "F_abs_disc": encode_int(F_abs_disc),
+        "F_degree": F_degree,
         "H_F": bound.display(),
     }
     if not bound.exceeds(hyp.p):

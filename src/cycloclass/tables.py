@@ -30,8 +30,8 @@ The audit applies, per (record, class-number kind, prime):
     resolved against subfield_h data when no odd congruence witness exists;
   * per odd prime n dividing the degree: the bounded descent theorem
     (theorem2), with the descent subfield taken from explicit descents,
-    derived from characters when the field is reconstructible from the
-    record, or Q itself when n equals the degree.
+    derived from the character group when the field is reconstructible from
+    the record, or Q itself when n equals the degree.
 
 Verdicts are CONSISTENT / VIOLATION / INCONCLUSIVE; an INCONCLUSIVE never
 fails an audit, a VIOLATION always does.
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from math import prod
 
@@ -49,6 +50,7 @@ from .abelian import (
     AbelianFieldSpec,
     cyclic_subfield_spec,
     cyclotomic_field_spec,
+    descent_subfield,
     normalize_conductor,
     quadratic_signed_discriminant,
     real_cyclotomic_field_spec,
@@ -546,6 +548,14 @@ def _resolve_two_part(rec: ClassNumberRecord, ctx: _Context, p: int) -> tuple[st
     return "unknown", extras
 
 
+def _theorem1_verdict(rec: ClassNumberRecord, ctx: _Context, hyp: RankHypothesis) -> Verdict:
+    state, extras = _resolve_two_part(rec, ctx, hyp.p)
+    v = theorem1_audit(ctx.N, hyp, state)
+    if extras and v.witness.get("branch") == "two-part":
+        return Verdict(v.status, v.witness | extras)
+    return v
+
+
 def _theorem2_verdict(rec: ClassNumberRecord, ctx: _Context, hyp: RankHypothesis, n: int) -> Verdict:
     if ctx.N == n:
         return theorem2_audit(hyp, n, F_abs_disc=1, F_degree=1)
@@ -553,7 +563,8 @@ def _theorem2_verdict(rec: ClassNumberRecord, ctx: _Context, hyp: RankHypothesis
     if explicit is not None:
         return theorem2_audit(hyp, n, F_abs_disc=explicit.abs_disc, F_degree=explicit.degree)
     if ctx.K is not None:
-        return theorem2_audit(hyp, n, K=ctx.K)
+        F = descent_subfield(ctx.K, n)
+        return theorem2_audit(hyp, n, F_abs_disc=F.abs_discriminant, F_degree=F.degree)
     return Verdict(
         INCONCLUSIVE,
         {
@@ -697,47 +708,27 @@ def audit_records(records, probable_primes: str = "allow") -> AuditReport:
                 flagged = probable_prime_only(p)
                 any_probable = any_probable or flagged
                 any_conjectural = any_conjectural or ctx.conjectural
-
-                def emit(theorem: str, verdict: Verdict) -> None:
+                planned = []  # (theorem, verdict thunk)
+                if ctx.N % 2 == 1:
+                    planned.append(("corollary1", partial(corollary1_verdict, ctx.N, hyp)))
+                elif odd_part > 1:
+                    planned.append(("theorem1", partial(_theorem1_verdict, rec, ctx, hyp)))
+                planned += [
+                    (f"theorem2(n={n})", partial(_theorem2_verdict, rec, ctx, hyp, n))
+                    for n in odd_primes
+                ]
+                for theorem, verdict in planned:
+                    if flagged and probable_primes == "reject":
+                        reason = "probable prime rejected by policy (primality not proven)"
+                        v = Verdict(INCONCLUSIVE, {"theorem": theorem, "p": p, "reason": reason})
+                    else:
+                        v = verdict()
                     entries.append(
                         AuditEntry(
-                            idx, label, ctx.h_kind, p, e, rank, theorem, verdict,
+                            idx, label, ctx.h_kind, p, e, rank, theorem, v,
                             ctx.conjectural, flagged,
                         )
                     )
-
-                planned: list[str] = []
-                if ctx.N % 2 == 1:
-                    planned.append("corollary1")
-                elif odd_part > 1:
-                    planned.append("theorem1")
-                planned.extend(f"theorem2(n={n})" for n in odd_primes)
-
-                if flagged and probable_primes == "reject":
-                    for theorem in planned:
-                        emit(
-                            theorem,
-                            Verdict(
-                                INCONCLUSIVE,
-                                {
-                                    "theorem": theorem,
-                                    "p": p,
-                                    "reason": "probable prime rejected by policy "
-                                    "(primality not proven)",
-                                },
-                            ),
-                        )
-                    continue
-                if ctx.N % 2 == 1:
-                    emit("corollary1", corollary1_verdict(ctx.N, hyp))
-                elif odd_part > 1:
-                    state, extras = _resolve_two_part(rec, ctx, p)
-                    v = theorem1_audit(ctx.N, hyp, state)
-                    if extras and v.witness.get("branch") == "two-part":
-                        v = Verdict(v.status, v.witness | extras)
-                    emit("theorem1", v)
-                for n in odd_primes:
-                    emit(f"theorem2(n={n})", _theorem2_verdict(rec, ctx, hyp, n))
     notes = ["logarithms in the class-number bound are natural (base e)"]
     if any_probable:
         if probable_primes == "allow":

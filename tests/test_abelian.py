@@ -12,7 +12,8 @@ from cycloclass.arith import divisors, euler_phi, factorize
 from cycloclass.abelian import (
     AbelianFieldSpec,
     DirichletCharacter,
-    _spec_from_tuples,
+    _members,
+    _subgroups,
     _unit_data,
     characters,
     cyclic_subfield_spec,
@@ -20,8 +21,10 @@ from cycloclass.abelian import (
     descent_subfield,
     galois_orbits,
     normalize_conductor,
+    quadratic_signed_discriminant,
     real_cyclotomic_field_spec,
     subfields,
+    two_power_subfield,
     unit_group_structure,
 )
 from cycloclass.cli import EXIT_USAGE, main
@@ -40,6 +43,22 @@ def _conductor_oracle(chi: DirichletCharacter) -> int:
         if all(chi.value(a) == 0 for a in units if a % f == 1 % f):
             return f
     raise AssertionError("unreachable: f = u always works")
+
+
+def _member_set(F: AbelianFieldSpec) -> set[tuple[int, ...]]:
+    return set(_members(F.rows, _unit_data(F.modulus).orders))
+
+
+def _assert_subgroup(F: AbelianFieldSpec) -> None:
+    """The members of F are |X| distinct tuples containing 1 and closed
+    under products."""
+    orders = _unit_data(F.modulus).orders
+    exps = _member_set(F)
+    assert len(exps) == F.degree
+    assert (0,) * len(orders) in exps
+    for a in exps:
+        for b in exps:
+            assert tuple((x + y) % o for x, y, o in zip(a, b, orders)) in exps
 
 
 def test_normalize_conductor():
@@ -108,9 +127,8 @@ def test_char_value_function_and_nonunits():
 def test_character_order_against_scan():
     for u in (5, 8, 9, 12, 16, 21, 40, 63):
         for chi in characters(u):
-            k, cur = 1, chi
-            while not cur.is_trivial:
-                cur = cur * chi
+            k = 1
+            while not (chi**k).is_trivial:
                 k += 1
             assert k == chi.order
 
@@ -181,9 +199,11 @@ def test_galois_orbits_reject_non_closed_input():
 def test_field_spec_basic():
     K = cyclotomic_field_spec(5)
     assert (K.degree, K.conductor, K.abs_discriminant) == (4, 5, 125)
-    K.validate_subgroup()
+    assert K.rows == ((1,),)
+    _assert_subgroup(K)
     R = real_cyclotomic_field_spec(5)
     assert (R.degree, R.abs_discriminant) == (2, 5)
+    assert R.rows == ((2,),)
     assert cyclotomic_field_spec(10) == cyclotomic_field_spec(5)
 
 
@@ -208,7 +228,7 @@ def test_subfields_prime_modulus():
     degrees = sorted(F.degree for F in listing)
     assert degrees == sorted(divisors(58))
     for F in listing:
-        F.validate_subgroup()
+        _assert_subgroup(F)
         assert F.degree == 1 or F.conductor == 59
     quad = next(F for F in listing if F.degree == 2)
     assert quad.abs_discriminant == 59
@@ -223,7 +243,7 @@ def test_subfields_elementary_two_group():
 def test_subfields_sorted_and_deterministic():
     a = subfields(63)
     b = subfields(63)
-    assert [F.sorted_exponents for F in a] == [F.sorted_exponents for F in b]
+    assert [F.rows for F in a] == [F.rows for F in b]
     keys = [(F.degree, F.abs_discriminant) for F in a]
     assert keys == sorted(keys)
 
@@ -232,7 +252,7 @@ def test_subfields_against_oracle():
     for u in ORACLE_MODULI:
         orders = _unit_data(u).orders
         expect = sorted(tuple(sorted(S)) for S in _all_subgroups(orders, 10_000))
-        got = sorted(F.sorted_exponents for F in subfields(u))
+        got = sorted(tuple(sorted(_member_set(F))) for F in subfields(u))
         assert got == expect, u
 
 
@@ -266,15 +286,13 @@ def test_descent_subfield_minimizes_disc():
     K = cyclotomic_field_spec(63)
     F = descent_subfield(K, 3)
     data = _unit_data(63)
-    elements = [ch.exponents for ch in K.chars]
-    cands = [
-        _spec_from_tuples(63, g)
-        for g in _index_n_subgroups(elements, data.orders, 3)
-    ]
+    elements = list(_member_set(K))
+    groups = _index_n_subgroups(elements, data.orders, 3)
+    cands = [AbelianFieldSpec(63, tuple(g)) for g in groups]
     assert len(cands) == 4
     assert F.abs_discriminant == min(c.abs_discriminant for c in cands)
-    for c in cands:
-        c.validate_subgroup()
+    for g, c in zip(groups, cands):
+        assert _member_set(c) == set(g)
         assert c.degree == K.degree // 3
 
 
@@ -282,12 +300,12 @@ def test_descent_subfield_against_oracle():
     for u in ORACLE_MODULI:
         orders = _unit_data(u).orders
         for K in (cyclotomic_field_spec(u), real_cyclotomic_field_spec(u)):
-            elements = [ch.exponents for ch in K.chars]
+            elements = list(_member_set(K))
             for n in factorize(K.degree).primes():
                 if n == 2:
                     continue
                 cands = [
-                    _spec_from_tuples(u, g)
+                    AbelianFieldSpec(u, tuple(g))
                     for g in _index_n_subgroups(elements, orders, n)
                 ]
                 best = min(cands, key=AbelianFieldSpec._sort_key)
@@ -303,3 +321,62 @@ def test_index_n_subgroups_against_full_enumeration():
         expect = {S for S in all_subs if len(S) == size // n}
         got = _index_n_subgroups(elements, data.orders, n)
         assert got == expect
+
+
+def test_spec_invariants_match_character_route():
+    # deg, conductor and |disc| from the HNF rows equal len, lcm and product
+    # over one DirichletCharacter per member; the rows come back unchanged
+    for u in ORACLE_MODULI:
+        orders = _unit_data(u).orders
+        for rows in _subgroups(orders):
+            F = AbelianFieldSpec(u, rows)
+            conds = [DirichletCharacter(u, t).conductor for t in _members(rows, orders)]
+            assert F.rows == rows, (u, rows)
+            assert F.degree == len(conds), (u, rows)
+            assert F.conductor == math.lcm(*conds), (u, rows)
+            assert F.abs_discriminant == math.prod(conds), (u, rows)
+
+
+def test_real_and_two_power_members_match_character_filters():
+    for u in MODULI + [572, 4620]:
+        chars = characters(u)
+        even = {ch.exponents for ch in chars if not ch.is_odd}
+        assert _member_set(real_cyclotomic_field_spec(u)) == even, u
+        two = {ch.exponents for ch in chars if ch.order & (ch.order - 1) == 0}
+        assert _member_set(two_power_subfield(cyclotomic_field_spec(u))) == two, u
+
+
+def test_spec_is_canonical_under_generating_sets():
+    rng = random.Random(7)
+    for u in (63, 80, 105, 168):
+        orders = _unit_data(u).orders
+        for F in subfields(u):
+            members = sorted(_member_set(F))
+            rng.shuffle(members)
+            a, b = rng.choice(members), rng.choice(members)
+            redundant = [
+                tuple(x + y for x, y in zip(a, b)),  # a product of members
+                tuple(-x for x in a),  # an inverse, with negative exponents
+                tuple(x + o for x, o in zip(b, orders)),  # unreduced exponents
+            ] + list(F.rows)
+            rng.shuffle(redundant)
+            for gens in (members, redundant):
+                G = AbelianFieldSpec(u, gens)
+                assert G == F and hash(G) == hash(F) and G.rows == F.rows, u
+
+
+def test_spec_rejects_wrong_length_generators():
+    with pytest.raises(ValueError):
+        AbelianFieldSpec(63, ((1,),))
+    with pytest.raises(ValueError):
+        AbelianFieldSpec(5, ((1,), (1, 0)))
+
+
+def test_quadratic_signed_discriminant():
+    for p in (3, 5, 7, 11, 13, 59, 103, 199):
+        expect = p if p % 4 == 1 else -p
+        assert quadratic_signed_discriminant(cyclic_subfield_spec(p, 2)) == expect
+    assert quadratic_signed_discriminant(cyclotomic_field_spec(4)) == -4
+    for u, expect in ((8, [-8, -4, 8]), (12, [-4, -3, 12]), (24, [-24, -8, -4, -3, 8, 12, 24])):
+        quads = [F for F in subfields(u) if F.degree == 2]
+        assert sorted(map(quadratic_signed_discriminant, quads)) == expect, u

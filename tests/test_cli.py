@@ -1,5 +1,6 @@
 """End-to-end command line checks driven through main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -175,6 +176,25 @@ def test_verify_paper_output_is_deterministic(capsys):
     rc1, out1, _ = run(capsys, "verify-paper", "--format", "structured")
     rc2, out2, _ = run(capsys, "verify-paper", "--format", "structured")
     assert out1 == out2
+
+
+# sha256 of stdout for the outputs that define behaviour, recorded when the
+# field specs still held one DirichletCharacter per member
+PINNED_STDOUT = {
+    ("verify-paper", "--format", "structured", "--probable-primes", "allow"):
+        "83a129dccd012a22cf5db4cdaa32444e4d830cced0b7218320e78d91a1ffca9c",
+    ("verify-paper", "--format", "structured", "--probable-primes", "reject"):
+        "44a8b1b2079214e249363009b6dfa77bb325f218e6ccf2909e9db550db26dbb9",
+    ("subfields", "480"): "414d51daab7c20cb0862d800e3a68ca8d3e816cfed1d88bd8f9f45650b985773",
+    ("subfields", "571"): "0ad1d030b9ff5f413924ac10cb979d89246c5a4e8a95c09fd264432f1ef4f928",
+}
+
+
+def test_pinned_outputs_are_byte_identical(capsys):
+    for argv, digest in PINNED_STDOUT.items():
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (EXIT_OK, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_no_command_prints_usage(capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cycloclass.abelian import cyclotomic_field_spec
+from cycloclass.abelian import cyclotomic_field_spec, descent_subfield
 from cycloclass.arith import is_prime, multiplicative_order
 from cycloclass.bounds import class_number_bound
 from cycloclass.congruence import (
@@ -25,6 +25,12 @@ from cycloclass.congruence import (
 
 PRIMES = [p for p in range(2, 200) if is_prime(p)]
 ODD_PRIMES = [p for p in PRIMES if p % 2 == 1]
+
+
+def _theorem2_from_field(hyp, n, K):
+    """theorem2_audit at the descent subfield F of index n in K."""
+    F = descent_subfield(K, n)
+    return theorem2_audit(hyp, n, F_abs_disc=F.abs_discriminant, F_degree=F.degree)
 
 
 def test_rank_congruence_basics():
@@ -130,15 +136,15 @@ def test_theorem1_odd_degree_agrees_with_corollary1():
 def test_theorem2_gate_and_congruence():
     K = cyclotomic_field_spec(59)
     # p = 233 > H_F = 62.64..., 233 = 1 (mod 29)
-    v = theorem2_audit(RankHypothesis(233, 1), 29, K=K)
+    v = _theorem2_from_field(RankHypothesis(233, 1), 29, K)
     assert v.status == CONSISTENT
     assert v.witness["F_abs_disc"] == 59 and v.witness["F_degree"] == 2
     assert v.witness["H_F"].endswith("(rounded up)")
     # p = 3 <= H_F: the theorem is silent
-    v = theorem2_audit(RankHypothesis(3, 1), 29, K=K)
+    v = _theorem2_from_field(RankHypothesis(3, 1), 29, K)
     assert v.status == INCONCLUSIVE and "silent" in v.witness["reason"]
     # p = 59 <= 62.64 is still below the bound
-    assert theorem2_audit(RankHypothesis(59, 1), 29, K=K).status == INCONCLUSIVE
+    assert _theorem2_from_field(RankHypothesis(59, 1), 29, K).status == INCONCLUSIVE
 
 
 def test_theorem2_explicit_descent_and_violation():
@@ -170,15 +176,10 @@ def test_theorem2_gate_property_randomized():
 
 
 def test_theorem2_argument_validation():
-    K = cyclotomic_field_spec(59)
     with pytest.raises(ValueError):
         theorem2_audit(RankHypothesis(3, 1), 4, F_abs_disc=59, F_degree=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         theorem2_audit(RankHypothesis(3, 1), 3)
-    with pytest.raises(ValueError):
-        theorem2_audit(RankHypothesis(3, 1), 29, K=K, F_abs_disc=59, F_degree=2)
-    with pytest.raises(ValueError):
-        theorem2_audit(RankHypothesis(3, 1), 29, K=K, F_degree=2)
 
 
 def test_witnesses_replay_their_congruence():
@@ -186,7 +187,7 @@ def test_witnesses_replay_their_congruence():
         corollary1_verdict(29, RankHypothesis(233, 1)),
         corollary1_verdict(15, RankHypothesis(5, 1)),
         theorem1_audit(58, RankHypothesis(59, 1)),
-        theorem2_audit(RankHypothesis(233, 1), 29, K=cyclotomic_field_spec(59)),
+        _theorem2_from_field(RankHypothesis(233, 1), 29, cyclotomic_field_spec(59)),
     ]
     for v in cases:
         w = v.witness

@@ -55,6 +55,16 @@ def test_upper_endpoint_brackets_and_width():
         assert (r.H_fraction - r.lower_fraction) / r.lower_fraction < REL_WIDTH
 
 
+def test_doubled_precision_agrees():
+    # the certified endpoint, taken at 128 bits, against an independent value
+    # at twice that precision (80 decimal digits > 256 bits)
+    for abs_disc, m in [(59, 2), (9011, 2), (1234567, 7)]:
+        a = class_number_bound(abs_disc, m)
+        b = _decimal_oracle(abs_disc, m, prec=80)
+        assert a.precision_bits == 128
+        assert abs(a.H_fraction - b) / b < Fraction(1, 2**99)
+
+
 def test_monotone_in_discriminant():
     rng = random.Random(5)
     for m in (2, 3, 5, 10):

@@ -4,12 +4,23 @@ Everything here is deterministic for inputs below the proven Miller-Rabin
 witness bound (~3.3e24); beyond that, primality falls back to randomized
 Miller-Rabin with many rounds and callers can ask whether a given prime
 was only probabilistically certified.
+
+factorize is one splitter with three stages: trial division by the primes
+below 10^4, one Pollard p - 1 stage whose base is first raised to an `order`
+hint d (a prime dividing the norm of an order-d orbit usually has d | p - 1),
+and Brent-Pollard rho. Trial division and p - 1 share one list of the primes
+below 20000, sieved on first use. A deadline, checked once per batch of p - 1
+or rho steps, stops the splitter: what it found then comes back, with the
+unsplit rest as a composite cofactor, on the TimeLimitExceeded it raises, so
+the cache of factorize holds complete results only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -66,8 +77,71 @@ def probable_prime_only(n: int) -> bool:
     return n >= MR_PROVEN_LIMIT and is_prime(n)
 
 
-def _pollard_rho(n: int) -> int:
-    """Brent-cycle Pollard rho: a nontrivial factor of composite n, deterministic in n."""
+_TRIAL_BOUND = 10_000  # trial division clears every prime factor below this
+_PM1_BOUND = 20_000  # smoothness bound of the p - 1 stage
+_PM1_BATCH = 64  # prime powers per p - 1 batch
+
+
+class TimeLimitExceeded(Exception):
+    """A deadline passed mid-computation. When factoring stopped, `partial` is
+    the factorization found by then, with the unsplit rest as its cofactor."""
+
+    def __init__(self, message: str, partial: PrimeFactorization | None = None):
+        super().__init__(message)
+        self.partial = partial
+
+
+def _check(deadline: float | None, stage: str) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeLimitExceeded(stage)
+
+
+@lru_cache(maxsize=None)
+def _small_primes() -> tuple[int, ...]:
+    """The primes below _PM1_BOUND, sieved on first use."""
+    sieve = bytearray([1]) * _PM1_BOUND
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(_PM1_BOUND - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, _PM1_BOUND, i)))
+    return tuple(itertools.compress(range(_PM1_BOUND), sieve))
+
+
+def _pollard_pm1(n: int, order: int, deadline: float | None = None) -> int | None:
+    """A nontrivial factor of odd composite n from one Pollard p - 1 stage, or
+    None. The base 2 is raised to `order`, then to the largest power below
+    _PM1_BOUND of each prime below it, so a prime p | n is caught once every
+    prime power dividing (p - 1)/gcd(p - 1, order) is below _PM1_BOUND."""
+    powers = []
+    for p in _small_primes():
+        q = p
+        while q * p < _PM1_BOUND:
+            q *= p
+        powers.append(q)
+    a = pow(2, order, n)
+    for i in range(0, len(powers), _PM1_BATCH):
+        _check(deadline, "Pollard p - 1")
+        batch = powers[i:i + _PM1_BATCH]
+        b = pow(a, math.prod(batch), n)
+        g = math.gcd(b - 1, n)
+        if g == n:
+            # Every prime of n was caught within this batch: redo it one
+            # prime power at a time to separate them.
+            for q in batch:
+                a = pow(a, q, n)
+                g = math.gcd(a - 1, n)
+                if g > 1:
+                    break
+            return g if g < n else None
+        if g > 1:
+            return g
+        a = b
+    return None
+
+
+def _pollard_rho(n: int, deadline: float | None = None) -> int:
+    """Brent-cycle Pollard rho: a nontrivial factor of composite n, deterministic
+    in n. Checks the deadline once per batch of steps."""
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
@@ -79,10 +153,13 @@ def _pollard_rho(n: int) -> int:
         x = ys = y
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for k in range(0, r, m):
+                _check(deadline, "Pollard rho")
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
+                _check(deadline, "Pollard rho")
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
@@ -103,10 +180,32 @@ def _pollard_rho(n: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeFactorization:
-    """n = prod(p**e), primes strictly increasing, exponents >= 1."""
+    """value = prod(p**e) * cofactor, primes strictly increasing, exponents >= 1.
+    The cofactor is 1, or, when factoring stopped at a deadline, a composite
+    prime to every listed p."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
+    cofactor: int = 1
+
+    @classmethod
+    def assemble(
+        cls, value: int, exponents: dict[int, int], cofactor: int = 1
+    ) -> PrimeFactorization:
+        """The verified factorization of value from prime exponents and the
+        product of its unsplit parts: listed primes are divided out of that
+        cofactor, zero exponents dropped, and a prime remainder listed."""
+        exponents = dict(exponents)
+        for p in exponents:
+            while cofactor % p == 0:
+                cofactor //= p
+                exponents[p] += 1
+        if cofactor > 1 and is_prime(cofactor):
+            exponents[cofactor] = 1
+            cofactor = 1
+        fact = cls(value, tuple(sorted((p, e) for p, e in exponents.items() if e)), cofactor)
+        fact.verify()
+        return fact
 
     def verify(self) -> None:
         """Recheck every structural invariant; raises ValueError on failure."""
@@ -119,10 +218,16 @@ class PrimeFactorization:
                 raise ValueError(f"exponent < 1 for prime {p}")
             if not is_prime(p):
                 raise ValueError(f"listed factor {p} is not prime")
+            if self.cofactor % p == 0:
+                raise ValueError(f"listed prime {p} divides the cofactor")
             prev = p
             prod *= p**e
-        if prod != self.value:
-            raise ValueError(f"factors multiply to {prod}, not {self.value}")
+        if self.cofactor < 1 or (self.cofactor > 1 and is_prime(self.cofactor)):
+            raise ValueError(f"cofactor {self.cofactor} is neither 1 nor composite")
+        if prod * self.cofactor != self.value:
+            raise ValueError(
+                f"factors and cofactor multiply to {prod * self.cofactor}, not {self.value}"
+            )
 
     def exponent_of(self, p: int) -> int:
         for q, e in self.factors:
@@ -133,46 +238,59 @@ class PrimeFactorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
+    def terms(self) -> list[str]:
+        """'p' or 'p^e' per listed prime, then 'C<digits>' for a cofactor."""
+        out = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
+        if self.cofactor > 1:
+            out.append(f"C{len(str(self.cofactor))}")
+        return out
+
     def __str__(self) -> str:
-        if not self.factors:
-            return str(self.value)
-        parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
-        return " * ".join(parts)
-
-
-def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _pollard_rho(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
+        return " * ".join(self.terms()) or str(self.value)
 
 
 @lru_cache(maxsize=None)
-def factorize(n: int) -> PrimeFactorization:
-    """Full prime factorization; trial division then Pollard rho on what is left."""
+def factorize(
+    n: int, order: int = 1, deadline: float | None = None
+) -> PrimeFactorization:
+    """Prime factorization of n >= 1: trial division, then Pollard p - 1 and
+    Brent-Pollard rho on each composite piece.
+
+    `order` is a hint d >= 1 for p - 1: it finds the primes p with d | p - 1
+    (those of the norm of an order-d orbit) once (p - 1)/d is smooth. When
+    time.monotonic() passes `deadline`, raises TimeLimitExceeded naming the
+    stage that stopped, with the primes found so far and the unsplit pieces as
+    `partial`; a raised call stores nothing in the cache.
+    """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     m = n
     found: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _small_primes():
+        if p >= _TRIAL_BOUND or p * p > m:
+            break
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    # Trial division up to 10^4 clears every factor Pollard rho would find slowly.
-    d = 49
-    while d * d <= m and d < 10_000:
-        while m % d == 0:
-            found[d] = found.get(d, 0) + 1
-            m //= d
-        d += 2
-    if m > 1:
-        _factor_into(m, found)
-    fact = PrimeFactorization(n, tuple(sorted(found.items())))
-    fact.verify()
+    pending, unsplit, stage = [m] if m > 1 else [], [], ""
+    while pending:
+        # Smallest piece first, so that a deadline leaves only the hardest
+        # unsplit; the stage named is the one that ran out of time.
+        pending.sort(reverse=True)
+        m = pending.pop()
+        if is_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        try:
+            d = _pollard_pm1(m, order, deadline) or _pollard_rho(m, deadline)
+        except TimeLimitExceeded as exc:
+            unsplit.append(m)
+            stage = stage or str(exc)
+            continue
+        pending += [d, m // d]
+    fact = PrimeFactorization.assemble(n, found, math.prod(unsplit))
+    if fact.cofactor > 1:
+        raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact)
     return fact
 
 

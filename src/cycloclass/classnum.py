@@ -7,8 +7,16 @@ one long division by Phi_d. With -B_{1,chi}/2 = (1/denom) sum A_i zeta^i in
 lowest terms, a norm is the integer Res(Phi_d, A) = prod_{k in (Z/d)^*}
 A(omega^k) modulo primes q = 1 (mod d) below 2^62, with omega of order d mod q;
 the products come from one chirp-z convolution per prime and are CRT-combined
-past a Parseval bound. An independent check is available for prime u through
-the classical half-matrix determinant (maillet_hminus).
+past a Parseval bound.
+
+h^- is factored from its parts, not as one number: Q, w, and the numerator
+and denominator of each orbit norm are factored on their own, a numerator with
+its orbit order d as the Pollard p - 1 hint of arith.factorize, and the
+exponents are merged with those of the denominators subtracted. The time limit
+covers the orbit norms and the factoring. Out of time in the norms,
+TimeLimitExceeded is raised; out of time in the factoring, the exact value
+comes back with the unsplit rest as the composite cofactor of its
+factorization, and RelativeClassNumber.note says so.
 """
 
 from __future__ import annotations
@@ -19,7 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import PrimeFactorization, divisors, euler_phi, factorize, is_prime
+from .arith import (
+    PrimeFactorization,
+    TimeLimitExceeded,
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+)
 from .abelian import (
     CharacterOrbit,
     DirichletCharacter,
@@ -35,10 +50,6 @@ class IntegralityError(Exception):
     def __init__(self, message: str, offending: Fraction):
         super().__init__(f"{message}: {offending}")
         self.offending = offending
-
-
-class TimeLimitExceeded(Exception):
-    pass
 
 
 def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -214,6 +225,40 @@ class RelativeClassNumber:
     orbit_norms: tuple[OrbitNorm, ...]
     q_factor: int  # 1 for prime powers, else 2
     roots_of_unity: int  # w = number of roots of unity in Q(zeta_u)
+    note: str = ""  # why the factorization has a cofactor; empty when complete
+
+
+def _factor_parts(
+    value: int,
+    q: int,
+    w: int,
+    norms: list[OrbitNorm],
+    deadline: float | None,
+    time_limit: float | None,
+) -> tuple[PrimeFactorization, str]:
+    """The factorization of value = q * w * prod(norms) from its parts, and a
+    note when a part was left unsplit at the deadline. The denominators are
+    products of primes dividing 2u, so they are factored without a deadline."""
+    parts = [(q, 1, 1), (w, 1, 1)]
+    for n in norms:
+        parts += [(n.norm.numerator, n.order, 1), (n.norm.denominator, 1, -1)]
+    exponents: dict[int, int] = {}
+    cofactor, complete, stopped = 1, 0, None
+    # Smallest part first, as within factorize.
+    for n, order, sign in sorted(parts):
+        try:
+            fact = factorize(n, order, deadline if sign > 0 else None)
+            complete += 1
+        except TimeLimitExceeded as exc:
+            fact, stopped = exc.partial, stopped or exc
+        cofactor *= fact.cofactor
+        for p, e in fact.factors:
+            exponents[p] = exponents.get(p, 0) + sign * e
+    note = "" if stopped is None else (
+        f"time limit {time_limit}s exceeded in factorization ({stopped}); "
+        f"{complete} of {len(parts)} parts fully factored"
+    )
+    return PrimeFactorization.assemble(value, exponents, cofactor), note
 
 
 def relative_class_number(u: int, time_limit: float | None = None) -> RelativeClassNumber:
@@ -221,7 +266,10 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
 
     u is normalized first (u = 2 mod 4 names the same field as u/2). Raises
     IntegralityError if the rational product is not a positive integer, and
-    TimeLimitExceeded when `time_limit` seconds pass mid-computation.
+    TimeLimitExceeded when `time_limit` seconds pass in the orbit norms. When
+    they pass while factoring, the value is still exact: its factorization
+    carries the unsplit part as a composite cofactor, and `note` says where
+    factoring stopped.
     """
     if u < 1:
         raise ValueError(f"expected u >= 1, got {u}")
@@ -248,47 +296,5 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
     h = Fraction(q * w) * math.prod((n.norm for n in norms), start=Fraction(1))
     if h.denominator != 1 or h <= 0:
         raise IntegralityError(f"h^-({u}) is not a positive integer", h)
-    return RelativeClassNumber(u, int(h), factorize(int(h)), tuple(norms), q, w)
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact integer determinant."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    M = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
-def maillet_hminus(p: int) -> int:
-    """h^-(p) from the half-size least-residue determinant:
-    |det R(r s^*)|_{r,s <= (p-1)/2} = p^((p-3)/2) h^-(p). Independent of b1_chi."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"expected a prime p >= 5, got {p}")
-    half = (p - 1) // 2
-    inv = [0] * (half + 1)
-    for s in range(1, half + 1):
-        inv[s] = pow(s, -1, p)
-    rows = [[(r * inv[s]) % p for s in range(1, half + 1)] for r in range(1, half + 1)]
-    det = _bareiss_det(rows)
-    if det == 0:
-        raise AssertionError("half-matrix determinant vanished")
-    h, rem = divmod(abs(det), p ** ((p - 3) // 2))
-    if rem:
-        raise AssertionError("determinant not divisible by p^((p-3)/2)")
-    return h
+    fact, note = _factor_parts(int(h), q, w, norms, deadline, time_limit)
+    return RelativeClassNumber(u, int(h), fact, tuple(norms), q, w, note)

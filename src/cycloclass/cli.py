@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Subcommands:
-    hminus <u> [--time-limit SECONDS]   relative class number of Q(zeta_u)
+    hminus <u> [--time-limit SECONDS]   relative class number of Q(zeta_u);
+                                        out of time while factoring, prints
+                                        the exact value with a C<digits>
+                                        cofactor and exits 1
     bound --disc D --m M                geometric class-number bound
     subfields <u>                       subfield lattice of Q(zeta_u)
     audit <file> [--format ...]         congruence audit of a JSONL table
     verify-paper [--format ...]         audit the bundled published records
 
 Exit status: 0 on success, 1 when an audit finds violations or a computation
-fails an internal consistency check, 2 on unusable input.
+runs out of time or fails an internal consistency check, 2 on unusable input.
 """
 
 from __future__ import annotations
@@ -33,12 +36,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _dot_factors(factorization) -> str:
-    return " · ".join(
-        f"{p}^{e}" if e > 1 else str(p) for p, e in factorization.factors
-    )
-
-
 def cmd_hminus(args) -> int:
     try:
         result = relative_class_number(args.u, time_limit=args.time_limit)
@@ -52,7 +49,7 @@ def cmd_hminus(args) -> int:
         print(f"integrality failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     u, value = result.modulus, result.value
-    factored = _dot_factors(result.factorization)
+    factored = " · ".join(result.factorization.terms())
     if value == 1 or factored == str(value):
         print(f"h-({u}) = {value}")
     else:
@@ -64,6 +61,9 @@ def cmd_hminus(args) -> int:
         for p, e in result.factorization.factors:
             if probable_prime_only(p):
                 print(f"  note: {p} is a probable prime (beyond deterministic range)")
+    if result.note:
+        print(f"note: h-({u}): {result.note}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=60.0,
         metavar="SECONDS",
-        help="abort if the computation exceeds this many seconds (default 60)",
+        help="abort if the orbit norms exceed this many seconds, or stop "
+        "factoring and print the unsplit cofactor as C<digits> (default 60)",
     )
     p.add_argument("--verbose", action="store_true", help="print per-orbit norms")
     p.set_defaults(func=cmd_hminus)

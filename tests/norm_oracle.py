@@ -8,6 +8,8 @@ in it. oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder
 sequence over F_p for descending 62-bit primes p, CRT-combined past a Hadamard
 bound. _sylvester_resultant is the Sylvester determinant, and
 _orbit_norm_conjugates the explicit product of Galois conjugates.
+maillet_hminus is h^-(p) for prime p from the classical half-matrix
+determinant, independent of b1_chi; _bareiss_det evaluates both determinants.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache, reduce
 
 from cycloclass.abelian import CharacterOrbit, DirichletCharacter
 from cycloclass.arith import euler_phi, is_prime
-from cycloclass.classnum import _bareiss_det, cyclotomic_polynomial
+from cycloclass.classnum import cyclotomic_polynomial
 
 
 @lru_cache(maxsize=None)
@@ -303,3 +305,46 @@ def _orbit_norm_conjugates(orbit: CharacterOrbit) -> Fraction:
         if math.gcd(k, d) == 1:
             prod = prod * w.galois_map(k)
     return prod.constant()
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination; exact integer determinant."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    M = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def maillet_hminus(p: int) -> int:
+    """h^-(p) from the half-size least-residue determinant:
+    |det R(r s^*)|_{r,s <= (p-1)/2} = p^((p-3)/2) h^-(p). Independent of b1_chi."""
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"expected a prime p >= 5, got {p}")
+    half = (p - 1) // 2
+    inv = [0] * (half + 1)
+    for s in range(1, half + 1):
+        inv[s] = pow(s, -1, p)
+    rows = [[(r * inv[s]) % p for s in range(1, half + 1)] for r in range(1, half + 1)]
+    det = _bareiss_det(rows)
+    if det == 0:
+        raise AssertionError("half-matrix determinant vanished")
+    h, rem = divmod(abs(det), p ** ((p - 3) // 2))
+    if rem:
+        raise AssertionError("determinant not divisible by p^((p-3)/2)")
+    return h

@@ -11,10 +11,11 @@ from fractions import Fraction
 from cycloclass.abelian import characters, normalize_conductor
 from cycloclass.arith import euler_phi, factorize, is_prime, multiplicative_order
 from cycloclass.bounds import class_number_bound
-from cycloclass.classnum import b1_chi, maillet_hminus, relative_class_number
+from cycloclass.classnum import b1_chi, relative_class_number
 from cycloclass.congruence import VIOLATION, feasible_ranks
 from cycloclass.cli import main
 from cycloclass.tables import audit_records, builtin_paper_dataset
+from norm_oracle import maillet_hminus
 
 
 @contextlib.contextmanager

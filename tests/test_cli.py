@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import time
 
 import pytest
 
@@ -49,6 +51,19 @@ def test_hminus_time_limit(capsys):
     rc, _, err = run(capsys, "hminus", "191", "--time-limit", "0.000001")
     assert rc == EXIT_FAIL
     assert "time limit" in err.lower()
+
+
+def test_hminus_time_limit_in_factoring_prints_cofactor(capsys):
+    start = time.monotonic()
+    rc, out, err = run(capsys, "hminus", "401", "--time-limit", "5")
+    assert time.monotonic() - start < 6.0
+    assert rc == EXIT_FAIL
+    assert re.fullmatch(r"h-\(401\) = \d{104} = 41\^2 · 401 · [\d · ]+ · C\d+\n", out)
+    assert re.fullmatch(
+        r"note: h-\(401\): time limit 5\.0s exceeded in factorization "
+        r"\(Pollard (rho|p - 1) stopped on C\d+\); 7 of 8 parts fully factored\n",
+        err,
+    )
 
 
 def test_bound_rounded(capsys):

@@ -6,13 +6,12 @@ Miller-Rabin with many rounds and callers can ask whether a given prime
 was only probabilistically certified.
 
 factorize is one splitter with three stages: trial division by the primes
-below 10^4, one Pollard p - 1 stage whose base is first raised to an `order`
-hint d (a prime dividing the norm of an order-d orbit usually has d | p - 1),
-and Brent-Pollard rho. Trial division and p - 1 share one list of the primes
+below 10^4, one Pollard p - 1 stage with smoothness bound 20000, and
+Brent-Pollard rho. Trial division and p - 1 share one list of the primes
 below 20000, sieved on first use. A deadline, checked once per batch of p - 1
 or rho steps, stops the splitter: what it found then comes back, with the
-unsplit rest as a composite cofactor, on the TimeLimitExceeded it raises, so
-the cache of factorize holds complete results only.
+unsplit rest as a composite cofactor, on the TimeLimitExceeded it raises. The
+cache of factorize is keyed by n and holds complete results only.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 # Smallest composite that fools the first twelve prime bases is
 # 3_317_044_064_679_887_385_961_981 (Sorenson-Webster), so below that limit
@@ -107,18 +107,18 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(itertools.compress(range(_PM1_BOUND), sieve))
 
 
-def _pollard_pm1(n: int, order: int, deadline: float | None = None) -> int | None:
+def _pollard_pm1(n: int, deadline: float | None = None) -> int | None:
     """A nontrivial factor of odd composite n from one Pollard p - 1 stage, or
-    None. The base 2 is raised to `order`, then to the largest power below
-    _PM1_BOUND of each prime below it, so a prime p | n is caught once every
-    prime power dividing (p - 1)/gcd(p - 1, order) is below _PM1_BOUND."""
+    None. The base 2 is raised to the largest power below _PM1_BOUND of each
+    prime below it, so a prime p | n is caught once every prime power dividing
+    p - 1 is below _PM1_BOUND."""
     powers = []
     for p in _small_primes():
         q = p
         while q * p < _PM1_BOUND:
             q *= p
         powers.append(q)
-    a = pow(2, order, n)
+    a = 2
     for i in range(0, len(powers), _PM1_BATCH):
         _check(deadline, "Pollard p - 1")
         batch = powers[i:i + _PM1_BATCH]
@@ -193,8 +193,9 @@ class PrimeFactorization:
         cls, value: int, exponents: dict[int, int], cofactor: int = 1
     ) -> PrimeFactorization:
         """The verified factorization of value from prime exponents and the
-        product of its unsplit parts: listed primes are divided out of that
-        cofactor, zero exponents dropped, and a prime remainder listed."""
+        product of its unsplit pieces. A listed prime can divide an unsplit
+        piece (m = p^2 C splits as p and pC), so listed primes are divided out
+        of the cofactor, and a prime remainder is listed."""
         exponents = dict(exponents)
         for p in exponents:
             while cofactor % p == 0:
@@ -203,7 +204,7 @@ class PrimeFactorization:
         if cofactor > 1 and is_prime(cofactor):
             exponents[cofactor] = 1
             cofactor = 1
-        fact = cls(value, tuple(sorted((p, e) for p, e in exponents.items() if e)), cofactor)
+        fact = cls(value, tuple(sorted(exponents.items())), cofactor)
         fact.verify()
         return fact
 
@@ -249,21 +250,36 @@ class PrimeFactorization:
         return " * ".join(self.terms()) or str(self.value)
 
 
-@lru_cache(maxsize=None)
-def factorize(
-    n: int, order: int = 1, deadline: float | None = None
-) -> PrimeFactorization:
+class CacheInfo(NamedTuple):
+    """The shape of functools.lru_cache's cache_info()."""
+
+    hits: int
+    misses: int
+    maxsize: int | None
+    currsize: int
+
+
+_factorizations: dict[int, PrimeFactorization] = {}
+_factorize_counts = [0, 0]  # hits, misses
+
+
+def factorize(n: int, deadline: float | None = None) -> PrimeFactorization:
     """Prime factorization of n >= 1: trial division, then Pollard p - 1 and
     Brent-Pollard rho on each composite piece.
 
-    `order` is a hint d >= 1 for p - 1: it finds the primes p with d | p - 1
-    (those of the norm of an order-d orbit) once (p - 1)/d is smooth. When
-    time.monotonic() passes `deadline`, raises TimeLimitExceeded naming the
-    stage that stopped, with the primes found so far and the unsplit pieces as
-    `partial`; a raised call stores nothing in the cache.
+    When time.monotonic() passes `deadline`, raises TimeLimitExceeded naming
+    the stage that stopped, with the primes found so far and the unsplit
+    pieces as `partial`. Complete results are cached by n alone, with hit
+    counts in `factorize.cache_info()` as for lru_cache; a raised call stores
+    nothing.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
+    fact = _factorizations.get(n)
+    if fact is not None:
+        _factorize_counts[0] += 1
+        return fact
+    _factorize_counts[1] += 1
     m = n
     found: dict[int, int] = {}
     for p in _small_primes():
@@ -282,7 +298,7 @@ def factorize(
             found[m] = found.get(m, 0) + 1
             continue
         try:
-            d = _pollard_pm1(m, order, deadline) or _pollard_rho(m, deadline)
+            d = _pollard_pm1(m, deadline) or _pollard_rho(m, deadline)
         except TimeLimitExceeded as exc:
             unsplit.append(m)
             stage = stage or str(exc)
@@ -291,7 +307,11 @@ def factorize(
     fact = PrimeFactorization.assemble(n, found, math.prod(unsplit))
     if fact.cofactor > 1:
         raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact)
+    _factorizations[n] = fact
     return fact
+
+
+factorize.cache_info = lambda: CacheInfo(*_factorize_counts, None, len(_factorizations))
 
 
 def euler_phi(n: int) -> int:

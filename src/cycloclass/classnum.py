@@ -9,14 +9,10 @@ A(omega^k) modulo primes q = 1 (mod d) below 2^62, with omega of order d mod q;
 the products come from one chirp-z convolution per prime and are CRT-combined
 past a Parseval bound.
 
-h^- is factored from its parts, not as one number: Q, w, and the numerator
-and denominator of each orbit norm are factored on their own, a numerator with
-its orbit order d as the Pollard p - 1 hint of arith.factorize, and the
-exponents are merged with those of the denominators subtracted. The time limit
-covers the orbit norms and the factoring. Out of time in the norms,
-TimeLimitExceeded is raised; out of time in the factoring, the exact value
-comes back with the unsplit rest as the composite cofactor of its
-factorization, and RelativeClassNumber.note says so.
+The time limit covers the orbit norms and the factoring of h^- by
+arith.factorize. Out of time in the norms, TimeLimitExceeded is raised; out of
+time in the factoring, the exact value comes back with the unsplit rest as the
+composite cofactor of its factorization, and RelativeClassNumber.note says so.
 """
 
 from __future__ import annotations
@@ -228,39 +224,6 @@ class RelativeClassNumber:
     note: str = ""  # why the factorization has a cofactor; empty when complete
 
 
-def _factor_parts(
-    value: int,
-    q: int,
-    w: int,
-    norms: list[OrbitNorm],
-    deadline: float | None,
-    time_limit: float | None,
-) -> tuple[PrimeFactorization, str]:
-    """The factorization of value = q * w * prod(norms) from its parts, and a
-    note when a part was left unsplit at the deadline. The denominators are
-    products of primes dividing 2u, so they are factored without a deadline."""
-    parts = [(q, 1, 1), (w, 1, 1)]
-    for n in norms:
-        parts += [(n.norm.numerator, n.order, 1), (n.norm.denominator, 1, -1)]
-    exponents: dict[int, int] = {}
-    cofactor, complete, stopped = 1, 0, None
-    # Smallest part first, as within factorize.
-    for n, order, sign in sorted(parts):
-        try:
-            fact = factorize(n, order, deadline if sign > 0 else None)
-            complete += 1
-        except TimeLimitExceeded as exc:
-            fact, stopped = exc.partial, stopped or exc
-        cofactor *= fact.cofactor
-        for p, e in fact.factors:
-            exponents[p] = exponents.get(p, 0) + sign * e
-    note = "" if stopped is None else (
-        f"time limit {time_limit}s exceeded in factorization ({stopped}); "
-        f"{complete} of {len(parts)} parts fully factored"
-    )
-    return PrimeFactorization.assemble(value, exponents, cofactor), note
-
-
 def relative_class_number(u: int, time_limit: float | None = None) -> RelativeClassNumber:
     """h^-(u) with its factorization and per-orbit norms; exact throughout.
 
@@ -296,5 +259,10 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
     h = Fraction(q * w) * math.prod((n.norm for n in norms), start=Fraction(1))
     if h.denominator != 1 or h <= 0:
         raise IntegralityError(f"h^-({u}) is not a positive integer", h)
-    fact, note = _factor_parts(int(h), q, w, norms, deadline, time_limit)
+    note = ""
+    try:
+        fact = factorize(int(h), deadline)
+    except TimeLimitExceeded as exc:
+        fact = exc.partial
+        note = f"time limit {time_limit}s exceeded in factorization ({exc})"
     return RelativeClassNumber(u, int(h), fact, tuple(norms), q, w, note)

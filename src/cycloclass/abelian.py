@@ -1,8 +1,8 @@
 """Dirichlet characters, Galois orbits, and the subfield lattice of Q(zeta_u).
 
 Characters mod u are stored as exponent tuples against a fixed generating set
-of (Z/u)^*; values are exact root-of-unity exponents (Fraction k/d), so all
-downstream arithmetic stays in Q(zeta_d) with no floating point anywhere.
+of (Z/u)^*; values are integer root-of-unity exponents k mod d (chi(a) = e(k/d),
+d the order of chi), so all downstream arithmetic stays exact in Q(zeta_d).
 
 A subfield of Q(zeta_u) is its character group X < prod Z/o_i, held as the
 Hermite-normal-form rows of its preimage lattice in Z^k; its invariants are
@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .arith import euler_phi, factorize, is_prime
@@ -99,7 +98,7 @@ class _UnitData:
         self.dlog = {r: tup for tup, r in table.items()}
         if len(self.dlog) != euler_phi(u):
             raise AssertionError(f"generator set for mod {u} does not span the units")
-        self.minus_one = self.dlog[u - 1] if u > 2 else (0,) * len(gens)
+        self.minus_one = self.dlog[u - 1]
 
 
 @lru_cache(maxsize=None)
@@ -179,18 +178,16 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def value(self, a: int) -> Fraction | None:
-        """Exponent k/d with chi(a) = e(k/d), or None when gcd(a, u) > 1."""
-        u = self.modulus
+    def value(self, a: int) -> int | None:
+        """Exponent k in [0, d) with chi(a) = e(k/d), d = order of chi, or None
+        when gcd(a, u) > 1; o_i | e_i*d, so each generator's weight is an int."""
+        u, d = self.modulus, self.order
         a %= u
         if math.gcd(a, u) != 1:
             return None
         data = _unit_data(u)
         ks = data.dlog[a]
-        return (
-            sum(Fraction(e * k, o) for e, k, o in zip(self.exponents, ks, data.orders))
-            % 1
-        )
+        return sum(e * d // o * k for e, k, o in zip(self.exponents, ks, data.orders)) % d
 
     def __pow__(self, k: int) -> DirichletCharacter:
         return DirichletCharacter(self.modulus, tuple(k * e for e in self.exponents))
@@ -220,7 +217,9 @@ class CharacterOrbit:
 
 
 def galois_orbits(chars: list[DirichletCharacter]) -> list[CharacterOrbit]:
-    """Partition into Galois orbits; input must be closed under chi -> chi^k."""
+    """Galois orbits of characters of one modulus, closed under chi -> chi^k."""
+    if len({ch.modulus for ch in chars}) > 1:
+        raise ValueError("characters of different moduli in input")
     pool = {ch.exponents: ch for ch in chars}
     if len(pool) != len(chars):
         raise ValueError("duplicate characters in input")
@@ -230,17 +229,17 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[CharacterOrbit]:
         if exps not in remaining:
             continue
         chi = pool[exps]
-        d = chi.order
+        d, orders = chi.order, _unit_data(chi.modulus).orders
         members = {}
         for k in range(1, d + 1):
             if math.gcd(k, d) != 1:
                 continue
-            m = chi**k
-            if m.exponents not in remaining:
+            power = tuple(k * e % o for e, o in zip(exps, orders))
+            if power not in remaining:
                 raise ValueError(
                     f"input not Galois-closed: power {k} of {exps} is missing"
                 )
-            members[m.exponents] = m
+            members[power] = pool[power]
         remaining -= set(members)
         mlist = tuple(members[e] for e in sorted(members))
         if not all(

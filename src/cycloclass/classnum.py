@@ -98,8 +98,7 @@ def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
         b = a
         while math.gcd(b, u) != 1:
             b += f
-        v = chi.value(b)
-        acc[int(v * d)] += a
+        acc[chi.value(b)] += a
     _, c = _poly_divmod(acc, cyclotomic_polynomial(d))
     return tuple(c), f
 

@@ -24,7 +24,6 @@ the decisive congruence or gate comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .arith import factorize, is_prime, multiplicative_order
 from .bounds import class_number_bound
@@ -90,13 +89,6 @@ class RankHypothesis:
         if self.r_p is not None:
             return (self.r_p,)
         return tuple(range(1, self.v_p + 1))
-
-
-def rank_congruence(p: int, r: int, n: int) -> bool:
-    """True iff p = 0 (mod n) or p^r = 1 (mod n)."""
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
-    return p % n == 0 or pow(p, r, n) == 1
 
 
 def feasible_ranks(p: int, v_p: int, n: int) -> frozenset[int]:

@@ -40,12 +40,13 @@ fails an audit, a VIOLATION always does.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from math import prod
 
-from .arith import euler_phi, factorize, is_prime, probable_prime_only
+from .arith import TimeLimitExceeded, euler_phi, factorize, is_prime, probable_prime_only
 from .abelian import (
     AbelianFieldSpec,
     cyclic_subfield_spec,
@@ -165,6 +166,15 @@ def _fail(where: str, msg: str) -> TableFormatError:
     return TableFormatError(f"{where}: {msg}")
 
 
+def _not_prime(where: str, what: str, p: int) -> TableFormatError:
+    """Error for a listed prime p that is composite, with p factored for up to 1 s."""
+    try:
+        fact = factorize(p, time.monotonic() + 1.0)
+    except TimeLimitExceeded as exc:
+        fact = exc.partial
+    return _fail(where, f"{what}: {p} = {fact} is not prime")
+
+
 def _expect_int(v, where: str, what: str, minimum: int = 1) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise _fail(where, f"{what} must be an integer, got {v!r}")
@@ -186,7 +196,7 @@ def _parse_factors(v, where: str, key: str) -> Factors:
         if p <= last:
             raise _fail(where, f"{key}: primes must be strictly increasing, {p} after {last}")
         if not is_prime(p):
-            raise _fail(where, f"{key}: {p} = {factorize(p)} is not prime")
+            raise _not_prime(where, key, p)
         out.append((p, e))
         last = p
     return tuple(out)
@@ -251,7 +261,7 @@ def _parse_subfield_h(v, where: str) -> tuple[SubfieldClassNumber, ...]:
                 if p <= last:
                     raise _fail(where, "subfield_h.h_divisors must be strictly increasing")
                 if not is_prime(p):
-                    raise _fail(where, f"subfield_h.h_divisors: {p} = {factorize(p)} is not prime")
+                    raise _not_prime(where, "subfield_h.h_divisors", p)
                 divisors.append(p)
                 last = p
             divisors = tuple(divisors)

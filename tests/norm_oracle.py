@@ -155,7 +155,7 @@ def oracle_b1(chi: DirichletCharacter) -> CyclotomicNumber:
         b = a
         while math.gcd(b, u) != 1:
             b += f
-        weight[int(chi.value(b) * d)] += a
+        weight[chi.value(b)] += a
     total = CyclotomicNumber.zero(d)
     for k, w in enumerate(weight):
         if w:

@@ -102,7 +102,7 @@ def test_character_values_mod5():
     # (Z/5)^* = <2>; the quadratic character is 1 on {1,4}, -1 on {2,3}.
     quad = next(ch for ch in characters(5) if ch.order == 2)
     assert quad.value(1) == 0 and quad.value(4) == 0
-    assert quad.value(2) == Fraction(1, 2) and quad.value(3) == Fraction(1, 2)
+    assert quad.value(2) == 1 and quad.value(3) == 1
     assert quad.value(5) is None
     assert quad.conductor == 5 and not quad.is_odd is None
 
@@ -115,13 +115,23 @@ def test_character_multiplicativity():
         for _ in range(40):
             chi = rng.choice(chars)
             a, b = rng.choice(units), rng.choice(units)
-            assert chi.value(a * b) == (chi.value(a) + chi.value(b)) % 1
+            assert chi.value(a * b) == (chi.value(a) + chi.value(b)) % chi.order
 
 
 def test_char_value_function_and_nonunits():
     chi = characters(12)[1]
     assert chi.value(2) is None
     assert chi.value(12 + 5) == chi.value(5)
+    # a = prod g_i^k_i gives chi(a) = e(sum e_i k_i / o_i): value(a) is that
+    # sum mod 1, in units of 1/order.
+    for u in (16, 63, 80):
+        data = _unit_data(u)
+        for chi in characters(u):
+            for a, ks in data.dlog.items():
+                v = chi.value(a)
+                assert isinstance(v, int) and 0 <= v < chi.order
+                want = sum(Fraction(e * k, o) for e, k, o in zip(chi.exponents, ks, data.orders))
+                assert Fraction(v, chi.order) == want % 1
 
 
 def test_character_order_against_scan():
@@ -137,8 +147,8 @@ def test_character_parity_is_value_at_minus_one():
     for u in (5, 8, 9, 16, 35, 63, 80):
         for chi in characters(u):
             v = chi.value(u - 1)
-            assert v in (0, Fraction(1, 2))
-            assert chi.is_odd == (v == Fraction(1, 2))
+            assert 2 * v in (0, chi.order)
+            assert chi.is_odd == (v != 0)
 
 
 def test_conductor_against_oracle():
@@ -194,6 +204,8 @@ def test_galois_orbits_reject_non_closed_input():
     some = [ch for ch in chars if ch.order == 6][:1] + [ch for ch in chars if ch.is_trivial]
     with pytest.raises(ValueError):
         galois_orbits(some)
+    with pytest.raises(ValueError):
+        galois_orbits(characters(5) + characters(8))
 
 
 def test_field_spec_basic():

@@ -18,13 +18,19 @@ from cycloclass.congruence import (
     decode_int,
     encode_int,
     feasible_ranks,
-    rank_congruence,
     theorem1_audit,
     theorem2_audit,
 )
 
 PRIMES = [p for p in range(2, 200) if is_prime(p)]
 ODD_PRIMES = [p for p in PRIMES if p % 2 == 1]
+
+
+def rank_congruence(p: int, r: int, n: int) -> bool:
+    """Replay oracle for witnesses: True iff p = 0 (mod n) or p^r = 1 (mod n)."""
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    return p % n == 0 or pow(p, r, n) == 1
 
 
 def _theorem2_from_field(hyp, n, K):

@@ -53,6 +53,12 @@ def test_parse_rejects_composite_factor_with_factorization():
     bad = dict(GOOD, h_minus=[[91, 1]])
     with pytest.raises(TableFormatError, match=r"91 = 7 \* 13 is not prime"):
         parse_records(_line(bad))
+    # Rho needs ~10^10 steps here: the diagnostic gives up after a second
+    # and names the unsplit rest instead of hanging.
+    semiprime = 10000000000000000051 * 30000000000000000041
+    bad = dict(GOOD, h_minus=[[semiprime, 1]])
+    with pytest.raises(TableFormatError, match=rf"{semiprime} = C39 is not prime"):
+        parse_records(_line(bad))
 
 
 def test_parse_rejects_misordered_or_bad_exponents():

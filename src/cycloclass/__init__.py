@@ -23,7 +23,6 @@ from .abelian import (
     normalize_conductor,
     real_cyclotomic_field_spec,
     subfields,
-    unit_group_structure,
 )
 from .classnum import (
     IntegralityError,
@@ -54,9 +53,7 @@ from .tables import (
     TableFormatError,
     audit_records,
     builtin_paper_dataset,
-    factor_value,
     parse_records,
-    serialize_records,
 )
 
 __all__ = [
@@ -88,7 +85,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "descent_subfield",
     "euler_phi",
-    "factor_value",
     "factorize",
     "feasible_ranks",
     "field_bound",
@@ -101,9 +97,7 @@ __all__ = [
     "probable_prime_only",
     "real_cyclotomic_field_spec",
     "relative_class_number",
-    "serialize_records",
     "subfields",
     "theorem1_audit",
     "theorem2_audit",
-    "unit_group_structure",
 ]

@@ -46,14 +46,6 @@ def _crt_lift(r: int, q: int, u: int) -> int:
     return (r * m * pow(m, -1, q) + q * pow(q, -1, m)) % u
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
-    """(Z/u)^* as a product of cyclic groups <g_i> of order o_i."""
-
-    modulus: int
-    generators: tuple[tuple[int, int], ...]  # (residue, order) pairs
-
-
 class _UnitData:
     """Internal tables for one modulus: generators, components, discrete logs."""
 
@@ -104,12 +96,6 @@ class _UnitData:
 @lru_cache(maxsize=None)
 def _unit_data(u: int) -> _UnitData:
     return _UnitData(u)
-
-
-def unit_group_structure(u: int) -> UnitGroupStructure:
-    """Generators and orders for (Z/u)^*; rejects u < 3 and u = 2 mod 4."""
-    data = _unit_data(u)
-    return UnitGroupStructure(u, data.generators)
 
 
 def _local_conductor(p: int, e: int, exps: tuple[int, ...], orders: tuple[int, ...]) -> int:

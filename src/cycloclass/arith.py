@@ -230,12 +230,6 @@ class PrimeFactorization:
                 f"factors and cofactor multiply to {prod * self.cofactor}, not {self.value}"
             )
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 

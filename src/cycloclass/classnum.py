@@ -179,8 +179,6 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     # -B_{1,chi}/2 = (1/denom) sum A_i zeta^i in lowest terms.
     g = math.gcd(2 * f, *c)
     A, denom = tuple(-x // g for x in c), 2 * f // g
-    if d == 2:
-        return Fraction(A[0], denom)
     # chi(-1) = -1 makes d even, as _norm_mod needs.
     bits = _norm_bound_bits(A, d)
     x, mod = 0, 1

@@ -32,8 +32,6 @@ CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_TWO_PART_STATES = ("asserted", "known-false", "unknown")
-
 # ints above this size are encoded as hex strings in witnesses so that
 # reports stay JSON-serializable without tripping CPython's decimal
 # conversion limit on enormous discriminants
@@ -58,10 +56,6 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.status not in (CONSISTENT, VIOLATION, INCONCLUSIVE):
             raise ValueError(f"unknown status {self.status!r}")
-
-    @property
-    def is_violation(self) -> bool:
-        return self.status == VIOLATION
 
 
 @dataclass(frozen=True)
@@ -143,15 +137,16 @@ def corollary1_verdict(N: int, hyp: RankHypothesis) -> Verdict:
     )
 
 
-def theorem1_audit(N: int, hyp: RankHypothesis, two_part: str = "unknown") -> Verdict:
+def theorem1_audit(N: int, hyp: RankHypothesis, p_divides_hL: bool | None = None) -> Verdict:
     """Descent audit for degree N whose odd part N1 exceeds 1.
 
-    two_part states what is known about p | h(L) for the degree-2^a subfield
-    L: "asserted" (recorded as true), "known-false", or "unknown".  It is
-    consulted only when no odd prime of N1 yields a congruence witness.
+    p_divides_hL states what is known about p | h(L) for the degree-2^a
+    subfield L: True (recorded as true), False (recorded as false), or None
+    (not recorded).  It is consulted only when no odd prime of N1 yields a
+    congruence witness.
     """
-    if two_part not in _TWO_PART_STATES:
-        raise ValueError(f"two_part must be one of {_TWO_PART_STATES}")
+    if not (p_divides_hL is None or isinstance(p_divides_hL, bool)):
+        raise ValueError(f"p_divides_hL must be True, False or None, got {p_divides_hL!r}")
     if N < 2:
         raise ValueError(f"degree N = {N} must be >= 2")
     alpha0 = (N & -N).bit_length() - 1
@@ -175,12 +170,12 @@ def theorem1_audit(N: int, hyp: RankHypothesis, two_part: str = "unknown") -> Ve
             two_part_base
             | {"reason": "no odd prime of N1 admits the congruence and L = Q has h = 1"},
         )
-    if two_part == "asserted":
+    if p_divides_hL:
         return Verdict(
             CONSISTENT,
             two_part_base | {"note": "p | h(L) asserted for the 2-power-degree subfield L"},
         )
-    if two_part == "known-false":
+    if p_divides_hL is False:
         return Verdict(
             VIOLATION,
             two_part_base

@@ -44,15 +44,20 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from math import prod
 
-from .arith import TimeLimitExceeded, euler_phi, factorize, is_prime, probable_prime_only
+from .arith import (
+    PrimeFactorization,
+    TimeLimitExceeded,
+    euler_phi,
+    factorize,
+    is_prime,
+    probable_prime_only,
+)
 from .abelian import (
     AbelianFieldSpec,
     cyclic_subfield_spec,
     cyclotomic_field_spec,
     descent_subfield,
-    normalize_conductor,
     quadratic_signed_discriminant,
     real_cyclotomic_field_spec,
     two_power_subfield,
@@ -83,6 +88,9 @@ _FIELD_KEYS = {
     "abelian": ("kind", "degree", "conductor", "abs_disc"),
 }
 PROBABLE_PRIME_POLICIES = ("allow", "reject")
+# Largest cyclotomic modulus parsed and largest conductor reconstructed: the
+# unit-group tables of Q(zeta_u) take time and memory in proportion to u.
+_MAX_CONDUCTOR = 100_000
 
 
 class TableFormatError(ValueError):
@@ -90,11 +98,6 @@ class TableFormatError(ValueError):
 
 
 Factors = tuple[tuple[int, int], ...]
-
-
-def factor_value(factors: Factors) -> int:
-    """The integer a factor list denotes; () denotes 1."""
-    return prod(p**e for p, e in factors)
 
 
 def format_factors(factors: Factors) -> str:
@@ -166,13 +169,12 @@ def _fail(where: str, msg: str) -> TableFormatError:
     return TableFormatError(f"{where}: {msg}")
 
 
-def _not_prime(where: str, what: str, p: int) -> TableFormatError:
-    """Error for a listed prime p that is composite, with p factored for up to 1 s."""
+def _factor_briefly(n: int) -> PrimeFactorization:
+    """n factored for up to 1 s: on time-out, the unsplit rest is the cofactor."""
     try:
-        fact = factorize(p, time.monotonic() + 1.0)
+        return factorize(n, time.monotonic() + 1.0)
     except TimeLimitExceeded as exc:
-        fact = exc.partial
-    return _fail(where, f"{what}: {p} = {fact} is not prime")
+        return exc.partial
 
 
 def _expect_int(v, where: str, what: str, minimum: int = 1) -> int:
@@ -183,6 +185,16 @@ def _expect_int(v, where: str, what: str, minimum: int = 1) -> int:
     return v
 
 
+def _listed_prime(v, last: int, where: str, key: str) -> int:
+    """A prime of a list whose previous prime is last (1 before the first)."""
+    p = _expect_int(v, where, f"{key}: prime", 2)
+    if p <= last:
+        raise _fail(where, f"{key}: primes must be strictly increasing, {p} after {last}")
+    if not is_prime(p):
+        raise _fail(where, f"{key}: {p} = {_factor_briefly(p)} is not prime")
+    return p
+
+
 def _parse_factors(v, where: str, key: str) -> Factors:
     if not isinstance(v, list):
         raise _fail(where, f"{key} must be a list of [prime, exponent] pairs")
@@ -191,14 +203,8 @@ def _parse_factors(v, where: str, key: str) -> Factors:
     for item in v:
         if not (isinstance(item, list) and len(item) == 2):
             raise _fail(where, f"{key}: each factor must be a [prime, exponent] pair, got {item!r}")
-        p = _expect_int(item[0], where, f"{key}: prime", 2)
-        e = _expect_int(item[1], where, f"{key}: exponent", 1)
-        if p <= last:
-            raise _fail(where, f"{key}: primes must be strictly increasing, {p} after {last}")
-        if not is_prime(p):
-            raise _not_prime(where, key, p)
-        out.append((p, e))
-        last = p
+        last = _listed_prime(item[0], last, where, key)
+        out.append((last, _expect_int(item[1], where, f"{key}: exponent", 1)))
     return tuple(out)
 
 
@@ -218,6 +224,8 @@ def _parse_field(v, where: str) -> dict:
         if mkey not in v:
             raise _fail(where, f"field.{mkey} is required for kind {kind!r}")
         m = _expect_int(v[mkey], where, f"field.{mkey}", 3)
+        if m > _MAX_CONDUCTOR:
+            raise _fail(where, f"field.{mkey} = {m} exceeds the largest modulus, {_MAX_CONDUCTOR}")
         if m % 4 == 2:
             raise _fail(
                 where,
@@ -231,6 +239,9 @@ def _parse_field(v, where: str) -> dict:
         if "degree" not in v:
             raise _fail(where, "field.degree is required for kind 'abelian'")
         out["degree"] = _expect_int(v["degree"], where, "field.degree", 2)
+        fact = _factor_briefly(out["degree"])
+        if fact.cofactor > 1:
+            raise _fail(where, f"field.degree = {fact} does not split within 1 s")
         if "conductor" in v:
             out["conductor"] = _expect_int(v["conductor"], where, "field.conductor", 3)
         if "abs_disc" in v:
@@ -254,16 +265,10 @@ def _parse_subfield_h(v, where: str) -> tuple[SubfieldClassNumber, ...]:
             dv = item["h_divisors"]
             if not isinstance(dv, list):
                 raise _fail(where, "subfield_h.h_divisors must be a list of primes")
-            divisors = []
-            last = 1
+            divisors, last = [], 1
             for p in dv:
-                p = _expect_int(p, where, "subfield_h.h_divisors: prime", 2)
-                if p <= last:
-                    raise _fail(where, "subfield_h.h_divisors must be strictly increasing")
-                if not is_prime(p):
-                    raise _not_prime(where, "subfield_h.h_divisors", p)
-                divisors.append(p)
-                last = p
+                last = _listed_prime(p, last, where, "subfield_h.h_divisors")
+                divisors.append(last)
             divisors = tuple(divisors)
         else:
             raise _fail(
@@ -393,50 +398,6 @@ def parse_records(text: str) -> tuple[ClassNumberRecord, ...]:
     return tuple(records)
 
 
-def _factors_json(factors: Factors) -> list:
-    return [[p, e] for p, e in factors]
-
-
-def record_to_obj(rec: ClassNumberRecord) -> dict:
-    """Canonical JSON object for a record (fixed key order)."""
-    fld: dict = {"kind": rec.kind}
-    if rec.kind == "cyclotomic":
-        fld["u"] = rec.modulus
-    elif rec.kind == "real-cyclotomic":
-        fld["l"] = rec.modulus
-    else:
-        fld["degree"] = rec.degree
-        if rec.conductor is not None:
-            fld["conductor"] = rec.conductor
-        if rec.abs_disc is not None:
-            fld["abs_disc"] = rec.abs_disc
-    obj: dict = {"field": fld}
-    for key in ("h_minus", "h_plus", "h"):
-        v = getattr(rec, key)
-        if v is not None:
-            obj[key] = _factors_json(v)
-    if rec.p_ranks:
-        obj["p_ranks"] = {str(p): r for p, r in rec.p_ranks}
-    if rec.subfield_h:
-        obj["subfield_h"] = [
-            {"disc": s.disc, "h": _factors_json(s.h)}
-            if s.h is not None
-            else {"disc": s.disc, "h_divisors": list(s.h_divisors)}
-            for s in rec.subfield_h
-        ]
-    if rec.descents:
-        obj["descents"] = [
-            {"n": d.n, "abs_disc": d.abs_disc, "degree": d.degree} for d in rec.descents
-        ]
-    obj["source"] = rec.source
-    return obj
-
-
-def serialize_records(records) -> str:
-    """Canonical JSONL text; parse_records(serialize_records(rs)) == rs."""
-    return "".join(json.dumps(record_to_obj(r)) + "\n" for r in records)
-
-
 def builtin_paper_dataset() -> tuple[ClassNumberRecord, ...]:
     """The bundled transcription of published class-number tables."""
     text = (
@@ -482,9 +443,6 @@ class AuditEntry:
         )
 
 
-_CONTEXT_ORDER = {"h-": 0, "h": 1, "h+": 2}
-
-
 @dataclass(frozen=True)
 class _Context:
     h_kind: str
@@ -496,8 +454,8 @@ class _Context:
 
 def _record_contexts(rec: ClassNumberRecord) -> list[_Context]:
     out = []
+    u = rec.modulus
     if rec.kind == "cyclotomic":
-        u = normalize_conductor(rec.modulus)
         N = euler_phi(u)
         if rec.h_minus is not None:
             out.append(_Context("h-", rec.h_minus, N, cyclotomic_field_spec(u), False))
@@ -506,14 +464,13 @@ def _record_contexts(rec: ClassNumberRecord) -> list[_Context]:
         if rec.h_plus is not None:
             out.append(_Context("h+", rec.h_plus, N // 2, real_cyclotomic_field_spec(u), False))
     elif rec.kind == "real-cyclotomic":
-        u = normalize_conductor(rec.modulus)
         out.append(
             _Context("h+", rec.h_plus, euler_phi(u) // 2, real_cyclotomic_field_spec(u), True)
         )
     else:
         K = None
         f, N = rec.conductor, rec.degree
-        if f is not None and is_prime(f) and (f - 1) % N == 0:
+        if f is not None and f <= _MAX_CONDUCTOR and is_prime(f) and (f - 1) % N == 0:
             K = cyclic_subfield_spec(f, N)
             if rec.abs_disc is not None and K.abs_discriminant != rec.abs_disc:
                 K = None  # the stated invariants contradict the reconstruction
@@ -521,13 +478,13 @@ def _record_contexts(rec: ClassNumberRecord) -> list[_Context]:
     return out
 
 
-def _resolve_two_part(rec: ClassNumberRecord, ctx: _Context, p: int) -> tuple[str, dict]:
-    """State of 'p divides h(L)' for the 2-power-degree subfield L, resolved
-    against the record's subfield_h data; returns (state, witness extras)."""
+def _resolve_two_part(rec: ClassNumberRecord, ctx: _Context, p: int) -> tuple[bool | None, dict]:
+    """Whether p divides h(L) for the 2-power-degree subfield L by the
+    record's subfield_h data, None when the data do not decide it, and the
+    witness extras."""
     if not rec.subfield_h:
-        return "unknown", {}
-    entry = None
-    matched_by = None
+        return None, {}
+    entry = matched_by = None
     if ctx.K is not None:
         L = two_power_subfield(ctx.K)
         if L.degree == 2:
@@ -543,24 +500,19 @@ def _resolve_two_part(rec: ClassNumberRecord, ctx: _Context, p: int) -> tuple[st
         entry = next((s for s in rec.subfield_h if abs(s.disc) == rec.conductor), None)
         matched_by = f"|disc| = conductor {rec.conductor} (field not reconstructible)"
     if entry is None:
-        return "unknown", {}
+        return None, {}
     extras = {"subfield_disc": entry.disc, "matched_by": matched_by}
     decided = entry.asserts_divisor(p)
     if decided is None:
-        return "unknown", extras | {"note": "divisor list does not decide p"}
-    if decided:
-        if entry.h is not None:
-            extras["subfield_h"] = format_factors(entry.h)
-        return "asserted", extras
+        return None, extras | {"note": "divisor list does not decide p"}
     if entry.h is not None:
         extras["subfield_h"] = format_factors(entry.h)
-        return "known-false", extras
-    return "unknown", extras
+    return decided, extras
 
 
 def _theorem1_verdict(rec: ClassNumberRecord, ctx: _Context, hyp: RankHypothesis) -> Verdict:
-    state, extras = _resolve_two_part(rec, ctx, hyp.p)
-    v = theorem1_audit(ctx.N, hyp, state)
+    p_divides_hL, extras = _resolve_two_part(rec, ctx, hyp.p)
+    v = theorem1_audit(ctx.N, hyp, p_divides_hL)
     if extras and v.witness.get("branch") == "two-part":
         return Verdict(v.status, v.witness | extras)
     return v
@@ -703,13 +655,13 @@ def audit_records(records, probable_primes: str = "allow") -> AuditReport:
     any_probable = False
     for idx, rec in enumerate(records, start=1):
         label = rec.label()
-        for ctx in sorted(_record_contexts(rec), key=lambda c: _CONTEXT_ORDER[c.h_kind]):
+        for ctx in _record_contexts(rec):
             if ctx.N < 2:
                 continue
             odd_part = ctx.N
             while odd_part % 2 == 0:
                 odd_part //= 2
-            odd_primes = factorize(odd_part).primes() if odd_part > 1 else ()
+            odd_primes = factorize(odd_part).primes()
             for p, e in ctx.factors:
                 rank = rec.known_rank(p)
                 if rank is not None and rank > e:

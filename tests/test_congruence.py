@@ -115,10 +115,10 @@ def test_theorem1_odd_branch_and_two_part_states():
     # N = 58 = 2 * 29: p = 59 = 1 (mod 29) settles on the odd branch
     v = theorem1_audit(58, RankHypothesis(59, 1))
     assert v.status == CONSISTENT and v.witness["branch"] == "odd-prime"
-    # p = 3 has no odd witness, the two-part state decides
-    assert theorem1_audit(58, RankHypothesis(3, 1), "asserted").status == CONSISTENT
-    assert theorem1_audit(58, RankHypothesis(3, 1), "unknown").status == INCONCLUSIVE
-    assert theorem1_audit(58, RankHypothesis(3, 1), "known-false").status == VIOLATION
+    # p = 3 has no odd witness: whether p | h(L) is recorded decides
+    assert theorem1_audit(58, RankHypothesis(3, 1), True).status == CONSISTENT
+    assert theorem1_audit(58, RankHypothesis(3, 1), None).status == INCONCLUSIVE
+    assert theorem1_audit(58, RankHypothesis(3, 1), False).status == VIOLATION
     with pytest.raises(ValueError):
         theorem1_audit(58, RankHypothesis(3, 1), "maybe")
 

@@ -1,5 +1,5 @@
-"""Record tables: strict parsing with line diagnostics, canonical
-serialization, the bundled dataset, and audit orchestration."""
+"""Record tables: strict parsing with line diagnostics, the bundled dataset,
+and audit orchestration."""
 
 import json
 
@@ -12,10 +12,8 @@ from cycloclass.tables import (
     TableFormatError,
     audit_records,
     builtin_paper_dataset,
-    factor_value,
     format_factors,
     parse_records,
-    serialize_records,
 )
 
 
@@ -29,9 +27,7 @@ GOOD = {
 }
 
 
-def test_factor_value_and_format():
-    assert factor_value(()) == 1
-    assert factor_value(((3, 1), (59, 1), (233, 1))) == 41241
+def test_format_factors():
     assert format_factors(((7, 2), (79241, 1))) == "7^2 * 79241"
     assert format_factors(()) == "1"
 
@@ -39,7 +35,7 @@ def test_factor_value_and_format():
 def test_parse_good_record():
     (rec,) = parse_records(_line(GOOD))
     assert rec.kind == "cyclotomic" and rec.modulus == 59
-    assert factor_value(rec.h_minus) == 41241
+    assert rec.h_minus == ((3, 1), (59, 1), (233, 1))
     assert rec.label() == "Q(zeta_59)"
 
 
@@ -93,6 +89,24 @@ def test_parse_rejects_unnormalized_conductor():
         parse_records(_line(bad))
 
 
+def test_parse_rejects_modulus_above_limit():
+    (rec,) = parse_records(_line(dict(GOOD, field={"kind": "cyclotomic", "u": 99991})))
+    assert rec.modulus == 99991
+    for kind, key in (("cyclotomic", "u"), ("real-cyclotomic", "l")):
+        bad = dict(GOOD, field={"kind": kind, key: 100003})
+        with pytest.raises(TableFormatError, match=f"field.{key} = 100003 exceeds"):
+            parse_records(_line(bad))
+
+
+def test_parse_rejects_degree_that_does_not_split():
+    # The degree is a semiprime that rho needs ~10^10 steps for: parsing gives
+    # up after a second instead of leaving the audit to hang on it.
+    degree = 10000000000000000051 * 30000000000000000041
+    bad = {"field": {"kind": "abelian", "degree": degree}, "h": [[3, 1]], "source": "x"}
+    with pytest.raises(TableFormatError, match="field.degree = C39 does not split"):
+        parse_records(_line(bad))
+
+
 def test_parse_kind_h_key_compatibility():
     bad = {"field": {"kind": "abelian", "degree": 3}, "h_minus": [], "source": "x"}
     with pytest.raises(TableFormatError, match="not meaningful"):
@@ -143,6 +157,14 @@ def test_parse_subfield_h_validation():
         )
 
 
+def test_parse_h_divisors_are_listed_primes():
+    for divisors, msg in (([5, 3], "strictly increasing"), ([91], r"91 = 7 \* 13 is not prime"),
+                          ([1], "must be >= 2")):
+        bad = dict(GOOD, subfield_h=[{"disc": -59, "h_divisors": divisors}])
+        with pytest.raises(TableFormatError, match=f"subfield_h.h_divisors: .*{msg}"):
+            parse_records(_line(bad))
+
+
 def test_parse_descents_validation():
     good = {
         "field": {"kind": "abelian", "degree": 10, "conductor": 9081},
@@ -161,14 +183,6 @@ def test_parse_descents_validation():
     bad = dict(good, descents=[{"n": 9, "abs_disc": 9081, "degree": 2}])
     with pytest.raises(TableFormatError, match="odd prime"):
         parse_records(_line(bad))
-
-
-def test_serialize_round_trip_and_idempotence():
-    records = builtin_paper_dataset()
-    text = serialize_records(records)
-    again = parse_records(text)
-    assert again == records
-    assert serialize_records(again) == text
 
 
 def test_builtin_dataset_shape():
@@ -289,6 +303,18 @@ def test_audit_two_part_conductor_fallback_for_unrealizable_field():
         e for e in report.entries
         if "9081" in e.label and e.theorem == "theorem2(n=5)"
     )
+    assert e.verdict.status == INCONCLUSIVE
+    assert "not derivable" in e.verdict.witness["reason"]
+
+
+def test_audit_does_not_reconstruct_field_above_conductor_limit():
+    # 100003 is a prime = 1 (mod 6), so the cyclic sextic field exists, but
+    # its conductor is above the limit: the descent step is not derived.
+    text = _line(
+        {"field": {"kind": "abelian", "degree": 6, "conductor": 100003}, "h": [[5, 1]], "source": "x"}
+    )
+    report = audit_records(parse_records(text))
+    (e,) = [e for e in report.entries if e.theorem == "theorem2(n=3)"]
     assert e.verdict.status == INCONCLUSIVE
     assert "not derivable" in e.verdict.witness["reason"]
 

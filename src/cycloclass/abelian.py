@@ -5,9 +5,10 @@ of (Z/u)^*; values are integer root-of-unity exponents k mod d (chi(a) = e(k/d),
 d the order of chi), so all downstream arithmetic stays exact in Q(zeta_d).
 
 A subfield of Q(zeta_u) is its character group X < prod Z/o_i, held as the
-Hermite-normal-form rows of its preimage lattice in Z^k; its invariants are
-integer functions of the member tuples, so DirichletCharacter objects are
-built only where character values are needed (B_1 and Galois orbits).
+Hermite-normal-form rows of its preimage lattice in Z^k.  Characters and fields
+share one conductor rule, the levels of _UnitData; a field's invariants come
+from its rows without listing X, and DirichletCharacter objects are built only
+where character values are needed (B_1 and Galois orbits).
 """
 
 from __future__ import annotations
@@ -46,33 +47,43 @@ def _crt_lift(r: int, q: int, u: int) -> int:
     return (r * m * pow(m, -1, q) + q * pow(q, -1, m)) % u
 
 
+_MAX_CONDUCTOR = 100_000  # unit-group tables take time and memory in proportion to u
+
+
 class _UnitData:
-    """Internal tables for one modulus: generators, components, discrete logs."""
+    """Internal tables for one modulus: generators, discrete logs, and per p | u
+    a component (p, generator indices, levels).  For j < e, levels[j] holds the
+    m_i with v_p(f_chi) <= j exactly when chi's exponents there are 0 mod m_i."""
 
     def __init__(self, u: int):
         if u < 3:
             raise ValueError(f"modulus must be >= 3, got {u}")
+        if u > _MAX_CONDUCTOR:
+            raise ValueError(f"modulus {u} exceeds the largest modulus, {_MAX_CONDUCTOR}")
         if u % 4 == 2:
             raise ValueError(
                 f"modulus {u} = 2 mod 4; normalize to {u // 2} first (same field)"
             )
         self.modulus = u
         gens: list[tuple[int, int]] = []
-        comps: list[tuple[int, int, list[int]]] = []  # (p, e, generator indices)
+        comps = []
         for p, e in factorize(u).factors:
-            q = p**e
+            q, start = p**e, len(gens)
             if p == 2:
                 if e == 2:
                     gens.append((_crt_lift(3, 4, u), 2))
-                    comps.append((2, 2, [len(gens) - 1]))
                 else:  # e >= 3: (Z/2^e)^* = <-1> x <5>
                     gens.append((_crt_lift(q - 1, q, u), 2))
                     gens.append((_crt_lift(5, q, u), 2 ** (e - 2)))
-                    comps.append((2, e, [len(gens) - 2, len(gens) - 1]))
+                # no conductor 2; units = 1 mod 2^j (j >= 2) are <5^(2^(j-2))>
+                orders = tuple(o for _, o in gens[start:])
+                levels = [orders] * 2 + [(1, 2 ** (e - j)) for j in range(2, e)]
             else:
                 g = _primitive_root_mod_pk(p, e)
                 gens.append((_crt_lift(g, q, u), euler_phi(q)))
-                comps.append((p, e, [len(gens) - 1]))
+                # units = 1 mod p^j are <g^phi(p^j)>
+                levels = [(euler_phi(q) // euler_phi(p**j),) for j in range(e)]
+            comps.append((p, range(start, len(gens)), levels))
         self.generators = tuple(gens)
         self.components = tuple(comps)
         self.orders = tuple(o for _, o in gens)
@@ -98,32 +109,14 @@ def _unit_data(u: int) -> _UnitData:
     return _UnitData(u)
 
 
-def _local_conductor(p: int, e: int, exps: tuple[int, ...], orders: tuple[int, ...]) -> int:
-    """Conductor of the p-part of a character given its local exponents."""
-    if p == 2:
-        if e == 2:
-            return 1 if exps[0] % 2 == 0 else 4
-        s, t = exps[0] % 2, exps[1] % orders[1]
-        if t == 0:
-            return 1 if s == 0 else 4
-        return 4 * (orders[1] // math.gcd(t, orders[1]))
-    t, m = exps[0] % orders[0], orders[0]
-    if t == 0:
-        return 1
-    d = m // math.gcd(t, m)
-    for j in range(1, e + 1):
-        if (p ** (j - 1) * (p - 1)) % d == 0:
-            return p**j
-    raise AssertionError("unreachable: local order always divides phi(p^e)")
-
-
 def _conductor(data: _UnitData, exps: tuple[int, ...]) -> int:
-    """Conductor of the character with the given exponents."""
+    """Conductor of the character with the given exponents: a factor p for
+    each level it is not trivial on."""
     cond = 1
-    for p, pe, idx in data.components:
-        cond *= _local_conductor(
-            p, pe, tuple(exps[i] for i in idx), tuple(data.orders[i] for i in idx)
-        )
+    for p, idx, levels in data.components:
+        for ms in levels:
+            if any(exps[i] % m for i, m in zip(idx, ms)):
+                cond *= p
     return cond
 
 
@@ -243,9 +236,11 @@ class AbelianFieldSpec:
     """An abelian field presented by its group X of Dirichlet characters mod u.
 
     Built from any exponent tuples generating X; `rows` holds the canonical
-    HNF rows (as _subgroups yields them).  Degree = |X|, conductor = lcm of
-    character conductors, and by conductor-discriminant |disc| = product of
-    character conductors.
+    HNF rows (as _subgroups yields them).  Degree n = |X| = prod o_i/d_i.  At
+    each level of each prime p, with s the size of X's image mod the level's
+    m_i, n - n/s characters have v_p(f_chi) above that level: so |disc| = prod
+    f_chi (conductor-discriminant) gains p^(n - n/s), and the conductor (lcm of
+    the f_chi) gains p when s > 1.
     """
 
     modulus: int
@@ -257,11 +252,15 @@ class AbelianFieldSpec:
     def __post_init__(self):
         data = _unit_data(self.modulus)
         rows = _hnf(self.rows, data.orders)
-        conds = [_conductor(data, exps) for exps in _members(rows, data.orders)]
+        n, cond, disc = _order(rows, data.orders), 1, 1
+        for p, idx, levels in data.components:
+            sizes = [_order(_hnf([[r[i] for i in idx] for r in rows], ms), ms) for ms in levels]
+            cond *= p ** sum(s > 1 for s in sizes)
+            disc *= p ** sum(n - n // s for s in sizes)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "degree", len(conds))
-        object.__setattr__(self, "conductor", reduce(math.lcm, conds, 1))
-        object.__setattr__(self, "abs_discriminant", math.prod(conds))
+        object.__setattr__(self, "degree", n)
+        object.__setattr__(self, "conductor", cond)
+        object.__setattr__(self, "abs_discriminant", disc)
 
     def _sort_key(self):
         return (self.degree, self.abs_discriminant, self.conductor, self.rows)
@@ -366,17 +365,9 @@ def _hnf(gens, orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _members(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The exponent tuples of the subgroup with the given HNF rows."""
-    elements = [(0,) * len(orders)]
-    for i, row in enumerate(rows):
-        gen = tuple(r % o for r, o in zip(row, orders))
-        elements = [
-            tuple((e + c * g) % o for e, g, o in zip(el, gen, orders))
-            for el in elements
-            for c in range(orders[i] // row[i])
-        ]
-    return elements
+def _order(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> int:
+    """Size of the subgroup with the given HNF rows: prod o_i / d_i."""
+    return math.prod(o // row[i] for i, (o, row) in enumerate(zip(orders, rows)))
 
 
 def subfields(u: int) -> tuple[AbelianFieldSpec, ...]:

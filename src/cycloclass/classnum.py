@@ -9,10 +9,11 @@ A(omega^k) modulo primes q = 1 (mod d) below 2^62, with omega of order d mod q;
 the products come from one chirp-z convolution per prime and are CRT-combined
 past a Parseval bound.
 
-The time limit covers the orbit norms and the factoring of h^- by
-arith.factorize. Out of time in the norms, TimeLimitExceeded is raised; out of
-time in the factoring, the exact value comes back with the unsplit rest as the
-composite cofactor of its factorization, and RelativeClassNumber.note says so.
+The time limit covers the orbit norms, checked once per CRT prime, and the
+factoring of h^- by arith.factorize. Out of time in the norms,
+TimeLimitExceeded is raised saying how far they got; out of time in the
+factoring, the exact value comes back with the unsplit rest as the composite
+cofactor of its factorization, and RelativeClassNumber.note says so.
 """
 
 from __future__ import annotations
@@ -167,8 +168,10 @@ def _norm_bound_bits(A: tuple[int, ...], d: int) -> int:
     return (t.bit_length() + 1) // 2
 
 
-def orbit_norm(orbit: CharacterOrbit) -> Fraction:
-    """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi."""
+def orbit_norm(orbit: CharacterOrbit, deadline: float | None = None) -> Fraction:
+    """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi.
+    Raises TimeLimitExceeded when time.monotonic() passes `deadline`, checked
+    once per CRT prime."""
     if not orbit.is_odd:
         raise ValueError("orbit norm is defined here for odd-character orbits only")
     chi = orbit.members[0]
@@ -182,7 +185,10 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     # chi(-1) = -1 makes d even, as _norm_mod needs.
     bits = _norm_bound_bits(A, d)
     x, mod = 0, 1
-    for q, omega in _norm_primes(d):
+    for i, (q, omega) in enumerate(_norm_primes(d)):
+        if deadline is not None and time.monotonic() > deadline:
+            progress = f"{i} CRT primes, {mod.bit_length()} of {bits} bits"
+            raise TimeLimitExceeded(f"order-{d} norm: {progress}")
         r = _norm_mod(A, d, q, omega)
         # CRT: combine (x mod mod) with (r mod q).
         t = (r - x) * pow(mod, -1, q) % q
@@ -243,14 +249,14 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
     orbits.sort(key=lambda ob: (-ob.size, ob.order, ob.members[0].exponents))
     norms = []
     for ob in orbits:
-        if deadline is not None and time.monotonic() > deadline:
+        try:
+            norm = orbit_norm(ob, deadline)
+        except TimeLimitExceeded as exc:
             raise TimeLimitExceeded(
                 f"h^-({u}): time limit {time_limit}s exceeded in orbit norms "
-                f"after {len(norms)} of {len(orbits)} orbits"
-            )
-        norms.append(
-            OrbitNorm(ob.order, ob.size, ob.members[0].exponents, orbit_norm(ob))
-        )
+                f"after {len(norms)} of {len(orbits)} orbits ({exc})"
+            ) from None
+        norms.append(OrbitNorm(ob.order, ob.size, ob.members[0].exponents, norm))
     q = 1 if len(factorize(u).factors) == 1 else 2
     w = 2 * u if u % 2 == 1 else u
     h = Fraction(q * w) * math.prod((n.norm for n in norms), start=Fraction(1))

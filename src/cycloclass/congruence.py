@@ -138,7 +138,7 @@ def corollary1_verdict(N: int, hyp: RankHypothesis) -> Verdict:
 
 
 def theorem1_audit(N: int, hyp: RankHypothesis, p_divides_hL: bool | None = None) -> Verdict:
-    """Descent audit for degree N whose odd part N1 exceeds 1.
+    """Descent audit for even degree N whose odd part N1 exceeds 1.
 
     p_divides_hL states what is known about p | h(L) for the degree-2^a
     subfield L: True (recorded as true), False (recorded as false), or None
@@ -147,8 +147,8 @@ def theorem1_audit(N: int, hyp: RankHypothesis, p_divides_hL: bool | None = None
     """
     if not (p_divides_hL is None or isinstance(p_divides_hL, bool)):
         raise ValueError(f"p_divides_hL must be True, False or None, got {p_divides_hL!r}")
-    if N < 2:
-        raise ValueError(f"degree N = {N} must be >= 2")
+    if N < 2 or N % 2:
+        raise ValueError(f"degree N = {N} must be even and >= 2 (odd N: corollary1_verdict)")
     alpha0 = (N & -N).bit_length() - 1
     N1 = N >> alpha0
     if N1 <= 1:
@@ -163,13 +163,6 @@ def theorem1_audit(N: int, hyp: RankHypothesis, p_divides_hL: bool | None = None
         "subfield_degree": 1 << alpha0,
         "admissible_ranks": list(hyp.admissible_ranks),
     }
-    if alpha0 == 0:
-        # odd degree: L = Q, whose class number 1 admits no prime divisor
-        return Verdict(
-            VIOLATION,
-            two_part_base
-            | {"reason": "no odd prime of N1 admits the congruence and L = Q has h = 1"},
-        )
     if p_divides_hL:
         return Verdict(
             CONSISTENT,

@@ -54,6 +54,7 @@ from .arith import (
     probable_prime_only,
 )
 from .abelian import (
+    _MAX_CONDUCTOR,
     AbelianFieldSpec,
     cyclic_subfield_spec,
     cyclotomic_field_spec,
@@ -88,9 +89,6 @@ _FIELD_KEYS = {
     "abelian": ("kind", "degree", "conductor", "abs_disc"),
 }
 PROBABLE_PRIME_POLICIES = ("allow", "reject")
-# Largest cyclotomic modulus parsed and largest conductor reconstructed: the
-# unit-group tables of Q(zeta_u) take time and memory in proportion to u.
-_MAX_CONDUCTOR = 100_000
 
 
 class TableFormatError(ValueError):

@@ -1,9 +1,13 @@
-"""Element-set subgroup enumeration: the reference the Hermite-normal-form
-enumerator in cycloclass.abelian is tested against.
+"""Element-set subgroup enumeration and member-by-member field invariants:
+the references the Hermite-normal-form routes in cycloclass.abelian are
+tested against.
 
 Subgroups of prod Z/o_i are built as explicit frozensets of exponent tuples,
 by closing cyclic subgroups under pairwise sums (_all_subgroups) or as
-hyperplanes of X/X^n over F_n (_index_n_subgroups).
+hyperplanes of X/X^n over F_n (_index_n_subgroups).  _members lists the
+subgroup with given HNF rows, and oracle_field_invariants takes the degree,
+conductor and |disc| of a field spec as the count, lcm and product of its
+members' conductors, each from the local orders of _local_conductor.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
+
+from cycloclass.abelian import _unit_data
+from cycloclass.arith import factorize
 
 
 class SubfieldLimitExceeded(Exception):
@@ -104,3 +111,54 @@ def _index_n_subgroups(elements, orders, n: int) -> set[frozenset]:
                 sub.add(add(s, shift))
         out.add(frozenset(sub))
     return out
+
+
+def _members(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The exponent tuples of the subgroup with the given HNF rows."""
+    elements = [(0,) * len(orders)]
+    for i, row in enumerate(rows):
+        gen = tuple(r % o for r, o in zip(row, orders))
+        elements = [
+            tuple((e + c * g) % o for e, g, o in zip(el, gen, orders))
+            for el in elements
+            for c in range(orders[i] // row[i])
+        ]
+    return elements
+
+
+def _local_conductor(p: int, e: int, exps: tuple[int, ...], orders: tuple[int, ...]) -> int:
+    """Conductor of the p-part of a character given its local exponents."""
+    if p == 2:
+        if e == 2:
+            return 1 if exps[0] % 2 == 0 else 4
+        s, t = exps[0] % 2, exps[1] % orders[1]
+        if t == 0:
+            return 1 if s == 0 else 4
+        return 4 * (orders[1] // math.gcd(t, orders[1]))
+    t, m = exps[0] % orders[0], orders[0]
+    if t == 0:
+        return 1
+    d = m // math.gcd(t, m)
+    for j in range(1, e + 1):
+        if (p ** (j - 1) * (p - 1)) % d == 0:
+            return p**j
+    raise AssertionError("unreachable: local order always divides phi(p^e)")
+
+
+def oracle_conductor(u: int, exps: tuple[int, ...]) -> int:
+    """Conductor of the character mod u with the given exponents, prime by
+    prime; the generators of p's component are consecutive, one for odd p and
+    for 4, two for 2^e with e >= 3."""
+    orders, cond, i = _unit_data(u).orders, 1, 0
+    for p, e in factorize(u).factors:
+        k = 2 if p == 2 and e >= 3 else 1
+        cond *= _local_conductor(p, e, exps[i:i + k], orders[i:i + k])
+        i += k
+    return cond
+
+
+def oracle_field_invariants(u: int, rows) -> tuple[int, int, int]:
+    """(degree, conductor, |disc|) of the subgroup with HNF rows mod u, member
+    by member: count, lcm and product of the conductors."""
+    conds = [oracle_conductor(u, t) for t in _members(rows, _unit_data(u).orders)]
+    return len(conds), math.lcm(*conds), math.prod(conds)

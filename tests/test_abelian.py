@@ -12,7 +12,6 @@ from cycloclass.arith import divisors, euler_phi, factorize
 from cycloclass.abelian import (
     AbelianFieldSpec,
     DirichletCharacter,
-    _members,
     _subgroups,
     _unit_data,
     characters,
@@ -28,7 +27,12 @@ from cycloclass.abelian import (
 )
 from cycloclass.cli import EXIT_USAGE, main
 import cycloclass.abelian as abelian
-from subgroup_oracle import _all_subgroups, _index_n_subgroups
+from subgroup_oracle import (
+    _all_subgroups,
+    _index_n_subgroups,
+    _members,
+    oracle_field_invariants,
+)
 
 MODULI = [u for u in range(3, 201) if u % 4 != 2]
 ORACLE_MODULI = [u for u in MODULI if u <= 120] + [168, 240]
@@ -334,17 +338,31 @@ def test_index_n_subgroups_against_full_enumeration():
 
 
 def test_spec_invariants_match_character_route():
-    # deg, conductor and |disc| from the HNF rows equal len, lcm and product
-    # over one DirichletCharacter per member; the rows come back unchanged
+    # deg, conductor and |disc| from the levels of the HNF rows equal len,
+    # lcm and product of the members' conductors by the oracle's local
+    # orders, which share no conductor code with the levels; the rows come
+    # back unchanged
     for u in ORACLE_MODULI:
-        orders = _unit_data(u).orders
-        for rows in _subgroups(orders):
+        for rows in _subgroups(_unit_data(u).orders):
             F = AbelianFieldSpec(u, rows)
-            conds = [DirichletCharacter(u, t).conductor for t in _members(rows, orders)]
             assert F.rows == rows, (u, rows)
-            assert F.degree == len(conds), (u, rows)
-            assert F.conductor == math.lcm(*conds), (u, rows)
-            assert F.abs_discriminant == math.prod(conds), (u, rows)
+            expect = oracle_field_invariants(u, rows)
+            assert (F.degree, F.conductor, F.abs_discriminant) == expect, (u, rows)
+
+
+def test_spec_invariants_at_the_modulus_cap():
+    # closed forms: Q(zeta_p) has |disc| = p^(p-2), its real subfield
+    # p^((p-3)/2), and Q(zeta_u) has u^phi / prod_{p | u} p^(phi/(p-1))
+    p = 99991
+    K = cyclotomic_field_spec(p)
+    assert (K.degree, K.conductor, K.abs_discriminant) == (p - 1, p, p ** (p - 2))
+    Kp = real_cyclotomic_field_spec(p)
+    assert (Kp.degree, Kp.conductor, Kp.abs_discriminant) == ((p - 1) // 2, p, p ** ((p - 3) // 2))
+    for u in (65536, 59049, 60060):
+        phi, primes = euler_phi(u), factorize(u).primes()
+        K = cyclotomic_field_spec(u)
+        disc = u**phi // math.prod(q ** (phi // (q - 1)) for q in primes)
+        assert (K.degree, K.conductor, K.abs_discriminant) == (phi, u, disc), u
 
 
 def test_real_and_two_power_members_match_character_filters():

@@ -263,6 +263,27 @@ def test_hminus_time_limit_fires():
         relative_class_number(191, time_limit=0.0)
 
 
+def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
+    # a fake clock that reads 0, 1, 2, ...: the check before CRT prime i
+    # reads i, so a deadline of 2.5 stops the order-400 norm of h^-(401)
+    # after 3 primes, and without a deadline the clock is never read
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(classnum, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    big = max(galois_orbits([ch for ch in characters(401) if ch.is_odd]), key=lambda ob: ob.order)
+    with pytest.raises(TimeLimitExceeded, match=r"^order-400 norm: 3 CRT primes, \d+ of \d+ bits$"):
+        orbit_norm(big, deadline=2.5)
+    assert orbit_norm(big) == oracle_orbit_norm(big)
+    assert next(ticks) == 4
+    # relative_class_number reads the clock once for its deadline (tick 4),
+    # then the largest orbit's norm stops at its third CRT prime (tick 7)
+    with pytest.raises(
+        TimeLimitExceeded,
+        match=r"^h\^-\(401\): time limit 2.5s exceeded in orbit norms after 0 of \d+ "
+        r"orbits \(order-400 norm: 2 CRT primes, \d+ of \d+ bits\)$",
+    ):
+        relative_class_number(401, time_limit=2.5)
+
+
 def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):
     # the orbit norms see a stopped clock, the factoring one already past any
     # deadline: the norms finish, and factoring stops at its first check

@@ -47,6 +47,16 @@ def test_hminus_rejects_bad_conductor(capsys):
     assert rc == EXIT_USAGE and err.strip()
 
 
+def test_out_of_range_modulus_refused_up_front(capsys):
+    # no unit-group tables are built for u above the cap
+    for command in ("subfields", "hminus"):
+        rc, out, err = run(capsys, command, "1000003")
+        assert rc == EXIT_USAGE and not out
+        assert err == "error: modulus 1000003 exceeds the largest modulus, 100000\n"
+    rc, out, err = run(capsys, "subfields", "1")
+    assert (rc, out, err) == (EXIT_USAGE, "", "error: modulus must be >= 3, got 1\n")
+
+
 def test_hminus_time_limit(capsys):
     rc, _, err = run(capsys, "hminus", "191", "--time-limit", "0.000001")
     assert rc == EXIT_FAIL

@@ -128,15 +128,10 @@ def test_theorem1_rejects_two_power_degree():
         theorem1_audit(16, RankHypothesis(3, 1))
     with pytest.raises(ValueError):
         theorem1_audit(1, RankHypothesis(3, 1))
-
-
-def test_theorem1_odd_degree_agrees_with_corollary1():
-    rng = random.Random(17)
-    for _ in range(40):
-        N = rng.choice([9, 15, 21, 29, 45, 81, 95])
-        p = rng.choice(PRIMES)
-        hyp = RankHypothesis(p, rng.randrange(1, 4))
-        assert theorem1_audit(N, hyp).status == corollary1_verdict(N, hyp).status
+    # odd degree is corollary1_verdict's alone
+    for N in (9, 15, 29):
+        with pytest.raises(ValueError, match="corollary1_verdict"):
+            theorem1_audit(N, RankHypothesis(3, 1))
 
 
 def test_theorem2_gate_and_congruence():

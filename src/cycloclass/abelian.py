@@ -47,13 +47,15 @@ def _crt_lift(r: int, q: int, u: int) -> int:
     return (r * m * pow(m, -1, q) + q * pow(q, -1, m)) % u
 
 
-_MAX_CONDUCTOR = 100_000  # unit-group tables take time and memory in proportion to u
+_MAX_CONDUCTOR = 100_000  # characters(u) and a character's values take time in proportion to u
 
 
 class _UnitData:
-    """Internal tables for one modulus: generators, discrete logs, and per p | u
-    a component (p, generator indices, levels).  For j < e, levels[j] holds the
-    m_i with v_p(f_chi) <= j exactly when chi's exponents there are 0 mod m_i."""
+    """(Z/u)^* as generators g_i of orders o_i, the exponents of -1 against
+    them, and per p | u a component (p, generator indices, levels).  Each g_i
+    has exact order o_i mod its prime power and is 1 mod the rest of u, so the
+    g_i span the units.  For j < e, levels[j] holds the m_i with
+    v_p(f_chi) <= j exactly when chi's exponents there are 0 mod m_i."""
 
     def __init__(self, u: int):
         if u < 3:
@@ -65,43 +67,32 @@ class _UnitData:
                 f"modulus {u} = 2 mod 4; normalize to {u // 2} first (same field)"
             )
         self.modulus = u
-        gens: list[tuple[int, int]] = []
+        units: list[tuple[int, int, int]] = []  # (g_i, o_i, exponent of -1)
         comps = []
         for p, e in factorize(u).factors:
-            q, start = p**e, len(gens)
+            q, start = p**e, len(units)
             if p == 2:
-                if e == 2:
-                    gens.append((_crt_lift(3, 4, u), 2))
-                else:  # e >= 3: (Z/2^e)^* = <-1> x <5>
-                    gens.append((_crt_lift(q - 1, q, u), 2))
-                    gens.append((_crt_lift(5, q, u), 2 ** (e - 2)))
+                # 3 = -1 mod 4; for e >= 3, (Z/2^e)^* = <-1> x <5>
+                local = [(3, 2, 1)] if e == 2 else [(-1, 2, 1), (5, 2 ** (e - 2), 0)]
                 # no conductor 2; units = 1 mod 2^j (j >= 2) are <5^(2^(j-2))>
-                orders = tuple(o for _, o in gens[start:])
+                orders = tuple(o for _, o, _ in local)
                 levels = [orders] * 2 + [(1, 2 ** (e - j)) for j in range(2, e)]
             else:
-                g = _primitive_root_mod_pk(p, e)
-                gens.append((_crt_lift(g, q, u), euler_phi(q)))
+                o = euler_phi(q)
+                local = [(_primitive_root_mod_pk(p, e), o, o // 2)]
                 # units = 1 mod p^j are <g^phi(p^j)>
-                levels = [(euler_phi(q) // euler_phi(p**j),) for j in range(e)]
-            comps.append((p, range(start, len(gens)), levels))
-        self.generators = tuple(gens)
+                levels = [(o // euler_phi(p**j),) for j in range(e)]
+            for g, o, m in local:
+                g = _crt_lift(g, q, u)
+                exact = all(pow(g, o // r, q) != 1 for r in factorize(o).primes())
+                if (g - 1) % (u // q) or pow(g, o, q) != 1 or not exact:
+                    raise AssertionError(f"generator {g} mod {u} is not of order {o} mod {q}")
+                units.append((g, o, m))
+            comps.append((p, range(start, len(units)), levels))
+        self.generators = tuple((g, o) for g, o, _ in units)
+        self.orders = tuple(o for _, o, _ in units)
+        self.minus_one = tuple(m for _, _, m in units)
         self.components = tuple(comps)
-        self.orders = tuple(o for _, o in gens)
-        table: dict[tuple[int, ...], int] = {(): 1}
-        for g, o in gens:
-            powers, pw = [], 1
-            for _ in range(o):
-                powers.append(pw)
-                pw = pw * g % u
-            table = {
-                tup + (k,): r * powers[k] % u
-                for tup, r in table.items()
-                for k in range(o)
-            }
-        self.dlog = {r: tup for tup, r in table.items()}
-        if len(self.dlog) != euler_phi(u):
-            raise AssertionError(f"generator set for mod {u} does not span the units")
-        self.minus_one = self.dlog[u - 1]
 
 
 @lru_cache(maxsize=None)
@@ -157,19 +148,23 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def value(self, a: int) -> int | None:
-        """Exponent k in [0, d) with chi(a) = e(k/d), d = order of chi, or None
-        when gcd(a, u) > 1; o_i | e_i*d, so each generator's weight is an int."""
+    def values(self):
+        """Yield (r, k) for every unit r mod u, with chi(r) = e(k/d), d the
+        order of chi: r = prod g_i^t_i runs like an odometer over the t_i, and
+        k = sum t_i e_i d/o_i mod d (o_i | e_i d, so each weight is an int)."""
         u, d = self.modulus, self.order
-        a %= u
-        if math.gcd(a, u) != 1:
-            return None
         data = _unit_data(u)
-        ks = data.dlog[a]
-        return sum(e * d // o * k for e, k, o in zip(self.exponents, ks, data.orders)) % d
-
-    def __pow__(self, k: int) -> DirichletCharacter:
-        return DirichletCharacter(self.modulus, tuple(k * e for e in self.exponents))
+        steps = [(g, o, e * d // o) for (g, o), e in zip(data.generators, self.exponents)]
+        r, k, digits = 1, 0, [0] * len(steps)
+        for _ in range(math.prod(data.orders)):
+            yield r, k
+            # g_i^o_i = 1 and o_i w_i = 0 mod d, so a digit wraps with no reset
+            for i in reversed(range(len(steps))):
+                g, o, w = steps[i]
+                r, k = r * g % u, (k + w) % d
+                digits[i] = (digits[i] + 1) % o
+                if digits[i]:
+                    break
 
 
 def characters(u: int) -> list[DirichletCharacter]:

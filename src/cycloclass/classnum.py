@@ -2,12 +2,12 @@
 
 h^-(u) = Q * w * prod_{chi odd} (-B_{1,chi}/2), the product taken over Galois
 orbits as exact rational norms. b1_chi gives B_{1,chi} as integers c_i over the
-conductor f on the power basis of Q(zeta_d): a length-d character sum reduced by
-one long division by Phi_d. With -B_{1,chi}/2 = (1/denom) sum A_i zeta^i in
-lowest terms, a norm is the integer Res(Phi_d, A) = prod_{k in (Z/d)^*}
-A(omega^k) modulo primes q = 1 (mod d) below 2^62, with omega of order d mod q;
-the products come from one chirp-z convolution per prime and are CRT-combined
-past a Parseval bound.
+conductor f on the power basis of Q(zeta_d): a character sum over the units,
+folded by x^(d/2) + 1 and reduced by Phi_d. With -B_{1,chi}/2 = (1/denom) sum
+A_i zeta^i in lowest terms, a norm is the integer Res(Phi_d, A) = prod_{k in
+(Z/d)^*} A(omega^k) modulo primes q = 1 (mod d) below 2^62, with omega of order
+d mod q; the products come from one chirp-z convolution per prime and are
+CRT-combined past a Parseval bound.
 
 The time limit covers the orbit norms, checked once per CRT prime, and the
 factoring of h^- by arith.factorize. Out of time in the norms,
@@ -18,6 +18,7 @@ cofactor of its factorization, and RelativeClassNumber.note says so.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from functools import lru_cache
 from .arith import (
     PrimeFactorization,
     TimeLimitExceeded,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -49,37 +49,40 @@ class IntegralityError(Exception):
         self.offending = offending
 
 
-def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of num by a monic divisor, ascending coefficients."""
+def _poly_rem(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """Remainder of num by a monic divisor, ascending coefficients."""
     num = list(num)
     dd = len(den) - 1
     terms = [(j, c) for j, c in enumerate(den) if c]
-    q = [0] * (len(num) - dd)
-    for i in range(len(q) - 1, -1, -1):
+    for i in range(len(num) - dd - 1, -1, -1):
         c = num[i + dd]
-        q[i] = c
         if c:
             for j, t in terms:
                 num[i + j] -= c * t
-    return q, num[:dd]
+    return num[:dd]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Coefficients of Phi_d, ascending. Phi_d(x) = Phi_r(x^(d/r)) for r = rad d;
-    for squarefree d, Phi_d = (x^d - 1) / prod_{e|d, e<d} Phi_e."""
+    """Coefficients of Phi_d, ascending. For d > 1, Phi_d = prod_{e|d}
+    (1 - x^e)^mu(d/e) as power series cut after degree phi(d): one sparse
+    multiplication or division by a binomial per squarefree d/e."""
     if d < 1:
         raise ValueError(f"cyclotomic_polynomial expects d >= 1, got {d}")
-    r = math.prod(factorize(d).primes())
-    if r < d:
-        poly = [0] * (euler_phi(d) + 1)
-        poly[:: d // r] = cyclotomic_polynomial(r)
-        return tuple(poly)
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in divisors(d)[:-1]:
-        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(e))
-        if any(rem):
-            raise AssertionError("division not exact")
+    if d == 1:
+        return (-1, 1)
+    n = euler_phi(d) + 1
+    poly = [1] + [0] * (n - 1)
+    primes = factorize(d).primes()
+    for k in range(len(primes) + 1):
+        for sub in itertools.combinations(primes, k):
+            e = d // math.prod(sub)
+            if k % 2 == 0:  # times 1 - x^e
+                for i in range(n - 1, e - 1, -1):
+                    poly[i] -= poly[i - e]
+            else:  # over 1 - x^e, i.e. times 1 + x^e + x^2e + ...
+                for i in range(e, n):
+                    poly[i] += poly[i - e]
     return tuple(poly)
 
 
@@ -92,16 +95,14 @@ def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
         raise ValueError("B_{1,chi} is defined here only for nontrivial chi")
     d, f, u = chi.order, chi.conductor, chi.modulus
     acc = [0] * d
-    for a in range(1, f + 1):
-        if math.gcd(a, f) != 1:
-            continue
-        # Lift a to a unit mod u congruent to a mod f; chi*(a) = chi(lift).
-        b = a
-        while math.gcd(b, u) != 1:
-            b += f
-        acc[chi.value(b)] += a
-    _, c = _poly_divmod(acc, cyclotomic_polynomial(d))
-    return tuple(c), f
+    # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
+    for r, k in chi.values():
+        acc[k] += r % f
+    if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
+        acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
+    c = _poly_rem(acc, cyclotomic_polynomial(d))
+    m = euler_phi(u) // euler_phi(f)
+    return tuple(x // m for x in c), f
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +232,7 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
     """h^-(u) with its factorization and per-orbit norms; exact throughout.
 
     u is normalized first (u = 2 mod 4 names the same field as u/2). Raises
+    ValueError for a time_limit that is negative, infinite or NaN,
     IntegralityError if the rational product is not a positive integer, and
     TimeLimitExceeded when `time_limit` seconds pass in the orbit norms. When
     they pass while factoring, the value is still exact: its factorization
@@ -239,6 +241,8 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
     """
     if u < 1:
         raise ValueError(f"expected u >= 1, got {u}")
+    if time_limit is not None and not 0 <= time_limit < math.inf:
+        raise ValueError(f"time limit must be a finite number of seconds >= 0, got {time_limit}")
     u = normalize_conductor(u)
     if u <= 2:
         return RelativeClassNumber(u, 1, factorize(1), (), 1, 2)

@@ -4,9 +4,10 @@ against.
 
 CyclotomicNumber is exact arithmetic in Q(zeta_d) on the power basis, with
 x^k mod Phi_d taken from the rows of _power_rows; oracle_b1 sums roots of unity
-in it. oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder
-sequence over F_p for descending 62-bit primes p, CRT-combined past a Hadamard
-bound. _sylvester_resultant is the Sylvester determinant, and
+in it, reading chi(a) from char_value, a discrete-log table of (Z/u)^* built
+here rather than from the generator walk of DirichletCharacter.values.
+oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder sequence
+over F_p for descending 62-bit primes p, CRT-combined past a Hadamard bound. _sylvester_resultant is the Sylvester determinant, and
 _orbit_norm_conjugates the explicit product of Galois conjugates.
 maillet_hminus is h^-(p) for prime p from the classical half-matrix
 determinant, independent of b1_chi; _bareiss_det evaluates both determinants.
@@ -19,9 +20,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from cycloclass.abelian import CharacterOrbit, DirichletCharacter
+from cycloclass.abelian import CharacterOrbit, DirichletCharacter, _unit_data
 from cycloclass.arith import euler_phi, is_prime
 from cycloclass.classnum import cyclotomic_polynomial
+
+
+@lru_cache(maxsize=None)
+def dlog_table(u: int) -> dict[int, tuple[int, ...]]:
+    """Every unit r mod u with the exponents t of r = prod g_i^t_i against
+    the generators of _unit_data(u), from products of their power lists."""
+    table: dict[tuple[int, ...], int] = {(): 1}
+    for g, o in _unit_data(u).generators:
+        powers = [pow(g, t, u) for t in range(o)]
+        table = {tup + (t,): r * powers[t] % u for tup, r in table.items() for t in range(o)}
+    return {r: tup for tup, r in table.items()}
+
+
+def char_value(chi: DirichletCharacter, a: int) -> int | None:
+    """Exponent k in [0, d) with chi(a) = e(k/d), d the order of chi, or None
+    when gcd(a, u) > 1: chi(prod g_i^t_i) = e(sum e_i t_i / o_i)."""
+    u, d = chi.modulus, chi.order
+    ts = dlog_table(u).get(a % u)
+    if ts is None:
+        return None
+    orders = _unit_data(u).orders
+    return sum(e * d // o * t for e, t, o in zip(chi.exponents, ts, orders)) % d
+
+
+def char_power(chi: DirichletCharacter, k: int) -> DirichletCharacter:
+    """chi^k, by definition: every exponent times k."""
+    return DirichletCharacter(chi.modulus, tuple(k * e for e in chi.exponents))
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +183,7 @@ def oracle_b1(chi: DirichletCharacter) -> CyclotomicNumber:
         b = a
         while math.gcd(b, u) != 1:
             b += f
-        weight[chi.value(b)] += a
+        weight[char_value(chi, b)] += a
     total = CyclotomicNumber.zero(d)
     for k, w in enumerate(weight):
         if w:

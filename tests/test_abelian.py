@@ -27,6 +27,7 @@ from cycloclass.abelian import (
 )
 from cycloclass.cli import EXIT_USAGE, main
 import cycloclass.abelian as abelian
+from norm_oracle import char_power, char_value, dlog_table
 from subgroup_oracle import (
     _all_subgroups,
     _index_n_subgroups,
@@ -43,7 +44,7 @@ def _conductor_oracle(chi: DirichletCharacter) -> int:
     u = chi.modulus
     units = [a for a in range(1, u + 1) if math.gcd(a, u) == 1]
     for f in divisors(u):
-        if all(chi.value(a) == 0 for a in units if a % f == 1 % f):
+        if all(char_value(chi, a) == 0 for a in units if a % f == 1 % f):
             return f
     raise AssertionError("unreachable: f = u always works")
 
@@ -103,10 +104,10 @@ def test_character_counts_and_parity_split():
 def test_character_values_mod5():
     # (Z/5)^* = <2>; the quadratic character is 1 on {1,4}, -1 on {2,3}.
     quad = next(ch for ch in characters(5) if ch.order == 2)
-    assert quad.value(1) == 0 and quad.value(4) == 0
-    assert quad.value(2) == 1 and quad.value(3) == 1
-    assert quad.value(5) is None
-    assert quad.conductor == 5 and not quad.is_odd is None
+    assert dict(quad.values()) == {1: 0, 2: 1, 4: 0, 3: 1}
+    assert char_value(quad, 5) is None
+    # 5 = 1 mod 4: the quadratic character mod 5 is even
+    assert quad.conductor == 5 and not quad.is_odd
 
 
 def test_character_multiplicativity():
@@ -117,30 +118,47 @@ def test_character_multiplicativity():
         for _ in range(40):
             chi = rng.choice(chars)
             a, b = rng.choice(units), rng.choice(units)
-            assert chi.value(a * b) == (chi.value(a) + chi.value(b)) % chi.order
+            assert char_value(chi, a * b) == (char_value(chi, a) + char_value(chi, b)) % chi.order
 
 
 def test_char_value_function_and_nonunits():
     chi = characters(12)[1]
-    assert chi.value(2) is None
-    assert chi.value(12 + 5) == chi.value(5)
-    # a = prod g_i^k_i gives chi(a) = e(sum e_i k_i / o_i): value(a) is that
-    # sum mod 1, in units of 1/order.
+    assert char_value(chi, 2) is None
+    assert char_value(chi, 12 + 5) == char_value(chi, 5)
+    # a = prod g_i^k_i gives chi(a) = e(sum e_i k_i / o_i): the walk's k is
+    # that sum mod 1, in units of 1/order.
     for u in (16, 63, 80):
-        data = _unit_data(u)
+        orders, table = _unit_data(u).orders, dlog_table(u)
         for chi in characters(u):
-            for a, ks in data.dlog.items():
-                v = chi.value(a)
+            for a, v in chi.values():
                 assert isinstance(v, int) and 0 <= v < chi.order
-                want = sum(Fraction(e * k, o) for e, k, o in zip(chi.exponents, ks, data.orders))
+                want = sum(Fraction(e * k, o) for e, k, o in zip(chi.exponents, table[a], orders))
                 assert Fraction(v, chi.order) == want % 1
+                assert v == char_value(chi, a)
+
+
+def test_character_values_walk_every_unit_once():
+    for u in MODULI + [9907, 99991]:
+        k = len(_unit_data(u).orders)
+        residues = [r for r, _ in DirichletCharacter(u, (1,) * k).values()]
+        assert len(set(residues)) == len(residues) == euler_phi(u), u
+        assert all(0 < r < u and math.gcd(r, u) == 1 for r in residues), u
+
+
+def test_unit_data_refuses_generator_of_wrong_order(monkeypatch):
+    # 2 has order 3 mod 7, not 6: the order check stands in for a span check
+    monkeypatch.setattr(abelian, "_primitive_root_mod_pk", lambda p, e: 2)
+    with pytest.raises(AssertionError, match="is not of order 6 mod 7"):
+        abelian._UnitData(7)
+    with pytest.raises(AssertionError, match="is not of order 6 mod 7"):
+        abelian._UnitData(28)
 
 
 def test_character_order_against_scan():
     for u in (5, 8, 9, 12, 16, 21, 40, 63):
         for chi in characters(u):
             k = 1
-            while not (chi**k).is_trivial:
+            while not char_power(chi, k).is_trivial:
                 k += 1
             assert k == chi.order
 
@@ -148,7 +166,7 @@ def test_character_order_against_scan():
 def test_character_parity_is_value_at_minus_one():
     for u in (5, 8, 9, 16, 35, 63, 80):
         for chi in characters(u):
-            v = chi.value(u - 1)
+            v = char_value(chi, u - 1)
             assert 2 * v in (0, chi.order)
             assert chi.is_odd == (v != 0)
 

@@ -5,6 +5,7 @@ Maillet determinant oracle."""
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from norm_oracle import (
     _orbit_norm_conjugates,
     _resultant_int,
     _sylvester_resultant,
+    char_power,
     maillet_hminus,
     oracle_b1,
     oracle_orbit_norm,
@@ -47,7 +49,7 @@ def _poly_eval(coeffs, x):
 
 def test_cyclotomic_polynomial_product_identity():
     # prod_{d | n} Phi_d(x) = x^n - 1, checked as exact integer evaluation
-    for n in list(range(1, 31)) + [105, 1008]:
+    for n in list(range(1, 31)) + [105, 1008, 2310, 10006]:
         for x in (2, -3, 10):
             prod = 1
             for d in range(1, n + 1):
@@ -116,7 +118,7 @@ def test_b1_galois_equivariance():
             d = ch.order
             for k in range(2, d):
                 if math.gcd(k, d) == 1:
-                    want = _b1_fractions(ch**k)
+                    want = _b1_fractions(char_power(ch, k))
                     assert oracle_b1(ch).galois_map(k).coeffs == want, (u, ch.exponents, k)
 
 
@@ -261,6 +263,15 @@ def test_hminus_time_limit_fires():
     # (Z/191)^* is cyclic of order 190: odd orbits of orders 2, 10, 38, 190
     with pytest.raises(TimeLimitExceeded, match=r"in orbit norms after 0 of 4 orbits"):
         relative_class_number(191, time_limit=0.0)
+
+
+def test_hminus_time_limit_covers_work_before_first_crt_prime():
+    # real time: Phi_10006 and B_1 of the order-10006 orbit cost no
+    # d^2 long division before the first deadline check
+    start = time.monotonic()
+    with pytest.raises(TimeLimitExceeded, match=r"order-10006 norm"):
+        relative_class_number(10007, time_limit=0.5)
+    assert time.monotonic() - start < 3.0
 
 
 def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):

@@ -48,7 +48,7 @@ def test_hminus_rejects_bad_conductor(capsys):
 
 
 def test_out_of_range_modulus_refused_up_front(capsys):
-    # no unit-group tables are built for u above the cap
+    # no unit-group data is built for u above the cap
     for command in ("subfields", "hminus"):
         rc, out, err = run(capsys, command, "1000003")
         assert rc == EXIT_USAGE and not out
@@ -61,6 +61,14 @@ def test_hminus_time_limit(capsys):
     rc, _, err = run(capsys, "hminus", "191", "--time-limit", "0.000001")
     assert rc == EXIT_FAIL
     assert "time limit" in err.lower()
+
+
+def test_hminus_refuses_unusable_time_limit(capsys):
+    # nan and inf would run with no limit at all; -1 is not a duration
+    for limit in ("nan", "inf", "-1"):
+        rc, out, err = run(capsys, "hminus", "23", "--time-limit", limit)
+        assert (rc, out) == (EXIT_USAGE, ""), limit
+        assert err.startswith("error: time limit must be a finite number of seconds >= 0"), err
 
 
 def test_hminus_time_limit_in_factoring_prints_cofactor(capsys):

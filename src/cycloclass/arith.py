@@ -263,12 +263,14 @@ def factorize(n: int, deadline: float | None = None) -> PrimeFactorization:
 
     When time.monotonic() passes `deadline`, raises TimeLimitExceeded naming
     the stage that stopped, with the primes found so far and the unsplit
-    pieces as `partial`. Complete results are cached by n alone, with hit
-    counts in `factorize.cache_info()` as for lru_cache; a raised call stores
-    nothing.
+    pieces as `partial`; a NaN or infinite deadline is a ValueError. Complete
+    results are cached by n alone, with hit counts in `factorize.cache_info()`
+    as for lru_cache; a raised call stores nothing.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
+    if deadline is not None and not math.isfinite(deadline):
+        raise ValueError(f"deadline must be a finite time.monotonic() reading, got {deadline}")
     fact = _factorizations.get(n)
     if fact is not None:
         _factorize_counts[0] += 1
@@ -316,14 +318,6 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n).factors:
         result = result // p * (p - 1)
     return result
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def carmichael_lambda(n: int) -> int:

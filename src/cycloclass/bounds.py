@@ -49,8 +49,37 @@ class BoundResult:
         return Fraction(p) > self.H_fraction
 
     def display(self, digits: int = 10) -> str:
+        """H_fraction rounded up to `digits` significant digits, in the layout
+        of mpmath.nstr(..., strip_zeros=False), marked exact or rounded up."""
         marker = " (rounded up)" if self.rounded_up else " (exact)"
-        return f"{mpmath.nstr(self.H, digits, strip_zeros=False)}{marker}"
+        return f"{_decimal_ceiling(self.H_fraction, digits)}{marker}"
+
+
+def _decimal_ceiling(x: Fraction, digits: int) -> str:
+    """The least decimal >= x > 0 with `digits` significant digits, printed
+    as mpmath.nstr prints it: fixed point when the leading digit's exponent E
+    has min(-(digits // 3), -5) < E < digits, else d.ddd...e+E."""
+    a, b = x.numerator, x.denominator
+    # within one or two of floor(log10 x); str() refuses ints of 4300+ digits
+    E = (a.bit_length() - b.bit_length()) * 30103 // 100_000
+    while True:  # x * 10^(digits - 1 - E) = num/den in [10^(digits-1), 10^digits)
+        k = digits - 1 - E
+        num, den = (a * 10**k, b) if k >= 0 else (a, b * 10**-k)
+        if num < den * 10 ** (digits - 1):
+            E -= 1
+        elif num >= den * 10**digits:
+            E += 1
+        else:
+            break
+    n = -(-num // den)
+    if n == 10**digits:
+        n, E = n // 10, E + 1
+    s = str(n)
+    if min(-(digits // 3), -5) < E < digits:
+        if E < 0:
+            return "0." + "0" * (-E - 1) + s
+        return f"{s[:E + 1]}.{s[E + 1:]}"
+    return f"{s[0]}.{s[1:]}e{E:+d}"
 
 
 def _exact_result(abs_disc: int, m: int, value: int, note: str | None) -> BoundResult:

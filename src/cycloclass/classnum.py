@@ -3,11 +3,16 @@
 h^-(u) = Q * w * prod_{chi odd} (-B_{1,chi}/2), the product taken over Galois
 orbits as exact rational norms. b1_chi gives B_{1,chi} as integers c_i over the
 conductor f on the power basis of Q(zeta_d): a character sum over the units,
-folded by x^(d/2) + 1 and reduced by Phi_d. With -B_{1,chi}/2 = (1/denom) sum
-A_i zeta^i in lowest terms, a norm is the integer Res(Phi_d, A) = prod_{k in
-(Z/d)^*} A(omega^k) modulo primes q = 1 (mod d) below 2^62, with omega of order
-d mod q; the products come from one chirp-z convolution per prime and are
-CRT-combined past a Parseval bound.
+folded by x^(d/2) + 1 and reduced by Phi_d. A norm is recovered as the integer
+T = N(B_{1,chi}) * D = Res(Phi_d, c0) * g^phi * D / f^phi, g = gcd(c_i) and
+c0 = c/g. The denominator D comes from Stickelberger's theorem: for a prime c
+not dividing u, (c - chi(c)^-1) B_{1,chi} is integral, so D_c = N(c - chi(c))
+= Phi_e(c)^(phi(d)/phi(e)), e the order of chi(c), clears the norm, and D is
+the gcd of D_c over the two smallest such auxiliary primes. T is found
+modulo primes q = 1 (mod d) below 2^62, where Res(Phi_d, c0) = prod_{k in
+(Z/d)^*} c0(omega^k) with omega of order d mod q comes from one chirp-z
+convolution per prime, and the residues are CRT-combined past a Parseval
+bound; the norm of -B_{1,chi}/2 is T/D * (-1/2)^phi.
 
 The time limit covers the orbit norms, checked once per CRT prime, and the
 factoring of h^- by arith.factorize. Out of time in the norms,
@@ -106,8 +111,9 @@ def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
 
 
 # ---------------------------------------------------------------------------
-# Orbit norms: Res(Phi_d, A) = prod_{k in (Z/d)^*} A(omega^k) modulo primes
-# q = 1 (mod d), where Phi_d splits with roots omega^k, CRT-combined.
+# Orbit norms: N(B_{1,chi}) times a Stickelberger denominator, from
+# Res(Phi_d, c0) = prod_{k in (Z/d)^*} c0(omega^k) modulo primes q = 1 (mod d),
+# where Phi_d splits with roots omega^k, CRT-combined.
 
 _ROOT_POOLS: dict[int, list[tuple[int, int]]] = {}
 
@@ -169,36 +175,66 @@ def _norm_bound_bits(A: tuple[int, ...], d: int) -> int:
     return (t.bit_length() + 1) // 2
 
 
+def _stickelberger_denominator(chi: DirichletCharacter) -> int:
+    """D > 0 with D * N(B_{1,chi}) an integer: the gcd of N(c - chi(c)) =
+    Phi_e(c)^(phi(d)/phi(e)), e the order of chi(c), over the two smallest
+    primes c not dividing u (Stickelberger; Washington, Introduction to
+    Cyclotomic Fields, 6.2). chi(c) comes from one walk of chi.values() that
+    stops once every c mod u has been seen."""
+    u, d = chi.modulus, chi.order
+    cs = list(itertools.islice((c for c in itertools.count(2) if u % c and is_prime(c)), 2))
+    wanted, exps = {c % u for c in cs}, {}
+    for r, k in chi.values():
+        if r in wanted:
+            exps[r] = k
+            if len(exps) == len(wanted):
+                break
+    D, phi = 0, euler_phi(d)
+    for c in cs:
+        e = d // math.gcd(exps[c % u], d)
+        phi_e_c = 0
+        for a in reversed(cyclotomic_polynomial(e)):
+            phi_e_c = phi_e_c * c + a
+        D = math.gcd(D, phi_e_c ** (phi // euler_phi(e)))
+    return D
+
+
 def orbit_norm(orbit: CharacterOrbit, deadline: float | None = None) -> Fraction:
     """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi.
-    Raises TimeLimitExceeded when time.monotonic() passes `deadline`, checked
-    once per CRT prime."""
+    Raises ValueError for a deadline that is NaN or infinite, and
+    TimeLimitExceeded when time.monotonic() passes `deadline`, checked once per
+    CRT prime."""
+    if deadline is not None and not math.isfinite(deadline):
+        raise ValueError(f"deadline must be a finite time.monotonic() reading, got {deadline}")
     if not orbit.is_odd:
         raise ValueError("orbit norm is defined here for odd-character orbits only")
     chi = orbit.members[0]
     d = chi.order
-    if euler_phi(d) != orbit.size:
+    phi = euler_phi(d)
+    if phi != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
     c, f = b1_chi(chi)
-    # -B_{1,chi}/2 = (1/denom) sum A_i zeta^i in lowest terms.
-    g = math.gcd(2 * f, *c)
-    A, denom = tuple(-x // g for x in c), 2 * f // g
+    D = _stickelberger_denominator(chi)
+    # T = N(B_{1,chi}) * D = Res(Phi_d, c0) * g^phi * D / f^phi, an integer.
+    g = math.gcd(*c)
+    c0 = tuple(x // g for x in c)
+    scale, f_phi = g**phi * D, f**phi
     # chi(-1) = -1 makes d even, as _norm_mod needs.
-    bits = _norm_bound_bits(A, d)
+    bits = max(1, _norm_bound_bits(c0, d) + scale.bit_length() - f_phi.bit_length() + 1)
     x, mod = 0, 1
     for i, (q, omega) in enumerate(_norm_primes(d)):
         if deadline is not None and time.monotonic() > deadline:
             progress = f"{i} CRT primes, {mod.bit_length()} of {bits} bits"
             raise TimeLimitExceeded(f"order-{d} norm: {progress}")
-        r = _norm_mod(A, d, q, omega)
+        r = _norm_mod(c0, d, q, omega) * (scale % q) * pow(f, -phi, q) % q
         # CRT: combine (x mod mod) with (r mod q).
         t = (r - x) * pow(mod, -1, q) % q
         x += mod * t
         mod *= q
         if mod.bit_length() > bits + 1:
             break
-    res = x - mod if 2 * x > mod else x
-    return Fraction(res, denom ** euler_phi(d))
+    T = x - mod if 2 * x > mod else x
+    return Fraction(T, D) * Fraction(-1, 2) ** phi
 
 
 # ---------------------------------------------------------------------------

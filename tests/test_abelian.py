@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycloclass.arith import divisors, euler_phi, factorize
+from cycloclass.arith import euler_phi, factorize
 from cycloclass.abelian import (
     AbelianFieldSpec,
     DirichletCharacter,
@@ -37,6 +37,20 @@ from subgroup_oracle import (
 
 MODULI = [u for u in range(3, 201) if u % 4 != 2]
 ORACLE_MODULI = [u for u in MODULI if u <= 120] + [168, 240]
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    divs = [1]
+    for p, e in factorize(n).factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def test_divisors():
+    assert divisors(1) == [1]
+    assert divisors(28) == [1, 2, 4, 7, 14, 28]
+    assert divisors(97) == [1, 97]
 
 
 def _conductor_oracle(chi: DirichletCharacter) -> int:

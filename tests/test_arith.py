@@ -18,7 +18,6 @@ from cycloclass.arith import (
     _pollard_rho,
     _small_primes,
     carmichael_lambda,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -154,6 +153,16 @@ def test_factorize_deadline_returns_partial_uncached():
     assert factorize(n).factors == ((3, 5), (9973, 1), (207293548177, 1), (3168190412839, 1))
 
 
+def test_factorize_rejects_nan_and_infinite_deadlines():
+    # a NaN deadline never compares as passed: it is refused before any work
+    n = 10000000000000000051 * 30000000000000000041
+    before = factorize.cache_info()
+    for deadline in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="deadline must be a finite"):
+            factorize(n, deadline=deadline)
+    assert factorize.cache_info() == before
+
+
 class _CountingInt(int):
     """An int that counts the reductions modulo itself: Python prefers the
     reflected __rmod__ of an int subclass on the right of %."""
@@ -198,12 +207,6 @@ def test_prime_factorization_assemble_strips_cofactor():
 def test_euler_phi_matches_unit_count():
     for n in range(1, 500):
         assert euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
-
-
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(28) == [1, 2, 4, 7, 14, 28]
-    assert divisors(97) == [1, 97]
 
 
 def test_carmichael_divides_phi():

@@ -5,6 +5,7 @@ Maillet determinant oracle."""
 import hashlib
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from norm_oracle import (
     _resultant_int,
     _sylvester_resultant,
     char_power,
+    char_value,
     maillet_hminus,
     oracle_b1,
     oracle_orbit_norm,
@@ -137,23 +139,51 @@ def _odd_orbits_up_to(n):
 
 
 def test_orbit_norm_matches_oracle():
-    # transform route vs Euclidean resultants, every odd orbit of u <= 150
+    # transform route vs Euclidean resultants, every odd orbit of u <= 150;
+    # and Stickelberger: N(B_1) * Phi_e(c)^(phi(d)/phi(e)) is an integer for
+    # the two smallest primes c prime to u, e the order of chi(c), with
+    # chi(c) from the discrete-log table of norm_oracle
     for ob in _odd_orbits_up_to(150):
-        chi = ob.members[0]
-        assert orbit_norm(ob) == oracle_orbit_norm(ob), (chi.modulus, chi.exponents)
+        chi, d = ob.members[0], ob.order
+        want = oracle_orbit_norm(ob)
+        assert orbit_norm(ob) == want, (chi.modulus, chi.exponents)
+        norm_b1 = want / Fraction(-1, 2) ** euler_phi(d)
+        cs = [c for c in (2, 3, 5, 7, 11) if chi.modulus % c][:2]
+        for c in cs:
+            e = d // math.gcd(char_value(chi, c), d)
+            denom = _poly_eval(cyclotomic_polynomial(e), c) ** (euler_phi(d) // euler_phi(e))
+            assert (norm_b1 * denom).denominator == 1, (chi.modulus, chi.exponents, c)
 
 
 def test_orbit_norm_bound_holds():
-    # |Res(Phi_d, A)| < 2^_norm_bound_bits(A, d), A the integer numerators of -B_1/2
+    # |Res(Phi_d, c0)| < 2^_norm_bound_bits(c0, d), c0 the coefficients of
+    # f * B_1 over their gcd
     for ob in _odd_orbits_up_to(150):
         chi, d = ob.members[0], ob.order
         if d == 2:
             continue
         c, f = b1_chi(chi)
-        g = math.gcd(2 * f, *c)
-        A = tuple(-x // g for x in c)
-        res = _resultant_int(cyclotomic_polynomial(d), A)
-        assert abs(res) < 2 ** _norm_bound_bits(A, d), (chi.modulus, chi.exponents)
+        c0 = tuple(x // math.gcd(*c) for x in c)
+        res = _resultant_int(cyclotomic_polynomial(d), c0)
+        assert abs(res) < 2 ** _norm_bound_bits(c0, d), (chi.modulus, chi.exponents)
+
+
+def test_orbit_norm_crt_bound_of_order_1008():
+    # the CRT recovers N(B_1) * D, D from Stickelberger's theorem: for the
+    # order-1008 orbit of u = 1009 its bound, read from the time-out message
+    # of a call whose deadline has passed, is below 1600 bits
+    big = max(galois_orbits([ch for ch in characters(1009) if ch.is_odd]), key=lambda ob: ob.order)
+    with pytest.raises(TimeLimitExceeded) as exc:
+        orbit_norm(big, deadline=time.monotonic() - 1)
+    bits = re.fullmatch(r"order-1008 norm: 0 CRT primes, 1 of (\d+) bits", str(exc.value))
+    assert bits and int(bits[1]) < 1600
+
+
+def test_orbit_norm_rejects_nan_and_infinite_deadlines():
+    (orbit,) = [ob for ob in galois_orbits([ch for ch in characters(7) if ch.is_odd]) if ob.order == 6]
+    for deadline in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="deadline must be a finite"):
+            orbit_norm(orbit, deadline=deadline)
 
 
 def test_norm_mod_matches_horner():

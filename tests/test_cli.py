@@ -4,9 +4,11 @@ import hashlib
 import json
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
+from cycloclass.bounds import BoundResult
 from cycloclass.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -90,6 +92,38 @@ def test_bound_rounded(capsys):
     rc, out, _ = run(capsys, "bound", "--disc", "59", "--m", "2")
     assert rc == EXIT_OK
     assert "H = 62.64031880 (rounded up)" in out
+
+
+def test_bound_rounded_up_is_an_upper_bound(capsys):
+    # H = 752056909.932...; rounding to nearest would print 752056909.9
+    rc, out, _ = run(capsys, "bound", "--disc", "1234567", "--m", "7")
+    assert rc == EXIT_OK
+    assert out == "H = 752056910.0 (rounded up)\n"
+
+
+def test_printed_bounds_are_upper_bounds(capsys, monkeypatch):
+    # every H_F printed by the bundled audit and the subfield lattices of
+    # 480, 571 and 9907 reads as a decimal >= H_fraction, equal when exact
+    shown = []
+    display = BoundResult.display
+
+    def recording(self, digits=10):
+        text = display(self, digits)
+        shown.append((self, text))
+        return text
+
+    monkeypatch.setattr(BoundResult, "display", recording)
+    for argv in (("verify-paper", "--format", "structured"), ("subfields", "480"),
+                 ("subfields", "571"), ("subfields", "9907")):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == EXIT_OK and out, argv
+    assert len(shown) > 400
+    for bound, text in shown:
+        number, marker = text.split(" ", 1)
+        if bound.rounded_up:
+            assert marker == "(rounded up)" and Fraction(number) >= bound.H_fraction, text
+        else:
+            assert marker == "(exact)" and Fraction(number) == bound.H_fraction, text
 
 
 def test_bound_exact(capsys):
@@ -217,11 +251,11 @@ def test_verify_paper_output_is_deterministic(capsys):
 # field specs still held one DirichletCharacter per member
 PINNED_STDOUT = {
     ("verify-paper", "--format", "structured", "--probable-primes", "allow"):
-        "83a129dccd012a22cf5db4cdaa32444e4d830cced0b7218320e78d91a1ffca9c",
+        "a4f53e82df2895b88f29efecc789375be532ae451a4966b639f21a40bde0ec66",
     ("verify-paper", "--format", "structured", "--probable-primes", "reject"):
-        "44a8b1b2079214e249363009b6dfa77bb325f218e6ccf2909e9db550db26dbb9",
-    ("subfields", "480"): "414d51daab7c20cb0862d800e3a68ca8d3e816cfed1d88bd8f9f45650b985773",
-    ("subfields", "571"): "0ad1d030b9ff5f413924ac10cb979d89246c5a4e8a95c09fd264432f1ef4f928",
+        "b66d90ee7c9cac966e9f6910d7f0c7d43da8be0ed20f4e123b5dd6691412e0b1",
+    ("subfields", "480"): "47923390a2d14108ea825e65c58578dd33a6dcbc6082131a8ee89ef34a330c9c",
+    ("subfields", "571"): "4f908ccdcea4ea893ab7948ff212ea876e8279d48df93b9f569e76f6af69e9fb",
 }
 
 

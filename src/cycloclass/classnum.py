@@ -8,15 +8,19 @@ T = N(B_{1,chi}) * D = Res(Phi_d, c0) * g^phi * D / f^phi, g = gcd(c_i) and
 c0 = c/g. The denominator D comes from Stickelberger's theorem: for a prime c
 not dividing u, (c - chi(c)^-1) B_{1,chi} is integral, so D_c = N(c - chi(c))
 = Phi_e(c)^(phi(d)/phi(e)), e the order of chi(c), clears the norm, and D is
-the gcd of D_c over the two smallest such auxiliary primes. T is found
-modulo primes q = 1 (mod d) below 2^62, where Res(Phi_d, c0) = prod_{k in
-(Z/d)^*} c0(omega^k) with omega of order d mod q comes from one chirp-z
-convolution per prime, and the residues are CRT-combined past a Parseval
-bound; the norm of -B_{1,chi}/2 is T/D * (-1/2)^phi.
+the gcd of D_c over the two smallest such auxiliary primes, chi(c) read off
+the walk of b1_chi. Res(Phi_d, c0) first descends the cyclotomic tower: while
+p^2 | d, Phi_d(x) = Phi_{d/p}(x^p), and the norm of c0 down to Q(zeta_{d/p}),
+an exact product of p conjugates in Z[x]/(x^d - 1), has the same resultant
+against Phi_{d/p}. At d', the product of the primes of d, T is found modulo
+primes q = 1 (mod d') below 2^62, where the resultant is prod_{k in (Z/d')^*}
+beta(omega^k) with omega of order d' mod q, from one chirp-z convolution per
+prime, and the residues are CRT-combined past a Parseval bound; the norm of
+-B_{1,chi}/2 is T/D * (-1/2)^phi.
 
-The time limit covers the orbit norms, checked once per CRT prime, and the
-factoring of h^- by arith.factorize. Out of time in the norms,
-TimeLimitExceeded is raised saying how far they got; out of time in the
+The time limit covers the orbit norms, checked once per descent step and once
+per CRT prime, and the factoring of h^- by arith.factorize. Out of time in the
+norms, TimeLimitExceeded is raised saying how far they got; out of time in the
 factoring, the exact value comes back with the unsplit rest as the composite
 cofactor of its factorization, and RelativeClassNumber.note says so.
 """
@@ -91,18 +95,24 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
+def b1_chi(
+    chi: DirichletCharacter, chi_at: dict[int, int | None] | None = None
+) -> tuple[tuple[int, ...], int]:
     """B_{1,chi} = (1/f) sum_{a=1}^{f} chi*(a) a, chi* the primitive character
     of conductor f inducing chi, as (c, f) with B_{1,chi} = (1/f) sum c_i zeta^i:
     the phi(d) integer coefficients on the power basis of Q(zeta_d), d = order
-    of chi, and the conductor."""
+    of chi, and the conductor. Each key r of `chi_at`, a unit 0 < r < u, gets as
+    its value the exponent k of chi(r) = e(k/d), read off the same walk."""
     if chi.is_trivial:
         raise ValueError("B_{1,chi} is defined here only for nontrivial chi")
     d, f, u = chi.order, chi.conductor, chi.modulus
     acc = [0] * d
+    chi_at = {} if chi_at is None else chi_at
     # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
     for r, k in chi.values():
         acc[k] += r % f
+        if r in chi_at:
+            chi_at[r] = k
     if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
         acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
     c = _poly_rem(acc, cyclotomic_polynomial(d))
@@ -112,8 +122,8 @@ def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
 
 # ---------------------------------------------------------------------------
 # Orbit norms: N(B_{1,chi}) times a Stickelberger denominator, from
-# Res(Phi_d, c0) = prod_{k in (Z/d)^*} c0(omega^k) modulo primes q = 1 (mod d),
-# where Phi_d splits with roots omega^k, CRT-combined.
+# Res(Phi_e, beta) = prod_{k in (Z/e)^*} beta(omega^k) modulo primes
+# q = 1 (mod e), where Phi_e splits with roots omega^k, CRT-combined.
 
 _ROOT_POOLS: dict[int, list[tuple[int, int]]] = {}
 
@@ -175,23 +185,14 @@ def _norm_bound_bits(A: tuple[int, ...], d: int) -> int:
     return (t.bit_length() + 1) // 2
 
 
-def _stickelberger_denominator(chi: DirichletCharacter) -> int:
-    """D > 0 with D * N(B_{1,chi}) an integer: the gcd of N(c - chi(c)) =
-    Phi_e(c)^(phi(d)/phi(e)), e the order of chi(c), over the two smallest
-    primes c not dividing u (Stickelberger; Washington, Introduction to
-    Cyclotomic Fields, 6.2). chi(c) comes from one walk of chi.values() that
-    stops once every c mod u has been seen."""
-    u, d = chi.modulus, chi.order
-    cs = list(itertools.islice((c for c in itertools.count(2) if u % c and is_prime(c)), 2))
-    wanted, exps = {c % u for c in cs}, {}
-    for r, k in chi.values():
-        if r in wanted:
-            exps[r] = k
-            if len(exps) == len(wanted):
-                break
+def _stickelberger_denominator(d: int, aux: list[tuple[int, int]]) -> int:
+    """D > 0 with D * N(B_{1,chi}) an integer, chi of order d: the gcd of
+    N(c - chi(c)) = Phi_e(c)^(phi(d)/phi(e)) over the pairs (c, k) of aux, c
+    prime to u and chi(c) = e(k/d) of order e = d/gcd(k, d) (Stickelberger;
+    Washington, Introduction to Cyclotomic Fields, 6.2)."""
     D, phi = 0, euler_phi(d)
-    for c in cs:
-        e = d // math.gcd(exps[c % u], d)
+    for c, k in aux:
+        e = d // math.gcd(k, d)
         phi_e_c = 0
         for a in reversed(cyclotomic_polynomial(e)):
             phi_e_c = phi_e_c * c + a
@@ -199,34 +200,92 @@ def _stickelberger_denominator(chi: DirichletCharacter) -> int:
     return D
 
 
+# ---------------------------------------------------------------------------
+# Descent: for p^2 | d, Phi_d(x) = Phi_{d/p}(x^p), and the norm from Q(zeta_d)
+# down to Q(zeta_{d/p}) of A is the product of its p conjugates
+# x^i -> x^(i (1 + k d/p)), so Res(Phi_d, A) = Res(Phi_{d/p}, that product).
+
+
+def _mul_cyclic(A: list[int], B: list[int], d: int) -> list[int]:
+    """A * B mod x^d - 1 for signed coefficient lists of length d: one
+    big-integer product of W-byte slots (Kronecker substitution). Each slot is
+    biased by H = 2^(8W - 1) so that it is unsigned; packing and unpacking are
+    linear bytes joins and slices."""
+    bits = max(map(abs, A)).bit_length() + max(map(abs, B)).bit_length() + d.bit_length()
+    W = bits // 8 + 1  # every product coefficient is below 2^bits <= H
+    H = 1 << (8 * W - 1)
+    slot = H.to_bytes(W, "little")
+
+    def pack(P: list[int]) -> int:
+        biased = b"".join((c + H).to_bytes(W, "little") for c in P)
+        return int.from_bytes(biased, "little") - int.from_bytes(slot * len(P), "little")
+
+    m = 2 * d - 1
+    prod = pack(A) * pack(B) + int.from_bytes(slot * m, "little")
+    raw = prod.to_bytes(m * W, "little")
+    c = [int.from_bytes(raw[t:t + W], "little") - H for t in range(0, m * W, W)]
+    return [x + y for x, y in zip(c, c[d:] + [0])]
+
+
+def _relative_norm(A: tuple[int, ...], d: int, p: int) -> tuple[int, ...]:
+    """The norm of A from Q(zeta_d) to Q(zeta_{d/p}), p^2 | d, on the power
+    basis of Q(zeta_{d/p}): the product of the conjugates, reduced by Phi_d,
+    is a polynomial in x^p."""
+    e = d // p
+    prod = list(A) + [0] * (d - len(A))
+    for k in range(1, p):
+        conj = [0] * d
+        for i, a in enumerate(A):
+            conj[i * (1 + k * e) % d] = a
+        prod = _mul_cyclic(prod, conj, d)
+    return tuple(_poly_rem(prod, cyclotomic_polynomial(d))[::p])
+
+
+def _descend(A: tuple[int, ...], d: int, deadline: float | None) -> tuple[tuple[int, ...], int]:
+    """(B, e) with Res(Phi_e, B) = Res(Phi_d, A), e the product of the primes
+    of d, by one relative norm per step d -> d/p while p^2 | d. The deadline is
+    checked before each step."""
+    e = d
+    for p in factorize(d).primes():
+        while e % (p * p) == 0:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeLimitExceeded(f"order-{d} norm: descent reached order {e}")
+            A = _relative_norm(A, e, p)
+            e //= p
+    return A, e
+
+
 def orbit_norm(orbit: CharacterOrbit, deadline: float | None = None) -> Fraction:
     """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi.
     Raises ValueError for a deadline that is NaN or infinite, and
     TimeLimitExceeded when time.monotonic() passes `deadline`, checked once per
-    CRT prime."""
+    descent step and once per CRT prime."""
     if deadline is not None and not math.isfinite(deadline):
         raise ValueError(f"deadline must be a finite time.monotonic() reading, got {deadline}")
     if not orbit.is_odd:
         raise ValueError("orbit norm is defined here for odd-character orbits only")
     chi = orbit.members[0]
-    d = chi.order
+    u, d = chi.modulus, chi.order
     phi = euler_phi(d)
     if phi != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
-    c, f = b1_chi(chi)
-    D = _stickelberger_denominator(chi)
+    aux = list(itertools.islice((c for c in itertools.count(2) if u % c and is_prime(c)), 2))
+    chi_at = dict.fromkeys(c % u for c in aux)
+    c, f = b1_chi(chi, chi_at)
+    D = _stickelberger_denominator(d, [(a, chi_at[a % u]) for a in aux])
     # T = N(B_{1,chi}) * D = Res(Phi_d, c0) * g^phi * D / f^phi, an integer.
     g = math.gcd(*c)
     c0 = tuple(x // g for x in c)
+    beta, e = _descend(c0, d, deadline)
     scale, f_phi = g**phi * D, f**phi
-    # chi(-1) = -1 makes d even, as _norm_mod needs.
-    bits = max(1, _norm_bound_bits(c0, d) + scale.bit_length() - f_phi.bit_length() + 1)
+    # chi(-1) = -1 makes d, and so e, even, as _norm_mod needs.
+    bits = max(1, _norm_bound_bits(beta, e) + scale.bit_length() - f_phi.bit_length() + 1)
     x, mod = 0, 1
-    for i, (q, omega) in enumerate(_norm_primes(d)):
+    for i, (q, omega) in enumerate(_norm_primes(e)):
         if deadline is not None and time.monotonic() > deadline:
             progress = f"{i} CRT primes, {mod.bit_length()} of {bits} bits"
             raise TimeLimitExceeded(f"order-{d} norm: {progress}")
-        r = _norm_mod(c0, d, q, omega) * (scale % q) * pow(f, -phi, q) % q
+        r = _norm_mod(beta, e, q, omega) * (scale % q) * pow(f, -phi, q) % q
         # CRT: combine (x mod mod) with (r mod q).
         t = (r - x) * pow(mod, -1, q) % q
         x += mod * t

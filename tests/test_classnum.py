@@ -3,6 +3,7 @@ transform route against the resultant routes of norm_oracle, assembly, and the
 Maillet determinant oracle."""
 
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -17,6 +18,7 @@ from cycloclass.abelian import characters, galois_orbits
 from cycloclass.arith import euler_phi, factorize, is_prime
 from cycloclass.classnum import (
     TimeLimitExceeded,
+    _descend,
     _norm_bound_bits,
     _norm_mod,
     _norm_primes,
@@ -98,17 +100,21 @@ def _b1_fractions(chi):
 
 
 def test_b1_chi_matches_oracle():
-    # integer coefficients over the conductor vs the sum of roots of unity
+    # integer coefficients over the conductor vs the sum of roots of unity,
+    # and the exponents of chi at the units asked for vs the discrete-log table
     chars = [ch for u in range(3, 61) if u % 4 != 2 for ch in characters(u)]
     # the orbits of orders 105 and 210 mod 211, by representative: Phi_105 and
     # Phi_210(x) = Phi_105(-x) have the coefficients -2 and 2 at x^7
     chars += [ob.members[0] for ob in galois_orbits(characters(211)) if ob.order in (105, 210)]
     for ch in chars:
         if not ch.is_trivial:
-            c, f = b1_chi(ch)
-            assert f == ch.conductor, (ch.modulus, ch.exponents)
+            u = ch.modulus
+            chi_at = dict.fromkeys(r % u for r in (1, 2, 3, 5, u - 1) if math.gcd(r, u) == 1)
+            c, f = b1_chi(ch, chi_at)
+            assert f == ch.conductor, (u, ch.exponents)
             want = oracle_b1(ch).coeffs
-            assert tuple(Fraction(x, f) for x in c) == want, (ch.modulus, ch.exponents)
+            assert tuple(Fraction(x, f) for x in c) == want, (u, ch.exponents)
+            assert chi_at == {r: char_value(ch, r) for r in chi_at}, (u, ch.exponents)
 
 
 def test_b1_galois_equivariance():
@@ -157,7 +163,8 @@ def test_orbit_norm_matches_oracle():
 
 def test_orbit_norm_bound_holds():
     # |Res(Phi_d, c0)| < 2^_norm_bound_bits(c0, d), c0 the coefficients of
-    # f * B_1 over their gcd
+    # f * B_1 over their gcd, and the bound that production takes, from the
+    # descended (beta, e), holds too
     for ob in _odd_orbits_up_to(150):
         chi, d = ob.members[0], ob.order
         if d == 2:
@@ -166,17 +173,69 @@ def test_orbit_norm_bound_holds():
         c0 = tuple(x // math.gcd(*c) for x in c)
         res = _resultant_int(cyclotomic_polynomial(d), c0)
         assert abs(res) < 2 ** _norm_bound_bits(c0, d), (chi.modulus, chi.exponents)
+        beta, e = _descend(c0, d, None)
+        assert abs(res) < 2 ** _norm_bound_bits(beta, e), (chi.modulus, chi.exponents)
 
 
-def test_orbit_norm_crt_bound_of_order_1008():
+def test_orbit_norm_crt_bound_of_order_1008(monkeypatch):
     # the CRT recovers N(B_1) * D, D from Stickelberger's theorem: for the
     # order-1008 orbit of u = 1009 its bound, read from the time-out message
-    # of a call whose deadline has passed, is below 1600 bits
+    # of a deadline that passes right after the descent 1008 -> 504 -> 252 ->
+    # 126 -> 42 (a fake clock reading 0, 1, 2, ...: the four descent checks
+    # read 0-3, the check before the first CRT prime reads 4), is below 1600 bits
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(classnum, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = max(galois_orbits([ch for ch in characters(1009) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded) as exc:
-        orbit_norm(big, deadline=time.monotonic() - 1)
+        orbit_norm(big, deadline=3.5)
     bits = re.fullmatch(r"order-1008 norm: 0 CRT primes, 1 of (\d+) bits", str(exc.value))
     assert bits and int(bits[1]) < 1600
+    assert next(ticks) == 5
+
+
+def test_descent_keeps_the_resultant():
+    # Res(Phi_e, beta) = Res(Phi_d, alpha) by Euclidean resultants, for random
+    # alpha: p = 2 steps (4, 8, 48), odd-p steps (18 -> 6, 54 -> 6, 50 -> 10)
+    # and both (12, 36, 100, 400)
+    rng = random.Random(12)
+    for d in (4, 8, 12, 18, 36, 48, 50, 54, 100, 400):
+        phi = euler_phi(d)
+        for length in (phi, rng.randrange(1, phi + 1)):
+            alpha = tuple(rng.randrange(-50, 51) for _ in range(length))
+            beta, e = _descend(alpha, d, None)
+            assert e == math.prod(factorize(d).primes()) and len(beta) == euler_phi(e), (d, length)
+            want = _resultant_int(cyclotomic_polynomial(d), alpha)
+            assert _resultant_int(cyclotomic_polynomial(e), beta) == want, (d, length)
+
+
+def test_descent_of_order_4096_is_linear_in_its_packing():
+    # order 4096 descends to order 2 in 11 steps, each one big-integer product
+    # of about 2^18 bits; it checks against the chirp-z norm at order 4096 mod
+    # two primes (Res(Phi_2, beta) = beta_0). Packing the slots by bytes joins
+    # keeps the descent near 8 products of two 229,376-bit integers; a
+    # quadratic shift-and-add pack made it 20-30, so 15 is the budget. A
+    # passed deadline stops the descent before its first step.
+    rng = random.Random(4096)
+    alpha = tuple(rng.randrange(-2**20, 2**20) for _ in range(2048))
+    cyclotomic_polynomial(4096)
+
+    def best_of(n, fn):
+        times = []
+        for _ in range(n):
+            start = time.perf_counter()
+            out = fn()
+            times.append(time.perf_counter() - start)
+        return min(times), out
+
+    x, y = rng.getrandbits(4096 * 56), rng.getrandbits(4096 * 56)
+    product_s, _ = best_of(5, lambda: x * y)
+    descent_s, (beta, e) = best_of(3, lambda: _descend(alpha, 4096, None))
+    assert e == 2 and len(beta) == 1
+    for q, omega in itertools.islice(_norm_primes(4096), 2):
+        assert beta[0] % q == _norm_mod(alpha, 4096, q, omega)
+    assert descent_s < 15 * product_s, (descent_s, product_s)
+    with pytest.raises(TimeLimitExceeded, match=r"^order-4096 norm: descent reached order 4096$"):
+        _descend(alpha, 4096, time.monotonic() - 1)
 
 
 def test_orbit_norm_rejects_nan_and_infinite_deadlines():
@@ -305,24 +364,30 @@ def test_hminus_time_limit_covers_work_before_first_crt_prime():
 
 
 def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
-    # a fake clock that reads 0, 1, 2, ...: the check before CRT prime i
-    # reads i, so a deadline of 2.5 stops the order-400 norm of h^-(401)
-    # after 3 primes, and without a deadline the clock is never read
+    # a fake clock that reads 0, 1, 2, ...: the order-400 norm of h^-(401)
+    # descends 400 -> 200 -> 100 -> 50 -> 10 with one check before each step
+    # (ticks 0-3), then checks once before each CRT prime (prime i reads
+    # 4 + i), so a deadline of 6.5 stops it after 3 primes; without a
+    # deadline the clock is never read
     ticks = iter(range(10**6))
     monkeypatch.setattr(classnum, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = max(galois_orbits([ch for ch in characters(401) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded, match=r"^order-400 norm: 3 CRT primes, \d+ of \d+ bits$"):
-        orbit_norm(big, deadline=2.5)
+        orbit_norm(big, deadline=6.5)
     assert orbit_norm(big) == oracle_orbit_norm(big)
-    assert next(ticks) == 4
-    # relative_class_number reads the clock once for its deadline (tick 4),
-    # then the largest orbit's norm stops at its third CRT prime (tick 7)
+    assert next(ticks) == 8
+    # the descent checks read 9, 10, 11: a deadline of 10.5 stops it at order 100
+    with pytest.raises(TimeLimitExceeded, match=r"^order-400 norm: descent reached order 100$"):
+        orbit_norm(big, deadline=10.5)
+    # relative_class_number reads the clock once for its deadline (tick 12),
+    # then the largest orbit's norm descends (ticks 13-16) and stops at its
+    # third CRT prime (tick 19)
     with pytest.raises(
         TimeLimitExceeded,
-        match=r"^h\^-\(401\): time limit 2.5s exceeded in orbit norms after 0 of \d+ "
+        match=r"^h\^-\(401\): time limit 6.5s exceeded in orbit norms after 0 of \d+ "
         r"orbits \(order-400 norm: 2 CRT primes, \d+ of \d+ bits\)$",
     ):
-        relative_class_number(401, time_limit=2.5)
+        relative_class_number(401, time_limit=6.5)
 
 
 def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):

@@ -1,10 +1,10 @@
 """Certified evaluation of the geometric class-number bound
 H = 2^(m-1)/(m-1)! * sqrt(|D|) * (ln |D|)^(m-1).
 
-Computed with interval arithmetic and returned as the upper interval endpoint,
-so the result is always >= the true value (overestimating H is safe: it can
-only turn a theorem application into INCONCLUSIVE, never fabricate a
-violation). Natural logarithm throughout.
+Evaluated in integer arithmetic as an interval [lo, hi] with dyadic rational
+endpoints and returned as the upper endpoint, so the result is always >= the
+true value (overestimating H is safe: it can only turn a theorem application
+into INCONCLUSIVE, never fabricate a violation). Natural logarithm throughout.
 """
 
 from __future__ import annotations
@@ -14,30 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .abelian import AbelianFieldSpec
 
 _TARGET_REL_WIDTH = Fraction(1, 2**100)
 
 
-def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    """Exact rational value of a finite mpf."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0 and x != 0:
-        raise ValueError("non-finite value")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
-
-
 @dataclass(frozen=True)
 class BoundResult:
-    """H with provenance: exact rational value of the returned (upper) endpoint,
-    the matching mpf, the inputs, and how it was rounded."""
+    """H with provenance: exact rational values of the returned (upper) and
+    the lower interval endpoint, the inputs, and how it was rounded."""
 
     abs_disc: int
     degree: int
-    H: mpmath.mpf
     H_fraction: Fraction
     lower_fraction: Fraction
     precision_bits: int
@@ -49,29 +37,42 @@ class BoundResult:
         return Fraction(p) > self.H_fraction
 
     def display(self, digits: int = 10) -> str:
-        """H_fraction rounded up to `digits` significant digits, in the layout
-        of mpmath.nstr(..., strip_zeros=False), marked exact or rounded up."""
+        """H_fraction rounded up to `digits` significant digits, zeros kept,
+        in the layout of `_decimal_ceiling`, marked exact or rounded up."""
         marker = " (rounded up)" if self.rounded_up else " (exact)"
         return f"{_decimal_ceiling(self.H_fraction, digits)}{marker}"
 
 
-def _decimal_ceiling(x: Fraction, digits: int) -> str:
-    """The least decimal >= x > 0 with `digits` significant digits, printed
-    as mpmath.nstr prints it: fixed point when the leading digit's exponent E
-    has min(-(digits // 3), -5) < E < digits, else d.ddd...e+E."""
+def log10_floor(x: int | Fraction) -> int:
+    """floor(log10 x) for a rational x > 0, exactly and without a decimal
+    conversion (str() refuses ints above 4300 digits)."""
     a, b = x.numerator, x.denominator
-    # within one or two of floor(log10 x); str() refuses ints of 4300+ digits
+    # a/b lies in (2^(n-1), 2^(n+1)) for n the difference of the bit lengths,
+    # so this starts within one or two of the answer
     E = (a.bit_length() - b.bit_length()) * 30103 // 100_000
-    while True:  # x * 10^(digits - 1 - E) = num/den in [10^(digits-1), 10^digits)
-        k = digits - 1 - E
-        num, den = (a * 10**k, b) if k >= 0 else (a, b * 10**-k)
-        if num < den * 10 ** (digits - 1):
+    while True:
+        num, den = (a, b * 10**E) if E >= 0 else (a * 10**-E, b)
+        if num < den:
             E -= 1
-        elif num >= den * 10**digits:
+        elif num >= den * 10:
             E += 1
         else:
-            break
-    n = -(-num // den)
+            return E
+
+
+def _decimal_ceiling(x: Fraction, digits: int) -> str:
+    """The least decimal >= x > 0 with `digits` significant digits. With E the
+    exponent of its leading digit it prints in fixed point when
+    min(-(digits // 3), -5) < E < digits (e.g. 62.64031880, 0.001234567890),
+    else as d.ddd...e+E or d.ddd...e-E (e.g. 1.234567890e+19)."""
+    E = log10_floor(x)
+    a, b = x.numerator, x.denominator
+    k = digits - 1 - E  # x * 10^k = a/b lies in [10^(digits-1), 10^digits)
+    if k >= 0:
+        a *= 10**k
+    else:
+        b *= 10**-k
+    n = -(-a // b)
     if n == 10**digits:
         n, E = n // 10, E + 1
     s = str(n)
@@ -83,9 +84,77 @@ def _decimal_ceiling(x: Fraction, digits: int) -> str:
 
 
 def _exact_result(abs_disc: int, m: int, value: int, note: str | None) -> BoundResult:
-    return BoundResult(
-        abs_disc, m, mpmath.mpf(value), Fraction(value), Fraction(value), 0, False, note
-    )
+    return BoundResult(abs_disc, m, Fraction(value), Fraction(value), 0, False, note)
+
+
+def _round(x: int, bits: int, up: bool) -> tuple[int, int]:
+    """(q, s) with q * 2^s = x rounded down (or up) to `bits` significant bits."""
+    s = max(0, x.bit_length() - bits)
+    return (-(-x >> s) if up else x >> s), s
+
+
+def _atanh(a: int, b: int, prec: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^prec * atanh(a/b) <= hi, for 0 <= a/b <= 1/3.
+
+    The series sum of x^(2j+1)/(2j+1) runs in prec-bit fixed point with every
+    step floored. The power is carried as p_j = floor(p_(j-1) * a^2/b^2), whose
+    error stays below 1/(1 - x^2) <= 9/8 units, so each floored term is less
+    than 2 units below its true value. Once p_j floors to 0 the rest of the
+    series sums to less than (9/8)^2 < 2 units. So hi = lo + 2 * (terms + 1).
+    """
+    a2, b2 = a * a, b * b
+    p = (a << prec) // b
+    lo = terms = 0
+    while p:
+        lo += p // (2 * terms + 1)
+        terms += 1
+        p = p * a2 // b2
+    return lo, lo + 2 * (terms + 1)
+
+
+def _power(x: int, n: int, bits: int, up: bool) -> tuple[int, int]:
+    """(q, e) with q * 2^e <= x^n (>= when up), q of about `bits` bits:
+    square-and-multiply, each product rounded in the same direction."""
+    q, e = 1, 0
+    base, be = _round(x, bits, up)
+    while n:
+        if n & 1:
+            q, s = _round(q * base, bits, up)
+            e += be + s
+        n >>= 1
+        if n:
+            base, s = _round(base * base, bits, up)
+            be = 2 * be + s
+    return q, e
+
+
+def _interval(abs_disc: int, m: int, fact: int, prec: int) -> list[Fraction]:
+    """[lo, hi] around H(abs_disc, m) from prec-bit integer arithmetic, each
+    endpoint a dyadic rational of prec + 8 significant bits; fact = (m-1)!."""
+    bits = prec + 8
+    r = math.isqrt(abs_disc << 2 * prec)  # r <= 2^prec * sqrt|D| < r + 1
+    # the top `bits` bits of |D|: t * 2^shift <= |D| < (t + 1) * 2^shift.
+    # When nothing is shifted out t = |D| is exact and must not be widened:
+    # [t, t + 1] would keep the interval ~1/|D| wide at every precision.
+    shift = max(0, abs_disc.bit_length() - bits)
+    t = abs_disc >> shift
+    ln2 = _atanh(1, 3, prec)  # around 2^prec * atanh(1/3) = 2^prec * ln 2 / 2
+    ends = []
+    for up, root, top in ((False, r, t), (True, r + 1, t + (shift > 0))):
+        # ln(top * 2^shift) = (shift + k) ln 2 + 2 atanh((top - 2^k)/(top + 2^k)),
+        # with 2^k <= top < 2^(k+1)
+        k = top.bit_length() - 1
+        ln = 2 * (_atanh(top - (1 << k), top + (1 << k), prec)[up]
+                  + (shift + k) * ln2[up])  # 2^prec * ln|D|, floored (or raised)
+        q, e = _power(ln, m - 1, bits, up)
+        # H = 2^(m-1) * root * q * 2^(e - prec*m) / (m-1)!
+        num = root * q
+        s = max(0, bits + fact.bit_length() - num.bit_length())
+        num <<= s
+        q, s2 = _round(-(-num // fact) if up else num // fact, bits, up)
+        e += m - 1 - prec * m - s + s2
+        ends.append(Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e))
+    return ends
 
 
 @lru_cache(maxsize=None)
@@ -113,17 +182,7 @@ def class_number_bound(abs_disc: int, m: int) -> BoundResult:
     prec = 128
     fact = math.factorial(m - 1)
     while True:
-        iv = mpmath.iv
-        old = iv.prec
-        try:
-            iv.prec = prec
-            D = iv.mpf(abs_disc)
-            H = iv.mpf(2) ** (m - 1) / fact * iv.sqrt(D) * iv.log(D) ** (m - 1)
-            lo_raw, hi_raw = H._mpi_
-        finally:
-            iv.prec = old
-        lo = _mpf_to_fraction(mpmath.mp.make_mpf(lo_raw))
-        hi = _mpf_to_fraction(mpmath.mp.make_mpf(hi_raw))
+        lo, hi = _interval(abs_disc, m, fact, prec)
         if lo > 0 and (hi - lo) / lo < _TARGET_REL_WIDTH:
             break
         if prec > 1 << 20:
@@ -135,16 +194,7 @@ def class_number_bound(abs_disc: int, m: int) -> BoundResult:
         return _exact_result(
             abs_disc, m, 1, "clamped to 1 (class numbers are >= 1)"
         )
-    return BoundResult(
-        abs_disc,
-        m,
-        mpmath.mp.make_mpf(hi_raw),
-        hi,
-        lo,
-        prec,
-        True,
-        note,
-    )
+    return BoundResult(abs_disc, m, hi, lo, prec, True, note)
 
 
 def field_bound(F: AbelianFieldSpec) -> BoundResult:

@@ -21,7 +21,7 @@ import sys
 
 from .arith import probable_prime_only
 from .abelian import normalize_conductor, subfields
-from .bounds import class_number_bound, field_bound
+from .bounds import class_number_bound, field_bound, log10_floor
 from .classnum import IntegralityError, TimeLimitExceeded, relative_class_number
 from .tables import (
     PROBABLE_PRIME_POLICIES,
@@ -79,17 +79,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _log10_floor(n: int) -> int:
-    """floor(log10 n) for n >= 1, exactly and without a decimal conversion
-    (str() refuses ints above 4300 digits)."""
-    # 0.30102 < log10(2), so this starts at or below the answer
-    k = (n.bit_length() - 1) * 30102 // 100_000
-    power = 10 ** (k + 1)
-    while power <= n:
-        k, power = k + 1, power * 10
-    return k
-
-
 def cmd_subfields(args) -> int:
     try:
         fields = subfields(args.u)
@@ -100,7 +89,7 @@ def cmd_subfields(args) -> int:
     print(f"{'degree':>7}  {'conductor':>9}  {'|disc|':>24}  H_F")
     for F in fields:
         disc = F.abs_discriminant
-        disc_s = str(disc) if disc < 10**24 else f"~10^{_log10_floor(disc)}"
+        disc_s = str(disc) if disc < 10**24 else f"~10^{log10_floor(disc)}"
         print(f"{F.degree:>7}  {F.conductor:>9}  {disc_s:>24}  {field_bound(F).display()}")
     return EXIT_OK
 

@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 
 from cycloclass.abelian import AbelianFieldSpec, cyclotomic_field_spec
-from cycloclass.bounds import class_number_bound, field_bound
+from cycloclass.bounds import class_number_bound, field_bound, log10_floor
 
 REL_WIDTH = Fraction(1, 2**100)
 
 
 def _decimal_oracle(abs_disc: int, m: int, prec: int = 60) -> Fraction:
-    """H via the decimal module: entirely independent of mpmath."""
+    """H via the decimal module: independent of the integer evaluation."""
     getcontext().prec = prec
     D = Decimal(abs_disc)
     H = Decimal(2) ** (m - 1) / math.factorial(m - 1) * D.sqrt() * D.ln() ** (m - 1)
@@ -41,7 +41,8 @@ def test_rejects_degenerate_discriminant_and_bad_arguments():
 
 
 def test_against_decimal_oracle():
-    for abs_disc, m in [(59, 2), (3, 2), (8, 2), (3969, 3), (9011, 2), (10**12 + 39, 5)]:
+    for abs_disc, m in [(59, 2), (3, 2), (8, 2), (3969, 3), (9011, 2), (10**12 + 39, 5),
+                        (2**136 + 1, 30)]:
         r = class_number_bound(abs_disc, m)
         ref = _decimal_oracle(abs_disc, m)
         for end in (r.H_fraction, r.lower_fraction):
@@ -57,8 +58,11 @@ def test_upper_endpoint_brackets_and_width():
 
 def test_doubled_precision_agrees():
     # the certified endpoint, taken at 128 bits, against an independent value
-    # at twice that precision (80 decimal digits > 256 bits)
-    for abs_disc, m in [(59, 2), (9011, 2), (1234567, 7)]:
+    # at twice that precision (80 decimal digits > 256 bits). A small |D| is
+    # used exactly, not widened to [|D|, |D| + 1]; each comes at a low degree
+    # and at the largest degree before H drops below 1 (test_clamps_below_one)
+    for abs_disc, m in [(59, 2), (9011, 2), (1234567, 7), (2, 2), (2, 3), (3, 2), (3, 5),
+                        (4, 3), (4, 7), (5, 1), (5, 8), (7, 2), (7, 10), (8, 1), (8, 11)]:
         a = class_number_bound(abs_disc, m)
         b = _decimal_oracle(abs_disc, m, prec=80)
         assert a.precision_bits == 128
@@ -76,8 +80,9 @@ def test_monotone_in_discriminant():
 
 def test_clamps_below_one():
     # 2^29/29! * sqrt(2) * (ln 2)^29 is far below 1; a class number is not
-    r = class_number_bound(2, 30)
-    assert r.H_fraction == 1 and "clamped" in r.note
+    for abs_disc, m in [(2, 30), (2, 40), (3, 40), (5, 40), (8, 12), (8, 40)]:
+        r = class_number_bound(abs_disc, m)
+        assert r.H_fraction == 1 and "clamped" in r.note
 
 
 def test_m_one_nonsquare_notes_hypothesis():
@@ -121,3 +126,14 @@ def test_determinism_across_calls():
     a = class_number_bound(167, 2)
     b = class_number_bound(167, 2)
     assert a.H_fraction == b.H_fraction and a.display() == b.display()
+
+
+def test_log10_floor_around_powers_of_ten():
+    for k in range(5001):
+        p = 10**k
+        assert log10_floor(p) == log10_floor(p + 1) == k
+        assert log10_floor(Fraction(1, p)) == -k
+        assert log10_floor(Fraction(1, p + 1)) == -k - 1
+        if k:
+            assert log10_floor(p - 1) == k - 1
+            assert log10_floor(Fraction(1, p - 1)) == -k

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cycloclass
 from cycloclass.bounds import BoundResult
 from cycloclass.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
@@ -264,6 +269,30 @@ def test_pinned_outputs_are_byte_identical(capsys):
         rc, out, err = run(capsys, *argv)
         assert (rc, err) == (EXIT_OK, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def _python(script):
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=str(Path(cycloclass.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode("utf-8")
+
+
+def test_bounds_need_no_mpmath():
+    assert _python("import sys, cycloclass.cli; print('mpmath' in sys.modules)") == "False\n"
+    out = _python(
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from cycloclass.cli import main\n"
+        "sys.exit(main(['bound', '--disc', '1234567', '--m', '7'])"
+        " or main(['verify-paper', '--format', 'structured']))\n"
+    )
+    bound, audit = out.split("\n", 1)
+    assert bound == "H = 752056910.0 (rounded up)"
+    digest = PINNED_STDOUT[("verify-paper", "--format", "structured", "--probable-primes", "allow")]
+    assert hashlib.sha256(audit.encode()).hexdigest() == digest
 
 
 def test_no_command_prints_usage(capsys):

@@ -6,9 +6,11 @@ d the order of chi), so all downstream arithmetic stays exact in Q(zeta_d).
 
 A subfield of Q(zeta_u) is its character group X < prod Z/o_i, held as the
 Hermite-normal-form rows of its preimage lattice in Z^k.  Characters and fields
-share one conductor rule, the levels of _UnitData; a field's invariants come
-from its rows without listing X, and DirichletCharacter objects are built only
-where character values are needed (B_1 and Galois orbits).
+share one conductor rule, the levels of _UnitData.  A field's invariants come
+from its rows without listing X: the size of X's image at every level is read
+from the column gcds of the rows, and, for the two coordinates of 2^e (e >= 3),
+from one gcd of 2x2 minors.  DirichletCharacter objects are built only where
+character values are needed (B_1 and Galois orbits).
 """
 
 from __future__ import annotations
@@ -234,8 +236,9 @@ class AbelianFieldSpec:
     HNF rows (as _subgroups yields them).  Degree n = |X| = prod o_i/d_i.  At
     each level of each prime p, with s the size of X's image mod the level's
     m_i, n - n/s characters have v_p(f_chi) above that level: so |disc| = prod
-    f_chi (conductor-discriminant) gains p^(n - n/s), and the conductor (lcm of
-    the f_chi) gains p when s > 1.
+    f_chi (conductor-discriminant) gains p^(n - n/s), and the conductor (lcm
+    of the f_chi) gains p when s > 1.  Every s is a column gcd of the rows or,
+    at levels 0-1 of 2^e (e >= 3), one gcd of 2x2 minors (_level_sizes).
     """
 
     modulus: int
@@ -248,8 +251,7 @@ class AbelianFieldSpec:
         data = _unit_data(self.modulus)
         rows = _hnf(self.rows, data.orders)
         n, cond, disc = _order(rows, data.orders), 1, 1
-        for p, idx, levels in data.components:
-            sizes = [_order(_hnf([[r[i] for i in idx] for r in rows], ms), ms) for ms in levels]
+        for p, sizes in _level_sizes(data, rows):
             cond *= p ** sum(s > 1 for s in sizes)
             disc *= p ** sum(n - n // s for s in sizes)
         object.__setattr__(self, "rows", rows)
@@ -286,8 +288,8 @@ def cyclic_subfield_spec(u: int, n: int) -> AbelianFieldSpec:
     if len(data.orders) != 1:
         raise ValueError(f"(Z/{u})^* is not cyclic")
     m = data.orders[0]
-    if m % n != 0:
-        raise ValueError(f"no degree-{n} subfield: {n} does not divide {m}")
+    if n < 1 or m % n != 0:
+        raise ValueError(f"no degree-{n} subfield: the degrees are the divisors of {m}")
     return AbelianFieldSpec(u, ((m // n,),))
 
 
@@ -363,6 +365,28 @@ def _hnf(gens, orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _order(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> int:
     """Size of the subgroup with the given HNF rows: prod o_i / d_i."""
     return math.prod(o // row[i] for i, (o, row) in enumerate(zip(orders, rows)))
+
+
+def _level_sizes(data: _UnitData, rows: tuple[tuple[int, ...], ...]):
+    """Yield (p, sizes) for each p | u: the size s of X's image mod the m_i of
+    each level of p, read from the HNF rows of X's preimage lattice L.
+
+    A level with one m > 1, at coordinate i, sees L's projection g_i Z, g_i
+    the gcd of o_i and column i: s = m / gcd(m, g_i).  Only levels 0-1 of 2^e
+    (e >= 3) see two coordinates a, b, both with ms = (o_a, o_b): there s =
+    o_a o_b / det M, M spanned by the rows' (a, b) entries and (o_a, 0),
+    (0, o_b), and det M the gcd of their 2x2 minors."""
+    g = [math.gcd(o, *col) for o, col in zip(data.orders, zip(*rows))]
+    for p, idx, levels in data.components:
+        if len(idx) == 2:
+            (a, b), (oa, ob) = idx, levels[0]
+            pairs = [(r[a], r[b]) for r in rows] + [(oa, 0), (0, ob)]
+            det = math.gcd(*(x * w - y * v for (x, y), (v, w) in itertools.combinations(pairs, 2)))
+            both = oa * ob // det
+            yield p, [both, both] + [m // math.gcd(m, g[b]) for _, m in levels[2:]]
+        else:
+            (i,) = idx
+            yield p, [m // math.gcd(m, g[i]) for (m,) in levels]
 
 
 def subfields(u: int) -> tuple[AbelianFieldSpec, ...]:

@@ -1,6 +1,7 @@
 """Equality sweep: (degree, conductor, |disc|) of every subgroup of every
 conductor 3 <= u <= N with u != 2 (mod 4), by cycloclass.abelian.AbelianFieldSpec
-(the levels of the HNF rows) against subgroup_oracle.oracle_field_invariants
+(level sizes from the column gcds of the HNF rows and, for 2^e with e >= 3,
+one gcd of 2x2 minors) against subgroup_oracle.oracle_field_invariants
 (member by member, local orders). Not collected by pytest.
 
     PYTHONPATH=src:tests python tests/sweep_field_specs.py 300
@@ -8,8 +9,9 @@ conductor 3 <= u <= N with u != 2 (mod 4), by cycloclass.abelian.AbelianFieldSpe
 Prints each mismatch, then the number of subgroups compared, the number of
 mismatches and both routes' total times; exits 1 on any mismatch. The
 oracle lists every member of every subgroup, so its cost grows with the
-lattices: u <= 300 (6716 subgroups) takes about 2 s on one core of a 2-core
-x86-64 machine.
+lattices and it takes about three quarters of the time: on one core of a
+2-core x86-64 machine, u <= 300 (6716 subgroups) takes about 1 s and
+u <= 600 (21679 subgroups) 3-4 s, of which AbelianFieldSpec takes 0.6-1.0 s.
 """
 
 from __future__ import annotations

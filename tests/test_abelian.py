@@ -12,6 +12,9 @@ from cycloclass.arith import euler_phi, factorize
 from cycloclass.abelian import (
     AbelianFieldSpec,
     DirichletCharacter,
+    _hnf,
+    _level_sizes,
+    _order,
     _subgroups,
     _unit_data,
     characters,
@@ -264,8 +267,9 @@ def test_field_spec_known_discriminants():
 def test_cyclic_subfield_spec_errors():
     with pytest.raises(ValueError):
         cyclic_subfield_spec(63, 3)  # unit group not cyclic
-    with pytest.raises(ValueError):
-        cyclic_subfield_spec(7, 4)  # 4 does not divide 6
+    for n in (4, 0, -3):  # 4 does not divide 6; degrees are positive
+        with pytest.raises(ValueError):
+            cyclic_subfield_spec(7, n)
 
 
 def test_subfields_prime_modulus():
@@ -373,13 +377,37 @@ def test_spec_invariants_match_character_route():
     # deg, conductor and |disc| from the levels of the HNF rows equal len,
     # lcm and product of the members' conductors by the oracle's local
     # orders, which share no conductor code with the levels; the rows come
-    # back unchanged
-    for u in ORACLE_MODULI:
+    # back unchanged.  480 is the lattice the benchmark lists.
+    for u in ORACLE_MODULI + [480]:
         for rows in _subgroups(_unit_data(u).orders):
             F = AbelianFieldSpec(u, rows)
             assert F.rows == rows, (u, rows)
             expect = oracle_field_invariants(u, rows)
             assert (F.degree, F.conductor, F.abs_discriminant) == expect, (u, rows)
+
+
+def _level_sizes_by_hnf(data, rows) -> list[tuple[int, list[int]]]:
+    """Per prime p | u, the size of X's image mod each level's m_i as the
+    order of a fresh HNF of the rows projected to p's coordinates."""
+    return [
+        (p, [_order(_hnf([[r[i] for i in idx] for r in rows], ms), ms) for ms in levels])
+        for p, idx, levels in data.components
+    ]
+
+
+def test_level_sizes_match_per_level_hnf():
+    # column gcds and the 2x2-minor gcd give every level the size an HNF of
+    # that level's projection gives, hence the same conductor and |disc|
+    for u in ORACLE_MODULI + [480]:
+        data = _unit_data(u)
+        for rows in _subgroups(data.orders):
+            F = AbelianFieldSpec(u, rows)
+            expect = _level_sizes_by_hnf(data, rows)
+            assert list(_level_sizes(data, F.rows)) == expect, (u, rows)
+            n = F.degree
+            cond = math.prod(p ** sum(s > 1 for s in sizes) for p, sizes in expect)
+            disc = math.prod(p ** sum(n - n // s for s in sizes) for p, sizes in expect)
+            assert (F.conductor, F.abs_discriminant) == (cond, disc), (u, rows)
 
 
 def test_spec_invariants_at_the_modulus_cap():

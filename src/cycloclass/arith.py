@@ -8,10 +8,12 @@ was only probabilistically certified.
 factorize is one splitter with three stages: trial division by the primes
 below 10^4, one Pollard p - 1 stage with smoothness bound 20000, and
 Brent-Pollard rho. Trial division and p - 1 share one list of the primes
-below 20000, sieved on first use. A deadline, checked once per batch of p - 1
-or rho steps, stops the splitter: what it found then comes back, with the
-unsplit rest as a composite cofactor, on the TimeLimitExceeded it raises. The
-cache of factorize is keyed by n and holds complete results only.
+below 20000, sieved on first use. The time limit is ambient: within(seconds)
+sets it, and _check, the package's only clock reading, raises once it has
+passed. Checked once per batch of p - 1 or rho steps, it stops the splitter:
+what it found then comes back, with the unsplit rest as a composite cofactor,
+on the TimeLimitExceeded it raises. As an lru_cache, factorize stores nothing
+for a call that raises.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import itertools
 import math
 import random
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import NamedTuple
 
 # Smallest composite that fools the first twelve prime bases is
 # 3_317_044_064_679_887_385_961_981 (Sorenson-Webster), so below that limit
@@ -83,16 +86,36 @@ _PM1_BATCH = 64  # prime powers per p - 1 batch
 
 
 class TimeLimitExceeded(Exception):
-    """A deadline passed mid-computation. When factoring stopped, `partial` is
-    the factorization found by then, with the unsplit rest as its cofactor."""
+    """A time limit passed mid-computation. When factoring stopped, `partial`
+    is the factorization found by then, with the unsplit rest as its cofactor."""
 
     def __init__(self, message: str, partial: PrimeFactorization | None = None):
         super().__init__(message)
         self.partial = partial
 
 
-def _check(deadline: float | None, stage: str) -> None:
-    if deadline is not None and time.monotonic() > deadline:
+# The time.monotonic() reading past which _check raises; inf for no limit.
+_deadline: ContextVar[float] = ContextVar("deadline", default=math.inf)
+
+
+@contextmanager
+def within(seconds: float | None):
+    """Run the body under a time limit of `seconds` from now (None: no new
+    limit) that never outlasts an enclosing one; NaN, inf or < 0 is a ValueError."""
+    if seconds is not None and not 0 <= seconds < math.inf:
+        raise ValueError(f"time limit must be a finite number of seconds >= 0, got {seconds}")
+    limit = math.inf if seconds is None else time.monotonic() + seconds
+    token = _deadline.set(min(_deadline.get(), limit))
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def _check(stage: str) -> None:
+    """Raise TimeLimitExceeded(stage) once the limit has passed; no limit, no clock reading."""
+    deadline = _deadline.get()
+    if deadline < math.inf and time.monotonic() > deadline:
         raise TimeLimitExceeded(stage)
 
 
@@ -107,7 +130,7 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(itertools.compress(range(_PM1_BOUND), sieve))
 
 
-def _pollard_pm1(n: int, deadline: float | None = None) -> int | None:
+def _pollard_pm1(n: int) -> int | None:
     """A nontrivial factor of odd composite n from one Pollard p - 1 stage, or
     None. The base 2 is raised to the largest power below _PM1_BOUND of each
     prime below it, so a prime p | n is caught once every prime power dividing
@@ -120,7 +143,7 @@ def _pollard_pm1(n: int, deadline: float | None = None) -> int | None:
         powers.append(q)
     a = 2
     for i in range(0, len(powers), _PM1_BATCH):
-        _check(deadline, "Pollard p - 1")
+        _check("Pollard p - 1")
         batch = powers[i:i + _PM1_BATCH]
         b = pow(a, math.prod(batch), n)
         g = math.gcd(b - 1, n)
@@ -139,9 +162,9 @@ def _pollard_pm1(n: int, deadline: float | None = None) -> int | None:
     return None
 
 
-def _pollard_rho(n: int, deadline: float | None = None) -> int:
+def _pollard_rho(n: int) -> int:
     """Brent-cycle Pollard rho: a nontrivial factor of composite n, deterministic
-    in n. Checks the deadline once per batch of steps."""
+    in n. Checks the time limit once per batch of steps."""
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
@@ -154,12 +177,12 @@ def _pollard_rho(n: int, deadline: float | None = None) -> int:
         while g == 1:
             x = y
             for k in range(0, r, m):
-                _check(deadline, "Pollard rho")
+                _check("Pollard rho")
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
-                _check(deadline, "Pollard rho")
+                _check("Pollard rho")
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
@@ -181,7 +204,7 @@ def _pollard_rho(n: int, deadline: float | None = None) -> int:
 @dataclass(frozen=True)
 class PrimeFactorization:
     """value = prod(p**e) * cofactor, primes strictly increasing, exponents >= 1.
-    The cofactor is 1, or, when factoring stopped at a deadline, a composite
+    The cofactor is 1, or, when factoring stopped at a time limit, a composite
     prime to every listed p."""
 
     value: int
@@ -244,38 +267,17 @@ class PrimeFactorization:
         return " * ".join(self.terms()) or str(self.value)
 
 
-class CacheInfo(NamedTuple):
-    """The shape of functools.lru_cache's cache_info()."""
-
-    hits: int
-    misses: int
-    maxsize: int | None
-    currsize: int
-
-
-_factorizations: dict[int, PrimeFactorization] = {}
-_factorize_counts = [0, 0]  # hits, misses
-
-
-def factorize(n: int, deadline: float | None = None) -> PrimeFactorization:
+@lru_cache(maxsize=None)
+def factorize(n: int) -> PrimeFactorization:
     """Prime factorization of n >= 1: trial division, then Pollard p - 1 and
     Brent-Pollard rho on each composite piece.
 
-    When time.monotonic() passes `deadline`, raises TimeLimitExceeded naming
-    the stage that stopped, with the primes found so far and the unsplit
-    pieces as `partial`; a NaN or infinite deadline is a ValueError. Complete
-    results are cached by n alone, with hit counts in `factorize.cache_info()`
-    as for lru_cache; a raised call stores nothing.
+    When the time limit passes, raises TimeLimitExceeded naming the stage that
+    stopped, with the primes found so far and the unsplit pieces as `partial`.
+    A raised call leaves nothing in the cache.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    if deadline is not None and not math.isfinite(deadline):
-        raise ValueError(f"deadline must be a finite time.monotonic() reading, got {deadline}")
-    fact = _factorizations.get(n)
-    if fact is not None:
-        _factorize_counts[0] += 1
-        return fact
-    _factorize_counts[1] += 1
     m = n
     found: dict[int, int] = {}
     for p in _small_primes():
@@ -286,7 +288,7 @@ def factorize(n: int, deadline: float | None = None) -> PrimeFactorization:
             m //= p
     pending, unsplit, stage = [m] if m > 1 else [], [], ""
     while pending:
-        # Smallest piece first, so that a deadline leaves only the hardest
+        # Smallest piece first, so that a time-out leaves only the hardest
         # unsplit; the stage named is the one that ran out of time.
         pending.sort(reverse=True)
         m = pending.pop()
@@ -294,7 +296,7 @@ def factorize(n: int, deadline: float | None = None) -> PrimeFactorization:
             found[m] = found.get(m, 0) + 1
             continue
         try:
-            d = _pollard_pm1(m, deadline) or _pollard_rho(m, deadline)
+            d = _pollard_pm1(m) or _pollard_rho(m)
         except TimeLimitExceeded as exc:
             unsplit.append(m)
             stage = stage or str(exc)
@@ -303,11 +305,7 @@ def factorize(n: int, deadline: float | None = None) -> PrimeFactorization:
     fact = PrimeFactorization.assemble(n, found, math.prod(unsplit))
     if fact.cofactor > 1:
         raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact)
-    _factorizations[n] = fact
     return fact
-
-
-factorize.cache_info = lambda: CacheInfo(*_factorize_counts, None, len(_factorizations))
 
 
 def euler_phi(n: int) -> int:

@@ -18,18 +18,17 @@ beta(omega^k) with omega of order d' mod q, from one chirp-z convolution per
 prime, and the residues are CRT-combined past a Parseval bound; the norm of
 -B_{1,chi}/2 is T/D * (-1/2)^phi.
 
-The time limit covers the orbit norms, checked once per descent step and once
-per CRT prime, and the factoring of h^- by arith.factorize. Out of time in the
-norms, TimeLimitExceeded is raised saying how far they got; out of time in the
-factoring, the exact value comes back with the unsplit rest as the composite
-cofactor of its factorization, and RelativeClassNumber.note says so.
+relative_class_number runs under arith.within(time_limit), checked once per
+1024 rows of a reduction by Phi_d, per descent step, per CRT prime and in the
+factoring of h^-. Out of time in the norms, TimeLimitExceeded says how far
+they got; out of time in the factoring, the exact value comes back, its
+unsplit rest a composite cofactor, and RelativeClassNumber.note says so.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +36,11 @@ from functools import lru_cache
 from .arith import (
     PrimeFactorization,
     TimeLimitExceeded,
+    _check,
     euler_phi,
     factorize,
     is_prime,
+    within,
 )
 from .abelian import (
     CharacterOrbit,
@@ -58,16 +59,20 @@ class IntegralityError(Exception):
         self.offending = offending
 
 
-def _poly_rem(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Remainder of num by a monic divisor, ascending coefficients."""
+def _poly_rem(num: list[int], d: int) -> list[int]:
+    """Remainder of num by Phi_d, ascending; checks the time limit every 1024 rows."""
+    den = cyclotomic_polynomial(d)
     num = list(num)
     dd = len(den) - 1
     terms = [(j, c) for j, c in enumerate(den) if c]
-    for i in range(len(num) - dd - 1, -1, -1):
+    rows = len(num) - dd
+    for i in range(rows - 1, -1, -1):
         c = num[i + dd]
         if c:
             for j, t in terms:
                 num[i + j] -= c * t
+        if (rows - i) % 1024 == 0:
+            _check(f"reduction by Phi_{d}: {rows - i} of {rows} rows")
     return num[:dd]
 
 
@@ -115,7 +120,7 @@ def b1_chi(
             chi_at[r] = k
     if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
         acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
-    c = _poly_rem(acc, cyclotomic_polynomial(d))
+    c = _poly_rem(acc, d)
     m = euler_phi(u) // euler_phi(f)
     return tuple(x // m for x in c), f
 
@@ -238,30 +243,27 @@ def _relative_norm(A: tuple[int, ...], d: int, p: int) -> tuple[int, ...]:
         for i, a in enumerate(A):
             conj[i * (1 + k * e) % d] = a
         prod = _mul_cyclic(prod, conj, d)
-    return tuple(_poly_rem(prod, cyclotomic_polynomial(d))[::p])
+    return tuple(_poly_rem(prod, d)[::p])
 
 
-def _descend(A: tuple[int, ...], d: int, deadline: float | None) -> tuple[tuple[int, ...], int]:
+def _descend(A: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
     """(B, e) with Res(Phi_e, B) = Res(Phi_d, A), e the product of the primes
-    of d, by one relative norm per step d -> d/p while p^2 | d. The deadline is
-    checked before each step."""
+    of d, by one relative norm per step d -> d/p while p^2 | d. The time limit
+    is checked before each step."""
     e = d
     for p in factorize(d).primes():
         while e % (p * p) == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeLimitExceeded(f"order-{d} norm: descent reached order {e}")
+            _check(f"order-{d} norm: descent reached order {e}")
             A = _relative_norm(A, e, p)
             e //= p
     return A, e
 
 
-def orbit_norm(orbit: CharacterOrbit, deadline: float | None = None) -> Fraction:
+def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi.
-    Raises ValueError for a deadline that is NaN or infinite, and
-    TimeLimitExceeded when time.monotonic() passes `deadline`, checked once per
-    descent step and once per CRT prime."""
-    if deadline is not None and not math.isfinite(deadline):
-        raise ValueError(f"deadline must be a finite time.monotonic() reading, got {deadline}")
+    Raises TimeLimitExceeded when the time limit passes, checked once per 1024
+    rows of the reduction of B_1 by Phi_d, once per descent step and once per
+    CRT prime."""
     if not orbit.is_odd:
         raise ValueError("orbit norm is defined here for odd-character orbits only")
     chi = orbit.members[0]
@@ -276,15 +278,13 @@ def orbit_norm(orbit: CharacterOrbit, deadline: float | None = None) -> Fraction
     # T = N(B_{1,chi}) * D = Res(Phi_d, c0) * g^phi * D / f^phi, an integer.
     g = math.gcd(*c)
     c0 = tuple(x // g for x in c)
-    beta, e = _descend(c0, d, deadline)
+    beta, e = _descend(c0, d)
     scale, f_phi = g**phi * D, f**phi
     # chi(-1) = -1 makes d, and so e, even, as _norm_mod needs.
     bits = max(1, _norm_bound_bits(beta, e) + scale.bit_length() - f_phi.bit_length() + 1)
     x, mod = 0, 1
     for i, (q, omega) in enumerate(_norm_primes(e)):
-        if deadline is not None and time.monotonic() > deadline:
-            progress = f"{i} CRT primes, {mod.bit_length()} of {bits} bits"
-            raise TimeLimitExceeded(f"order-{d} norm: {progress}")
+        _check(f"order-{d} norm: {i} CRT primes, {mod.bit_length()} of {bits} bits")
         r = _norm_mod(beta, e, q, omega) * (scale % q) * pow(f, -phi, q) % q
         # CRT: combine (x mod mod) with (r mod q).
         t = (r - x) * pow(mod, -1, q) % q
@@ -336,35 +336,33 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
     """
     if u < 1:
         raise ValueError(f"expected u >= 1, got {u}")
-    if time_limit is not None and not 0 <= time_limit < math.inf:
-        raise ValueError(f"time limit must be a finite number of seconds >= 0, got {time_limit}")
-    u = normalize_conductor(u)
-    if u <= 2:
-        return RelativeClassNumber(u, 1, factorize(1), (), 1, 2)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    odd_chars = [ch for ch in characters(u) if ch.is_odd]
-    orbits = galois_orbits(odd_chars)
-    # Largest orbits first: the expensive norms fail fast under a time limit.
-    orbits.sort(key=lambda ob: (-ob.size, ob.order, ob.members[0].exponents))
-    norms = []
-    for ob in orbits:
+    with within(time_limit):
+        u = normalize_conductor(u)
+        if u <= 2:
+            return RelativeClassNumber(u, 1, factorize(1), (), 1, 2)
+        odd_chars = [ch for ch in characters(u) if ch.is_odd]
+        orbits = galois_orbits(odd_chars)
+        # Largest orbits first: the expensive norms fail fast under a time limit.
+        orbits.sort(key=lambda ob: (-ob.size, ob.order, ob.members[0].exponents))
+        norms = []
+        for ob in orbits:
+            try:
+                norm = orbit_norm(ob)
+            except TimeLimitExceeded as exc:
+                raise TimeLimitExceeded(
+                    f"h^-({u}): time limit {time_limit}s exceeded in orbit norms "
+                    f"after {len(norms)} of {len(orbits)} orbits ({exc})"
+                ) from None
+            norms.append(OrbitNorm(ob.order, ob.size, ob.members[0].exponents, norm))
+        q = 1 if len(factorize(u).factors) == 1 else 2
+        w = 2 * u if u % 2 == 1 else u
+        h = Fraction(q * w) * math.prod((n.norm for n in norms), start=Fraction(1))
+        if h.denominator != 1 or h <= 0:
+            raise IntegralityError(f"h^-({u}) is not a positive integer", h)
+        note = ""
         try:
-            norm = orbit_norm(ob, deadline)
+            fact = factorize(int(h))
         except TimeLimitExceeded as exc:
-            raise TimeLimitExceeded(
-                f"h^-({u}): time limit {time_limit}s exceeded in orbit norms "
-                f"after {len(norms)} of {len(orbits)} orbits ({exc})"
-            ) from None
-        norms.append(OrbitNorm(ob.order, ob.size, ob.members[0].exponents, norm))
-    q = 1 if len(factorize(u).factors) == 1 else 2
-    w = 2 * u if u % 2 == 1 else u
-    h = Fraction(q * w) * math.prod((n.norm for n in norms), start=Fraction(1))
-    if h.denominator != 1 or h <= 0:
-        raise IntegralityError(f"h^-({u}) is not a positive integer", h)
-    note = ""
-    try:
-        fact = factorize(int(h), deadline)
-    except TimeLimitExceeded as exc:
-        fact = exc.partial
-        note = f"time limit {time_limit}s exceeded in factorization ({exc})"
+            fact = exc.partial
+            note = f"time limit {time_limit}s exceeded in factorization ({exc})"
     return RelativeClassNumber(u, int(h), fact, tuple(norms), q, w, note)

@@ -40,7 +40,6 @@ fails an audit, a VIOLATION always does.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -52,6 +51,7 @@ from .arith import (
     factorize,
     is_prime,
     probable_prime_only,
+    within,
 )
 from .abelian import (
     _MAX_CONDUCTOR,
@@ -170,7 +170,8 @@ def _fail(where: str, msg: str) -> TableFormatError:
 def _factor_briefly(n: int) -> PrimeFactorization:
     """n factored for up to 1 s: on time-out, the unsplit rest is the cofactor."""
     try:
-        return factorize(n, time.monotonic() + 1.0)
+        with within(1.0):
+            return factorize(n)
     except TimeLimitExceeded as exc:
         return exc.partial
 

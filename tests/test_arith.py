@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from cycloclass.arith import (
     MR_PROVEN_LIMIT,
     PrimeFactorization,
     TimeLimitExceeded,
+    _check,
     _pollard_pm1,
     _pollard_rho,
     _small_primes,
@@ -23,6 +25,7 @@ from cycloclass.arith import (
     is_prime,
     multiplicative_order,
     probable_prime_only,
+    within,
 )
 
 
@@ -138,12 +141,17 @@ def test_pm1_stage_separates_primes_caught_in_one_batch():
     assert _pollard_pm1(207293548177 * 748861) == 748861
 
 
-def test_factorize_deadline_returns_partial_uncached():
+def test_factorize_deadline_returns_partial_uncached(monkeypatch):
+    # a clock that reads 0, 1, 2, ...: within(0) reads 0, and the first
+    # check of the p - 1 stage reads 1, past the limit
+    ticks = itertools.count()
+    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = 207293548177 * 3168190412839
     n = 3**5 * 9973 * big
     before = factorize.cache_info()
     with pytest.raises(TimeLimitExceeded, match=r"^Pollard p - 1 stopped on C24$") as exc:
-        factorize(n, time.monotonic() - 1)
+        with within(0):
+            factorize(n)
     after = factorize.cache_info()
     assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
     partial = exc.value.partial
@@ -153,14 +161,49 @@ def test_factorize_deadline_returns_partial_uncached():
     assert factorize(n).factors == ((3, 5), (9973, 1), (207293548177, 1), (3168190412839, 1))
 
 
-def test_factorize_rejects_nan_and_infinite_deadlines():
-    # a NaN deadline never compares as passed: it is refused before any work
-    n = 10000000000000000051 * 30000000000000000041
-    before = factorize.cache_info()
-    for deadline in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="deadline must be a finite"):
-            factorize(n, deadline=deadline)
-    assert factorize.cache_info() == before
+def test_within_is_the_one_time_limit(monkeypatch):
+    # a clock that reads 0, 1, 2, ... and logs every reading
+    readings = []
+
+    def clock():
+        readings.append(len(readings))
+        return readings[-1]
+
+    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=clock))
+    # a NaN limit never passes and an infinite one is no limit: they and a
+    # negative one are refused before any work, with the message the CLI prints
+    for seconds in (math.nan, math.inf, -math.inf, -1):
+        with pytest.raises(
+            ValueError, match=rf"^time limit must be a finite number of seconds >= 0, got {seconds}$"
+        ):
+            with within(seconds):
+                pytest.fail("the body ran")
+    # no limit, outside any within or under within(None): no clock reading
+    _check("never")
+    with within(None):
+        _check("never")
+    assert readings == []
+    # an inner limit cannot extend an outer one: the outer limit, set at 0,
+    # passes at 1, and the inner one, set at 1 for 10 s, is cut to it
+    with within(1):
+        with within(10):
+            with pytest.raises(TimeLimitExceeded, match="^inner$"):
+                _check("inner")
+        with within(None):
+            with pytest.raises(TimeLimitExceeded, match="^outer$"):
+                _check("outer")
+    assert readings == [0, 1, 2, 3]
+    # leaving the outermost within lifts the limit
+    _check("never")
+    assert readings == [0, 1, 2, 3]
+
+
+def test_only_arith_reads_the_clock():
+    # every time limit is decided by within and _check, so no other module
+    # of the package reads the clock
+    package = Path(arith.__file__).parent
+    readers = sorted(p.name for p in package.glob("*.py") if "time.monotonic" in p.read_text())
+    assert readers == ["arith.py"]
 
 
 class _CountingInt(int):
@@ -175,10 +218,10 @@ class _CountingInt(int):
 
 
 def test_rho_checks_deadline_every_batch(monkeypatch):
-    # a clock that counts its readings, one per deadline check, and records
-    # how many rho steps had run: between two checks there is one batch of at
-    # most 128 steps (two reductions each), also in Brent's stretches of r
-    # steps without a gcd, which reach r = 2^15 here
+    # a clock that counts its readings, one by within and then one per check,
+    # and records how many rho steps had run: between two checks there is one
+    # batch of at most 128 steps (two reductions each), also in Brent's
+    # stretches of r steps without a gcd, which reach r = 2^15 here
     readings = []
 
     def clock():
@@ -187,7 +230,8 @@ def test_rho_checks_deadline_every_batch(monkeypatch):
 
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=clock))
     with pytest.raises(TimeLimitExceeded, match="^Pollard rho$"):
-        _pollard_rho(_CountingInt(10000000000000000051 * 30000000000000000041), 600)
+        with within(599):
+            _pollard_rho(_CountingInt(10000000000000000051 * 30000000000000000041))
     assert len(readings) == 601
     assert max(b - a for a, b in zip(readings, readings[1:])) <= 2 * 128
 

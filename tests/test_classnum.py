@@ -15,13 +15,14 @@ import pytest
 
 from cycloclass import arith, classnum
 from cycloclass.abelian import characters, galois_orbits
-from cycloclass.arith import euler_phi, factorize, is_prime
+from cycloclass.arith import euler_phi, factorize, is_prime, within
 from cycloclass.classnum import (
     TimeLimitExceeded,
     _descend,
     _norm_bound_bits,
     _norm_mod,
     _norm_primes,
+    _poly_rem,
     b1_chi,
     cyclotomic_polynomial,
     orbit_norm,
@@ -173,24 +174,26 @@ def test_orbit_norm_bound_holds():
         c0 = tuple(x // math.gcd(*c) for x in c)
         res = _resultant_int(cyclotomic_polynomial(d), c0)
         assert abs(res) < 2 ** _norm_bound_bits(c0, d), (chi.modulus, chi.exponents)
-        beta, e = _descend(c0, d, None)
+        beta, e = _descend(c0, d)
         assert abs(res) < 2 ** _norm_bound_bits(beta, e), (chi.modulus, chi.exponents)
 
 
 def test_orbit_norm_crt_bound_of_order_1008(monkeypatch):
     # the CRT recovers N(B_1) * D, D from Stickelberger's theorem: for the
     # order-1008 orbit of u = 1009 its bound, read from the time-out message
-    # of a deadline that passes right after the descent 1008 -> 504 -> 252 ->
-    # 126 -> 42 (a fake clock reading 0, 1, 2, ...: the four descent checks
-    # read 0-3, the check before the first CRT prime reads 4), is below 1600 bits
+    # of a limit that passes right after the descent 1008 -> 504 -> 252 ->
+    # 126 -> 42 (a fake clock reading 0, 1, 2, ...: within reads 0, the four
+    # descent checks read 1-4, the check before the first CRT prime reads 5),
+    # is below 1600 bits
     ticks = iter(range(10**6))
-    monkeypatch.setattr(classnum, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = max(galois_orbits([ch for ch in characters(1009) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded) as exc:
-        orbit_norm(big, deadline=3.5)
+        with within(4.5):
+            orbit_norm(big)
     bits = re.fullmatch(r"order-1008 norm: 0 CRT primes, 1 of (\d+) bits", str(exc.value))
     assert bits and int(bits[1]) < 1600
-    assert next(ticks) == 5
+    assert next(ticks) == 6
 
 
 def test_descent_keeps_the_resultant():
@@ -202,13 +205,13 @@ def test_descent_keeps_the_resultant():
         phi = euler_phi(d)
         for length in (phi, rng.randrange(1, phi + 1)):
             alpha = tuple(rng.randrange(-50, 51) for _ in range(length))
-            beta, e = _descend(alpha, d, None)
+            beta, e = _descend(alpha, d)
             assert e == math.prod(factorize(d).primes()) and len(beta) == euler_phi(e), (d, length)
             want = _resultant_int(cyclotomic_polynomial(d), alpha)
             assert _resultant_int(cyclotomic_polynomial(e), beta) == want, (d, length)
 
 
-def test_descent_of_order_4096_is_linear_in_its_packing():
+def test_descent_of_order_4096_is_linear_in_its_packing(monkeypatch):
     # order 4096 descends to order 2 in 11 steps, each one big-integer product
     # of about 2^18 bits; it checks against the chirp-z norm at order 4096 mod
     # two primes (Res(Phi_2, beta) = beta_0). Packing the slots by bytes joins
@@ -229,20 +232,28 @@ def test_descent_of_order_4096_is_linear_in_its_packing():
 
     x, y = rng.getrandbits(4096 * 56), rng.getrandbits(4096 * 56)
     product_s, _ = best_of(5, lambda: x * y)
-    descent_s, (beta, e) = best_of(3, lambda: _descend(alpha, 4096, None))
+    descent_s, (beta, e) = best_of(3, lambda: _descend(alpha, 4096))
     assert e == 2 and len(beta) == 1
     for q, omega in itertools.islice(_norm_primes(4096), 2):
         assert beta[0] % q == _norm_mod(alpha, 4096, q, omega)
     assert descent_s < 15 * product_s, (descent_s, product_s)
+    # a clock reading 0, 1, 2, ...: within reads 0, the first check reads 1
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     with pytest.raises(TimeLimitExceeded, match=r"^order-4096 norm: descent reached order 4096$"):
-        _descend(alpha, 4096, time.monotonic() - 1)
+        with within(0):
+            _descend(alpha, 4096)
 
 
-def test_orbit_norm_rejects_nan_and_infinite_deadlines():
-    (orbit,) = [ob for ob in galois_orbits([ch for ch in characters(7) if ch.is_odd]) if ob.order == 6]
-    for deadline in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="deadline must be a finite"):
-            orbit_norm(orbit, deadline=deadline)
+def test_reduction_by_phi_checks_the_time_limit():
+    # B_1 of the order-99990 orbit of u = 99991 is reduced by Phi_99990 in
+    # 49995 - 24000 = 25995 rows, over 10 s in all: the limit is checked after
+    # every 1024th row, so a passed one stops it after the first 1024
+    rng = random.Random(99990)
+    acc = [rng.randrange(-99991, 99991) for _ in range(49995)]
+    with pytest.raises(TimeLimitExceeded, match=r"^reduction by Phi_99990: 1024 of 25995 rows$"):
+        with within(0):
+            _poly_rem(acc, 99990)
 
 
 def test_norm_mod_matches_horner():
@@ -356,7 +367,7 @@ def test_hminus_time_limit_fires():
 
 def test_hminus_time_limit_covers_work_before_first_crt_prime():
     # real time: Phi_10006 and B_1 of the order-10006 orbit cost no
-    # d^2 long division before the first deadline check
+    # d^2 long division before the first check of the time limit
     start = time.monotonic()
     with pytest.raises(TimeLimitExceeded, match=r"order-10006 norm"):
         relative_class_number(10007, time_limit=0.5)
@@ -364,24 +375,27 @@ def test_hminus_time_limit_covers_work_before_first_crt_prime():
 
 
 def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
-    # a fake clock that reads 0, 1, 2, ...: the order-400 norm of h^-(401)
-    # descends 400 -> 200 -> 100 -> 50 -> 10 with one check before each step
-    # (ticks 0-3), then checks once before each CRT prime (prime i reads
-    # 4 + i), so a deadline of 6.5 stops it after 3 primes; without a
-    # deadline the clock is never read
+    # a fake clock that reads 0, 1, 2, ...: within reads it once (tick 0),
+    # the order-400 norm of h^-(401) descends 400 -> 200 -> 100 -> 50 -> 10
+    # with one check before each step (ticks 1-4), then checks once before
+    # each CRT prime (prime i reads 5 + i), so a limit of 7.5 stops it after
+    # 3 primes; without a limit the clock is never read
     ticks = iter(range(10**6))
-    monkeypatch.setattr(classnum, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = max(galois_orbits([ch for ch in characters(401) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded, match=r"^order-400 norm: 3 CRT primes, \d+ of \d+ bits$"):
-        orbit_norm(big, deadline=6.5)
+        with within(7.5):
+            orbit_norm(big)
     assert orbit_norm(big) == oracle_orbit_norm(big)
-    assert next(ticks) == 8
-    # the descent checks read 9, 10, 11: a deadline of 10.5 stops it at order 100
+    assert next(ticks) == 9
+    # within reads 10 and the descent checks 11, 12, 13: a limit of 2.5
+    # stops it at order 100
     with pytest.raises(TimeLimitExceeded, match=r"^order-400 norm: descent reached order 100$"):
-        orbit_norm(big, deadline=10.5)
-    # relative_class_number reads the clock once for its deadline (tick 12),
-    # then the largest orbit's norm descends (ticks 13-16) and stops at its
-    # third CRT prime (tick 19)
+        with within(2.5):
+            orbit_norm(big)
+    # relative_class_number reads the clock once in within (tick 14), then
+    # the largest orbit's norm descends (ticks 15-18) and stops at its third
+    # CRT prime (tick 21)
     with pytest.raises(
         TimeLimitExceeded,
         match=r"^h\^-\(401\): time limit 6.5s exceeded in orbit norms after 0 of \d+ "
@@ -391,10 +405,19 @@ def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
 
 
 def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):
-    # the orbit norms see a stopped clock, the factoring one already past any
-    # deadline: the norms finish, and factoring stops at its first check
-    monkeypatch.setattr(classnum, "time", SimpleNamespace(monotonic=lambda: 0.0))
-    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: math.inf))
+    # one clock, stopped at 0 while the orbit norms run; after them,
+    # relative_class_number factors u = 401 (for Q) and then h^-, and from the
+    # first of these on the clock reads past any limit: the norms finish, and
+    # factoring h^- stops at its first check
+    now = [0.0]
+    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+    def factorize_and_jump_the_clock_at_u(n):
+        if n == 401:
+            now[0] = math.inf
+        return factorize(n)
+
+    monkeypatch.setattr(classnum, "factorize", factorize_and_jump_the_clock_at_u)
     before = factorize.cache_info()
     r = relative_class_number(401, time_limit=2)
     after = factorize.cache_info()

@@ -161,6 +161,17 @@ def test_factorize_deadline_returns_partial_uncached(monkeypatch):
     assert factorize(n).factors == ((3, 5), (9973, 1), (207293548177, 1), (3168190412839, 1))
 
 
+def test_factorize_rejects_nan_and_infinite_deadlines():
+    # a NaN limit never passes: it is refused before any factoring work
+    n = 10000000000000000051 * 30000000000000000041
+    before = factorize.cache_info()
+    for seconds in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="time limit must be a finite"):
+            with within(seconds):
+                factorize(n)
+    assert factorize.cache_info() == before
+
+
 def test_within_is_the_one_time_limit(monkeypatch):
     # a clock that reads 0, 1, 2, ... and logs every reading
     readings = []

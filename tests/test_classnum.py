@@ -256,6 +256,14 @@ def test_reduction_by_phi_checks_the_time_limit():
             _poly_rem(acc, 99990)
 
 
+def test_orbit_norm_rejects_nan_and_infinite_deadlines():
+    (orbit,) = [ob for ob in galois_orbits([ch for ch in characters(7) if ch.is_odd]) if ob.order == 6]
+    for seconds in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="time limit must be a finite"):
+            with within(seconds):
+                orbit_norm(orbit)
+
+
 def test_norm_mod_matches_horner():
     # chirp-z kernel vs direct prod_{k unit} A(omega^k) mod q
     rng = random.Random(11)

@@ -3,32 +3,37 @@
 h^-(u) = Q * w * prod_{chi odd} (-B_{1,chi}/2), the product taken over Galois
 orbits as exact rational norms. b1_chi gives B_{1,chi} as integers c_i over the
 conductor f on the power basis of Q(zeta_d): a character sum over the units,
-folded by x^(d/2) + 1 and reduced by Phi_d. A norm is recovered as the integer
-T = N(B_{1,chi}) * D = Res(Phi_d, c0) * g^phi * D / f^phi, g = gcd(c_i) and
-c0 = c/g. The denominator D comes from Stickelberger's theorem: for a prime c
-not dividing u, (c - chi(c)^-1) B_{1,chi} is integral, so D_c = N(c - chi(c))
-= Phi_e(c)^(phi(d)/phi(e)), e the order of chi(c), clears the norm, and D is
-the gcd of D_c over the two smallest such auxiliary primes, chi(c) read off
-the walk of b1_chi. Res(Phi_d, c0) first descends the cyclotomic tower: while
-p^2 | d, Phi_d(x) = Phi_{d/p}(x^p), and the norm of c0 down to Q(zeta_{d/p}),
-an exact product of p conjugates in Z[x]/(x^d - 1), has the same resultant
-against Phi_{d/p}. At d', the product of the primes of d, T is found modulo
-primes q = 1 (mod d') below 2^62, where the resultant is prod_{k in (Z/d')^*}
-beta(omega^k) with omega of order d' mod q, from one chirp-z convolution per
-prime, and the residues are CRT-combined past a Parseval bound; the norm of
--B_{1,chi}/2 is T/D * (-1/2)^phi.
+folded by x^(d/2) + 1 and reduced by Phi_d through the power series of 1/Phi_d.
+Then N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i) and c0 = c/g.
+Res(Phi_d, c0) descends the cyclotomic tower: the norm of c0 from Q(zeta_e)
+down to Q(zeta_{e/p}) has the same resultant against Phi_{e/p}, and is an
+exact product of conjugates mod x^(e/2) + 1, first while p^2 | e, then for
+each odd p of the squarefree rest. At e = 2 the resultant is the one
+coefficient left. A last prime above _CRT_LAST_PRIME is not taken out: there
+the integer T = N(B_{1,chi}) * D = Res(Phi_e, beta) * g^phi * D / f^phi is
+found modulo primes q = 1 (mod e) below 2^62, where the resultant is
+prod_{k in (Z/e)^*} beta(omega^k) with omega of order e mod q, from one
+chirp-z convolution per prime, and the residues are CRT-combined past a
+Parseval bound. The denominator D comes from Stickelberger's theorem: for a
+prime c not dividing u, (c - chi(c)^-1) B_{1,chi} is integral, so D_c =
+N(c - chi(c)) = Phi_k(c)^(phi(d)/phi(k)), k the order of chi(c), clears the
+norm, and D is the gcd of D_c over the two smallest such auxiliary primes,
+chi(c) read off the walk of b1_chi. The norm of -B_{1,chi}/2 is
+N(B_{1,chi}) * (-1/2)^phi.
 
-relative_class_number runs under arith.within(time_limit), checked once per
-1024 rows of a reduction by Phi_d, per descent step, per CRT prime and in the
-factoring of h^-. Out of time in the norms, TimeLimitExceeded says how far
-they got; out of time in the factoring, the exact value comes back, its
-unsplit rest a composite cofactor, and RelativeClassNumber.note says so.
+relative_class_number runs under arith.within(time_limit), checked before
+every pass of a reduction by Phi_d, every product of the descent, every CRT
+prime and in the factoring of h^-. Out of time in the norms,
+TimeLimitExceeded says how far they got; out of time in the factoring, the
+exact value comes back, its unsplit rest a composite cofactor, and
+RelativeClassNumber.note says so.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +50,8 @@ from .arith import (
 from .abelian import (
     CharacterOrbit,
     DirichletCharacter,
+    _crt_lift,
+    _primitive_root_mod_pk,
     characters,
     galois_orbits,
     normalize_conductor,
@@ -59,21 +66,49 @@ class IntegralityError(Exception):
         self.offending = offending
 
 
+def _binomials(d: int) -> list[tuple[int, int]]:
+    """(e, mu(d/e)) for the squarefree d/e, so that Phi_d = prod (1 - x^e)^mu(d/e)
+    as a power series for d > 1."""
+    primes = factorize(d).primes()
+    return [
+        (d // math.prod(sub), (-1) ** k)
+        for k in range(len(primes) + 1)
+        for sub in itertools.combinations(primes, k)
+    ]
+
+
+def _times_binomial(a: list[int], e: int, mu: int) -> None:
+    """a times (1 - x^e)^mu, mu = 1 or -1, as a power series cut at len(a), in place."""
+    n = len(a)
+    if mu == 1:
+        if e < n:
+            a[e:] = map(operator.sub, a[e:], a[: n - e])
+    else:  # 1/(1 - x^e) = (1 + x^e)(1 + x^2e)(1 + x^4e)...
+        while e < n:
+            a[e:] = map(operator.add, a[e:], a[: n - e])
+            e *= 2
+
+
 def _poly_rem(num: list[int], d: int) -> list[int]:
-    """Remainder of num by Phi_d, ascending; checks the time limit every 1024 rows."""
-    den = cyclotomic_polynomial(d)
-    num = list(num)
-    dd = len(den) - 1
-    terms = [(j, c) for j, c in enumerate(den) if c]
-    rows = len(num) - dd
-    for i in range(rows - 1, -1, -1):
-        c = num[i + dd]
-        if c:
-            for j, t in terms:
-                num[i + j] -= c * t
-        if (rows - i) % 1024 == 0:
-            _check(f"reduction by Phi_{d}: {rows - i} of {rows} rows")
-    return num[:dd]
+    """Remainder of num by Phi_d, d > 1, ascending. Phi_d is palindromic, so
+    the quotient reversed is the top of num reversed times the power series
+    1/Phi_d, and the remainder is num less the quotient times Phi_d, both cut
+    at phi(d) terms: one sparse pass per binomial factor, each after a check
+    of the time limit."""
+    phi = euler_phi(d)
+    if len(num) <= phi:
+        return list(num)
+    factors = _binomials(d)
+    passes = 2 * len(factors)
+    q = num[: phi - 1 : -1]
+    for i, (e, mu) in enumerate(factors):
+        _check(f"reduction by Phi_{d}: {i} of {passes} passes")
+        _times_binomial(q, e, -mu)
+    q = (q[::-1] + [0] * phi)[:phi]
+    for i, (e, mu) in enumerate(factors, len(factors)):
+        _check(f"reduction by Phi_{d}: {i} of {passes} passes")
+        _times_binomial(q, e, mu)
+    return [a - b for a, b in zip(num, q)]
 
 
 @lru_cache(maxsize=None)
@@ -85,18 +120,9 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
         raise ValueError(f"cyclotomic_polynomial expects d >= 1, got {d}")
     if d == 1:
         return (-1, 1)
-    n = euler_phi(d) + 1
-    poly = [1] + [0] * (n - 1)
-    primes = factorize(d).primes()
-    for k in range(len(primes) + 1):
-        for sub in itertools.combinations(primes, k):
-            e = d // math.prod(sub)
-            if k % 2 == 0:  # times 1 - x^e
-                for i in range(n - 1, e - 1, -1):
-                    poly[i] -= poly[i - e]
-            else:  # over 1 - x^e, i.e. times 1 + x^e + x^2e + ...
-                for i in range(e, n):
-                    poly[i] += poly[i - e]
+    poly = [1] + [0] * euler_phi(d)
+    for e, mu in _binomials(d):
+        _times_binomial(poly, e, mu)
     return tuple(poly)
 
 
@@ -206,17 +232,36 @@ def _stickelberger_denominator(d: int, aux: list[tuple[int, int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Descent: for p^2 | d, Phi_d(x) = Phi_{d/p}(x^p), and the norm from Q(zeta_d)
-# down to Q(zeta_{d/p}) of A is the product of its p conjugates
-# x^i -> x^(i (1 + k d/p)), so Res(Phi_d, A) = Res(Phi_{d/p}, that product).
+# Descent through the cyclotomic tower. For even e an element of Q(zeta_e) is
+# held at half length, as A with A(zeta_e) = sum_{i < e/2} a_i zeta_e^i: Phi_e
+# divides x^(e/2) + 1, and sigma_k: x^i -> x^(ik), k odd, is an automorphism
+# of Z[x]/(x^(e/2) + 1). The norm from Q(zeta_e) down to Q(zeta_{e/p}) has the
+# same resultant against Phi_{e/p} as A against Phi_e.
+
+# A last prime p above this is left to the CRT at order 2p: timed against that
+# CRT with its primes found cold, the exact step took at most 1.08 times as
+# long for p <= 13, up to 1.3 times for p = 17-23, and 1.1-4.2 times (median
+# 2.4) for p >= 37 once the coefficients passed 80 bits (CHANGES.md).
+_CRT_LAST_PRIME = 13
 
 
-def _mul_cyclic(A: list[int], B: list[int], d: int) -> list[int]:
-    """A * B mod x^d - 1 for signed coefficient lists of length d: one
+def _conjugate(A: list[int], k: int) -> list[int]:
+    """sigma_k(A) mod x^n + 1, n = len(A), for odd k."""
+    n = len(A)
+    out = [0] * n
+    for i, a in enumerate(A):
+        j = i * k % (2 * n)
+        out[j % n] = a if j < n else -a
+    return out
+
+
+def _mul_negacyclic(A: list[int], B: list[int]) -> list[int]:
+    """A * B mod x^n + 1 for signed coefficient lists of length n: one
     big-integer product of W-byte slots (Kronecker substitution). Each slot is
     biased by H = 2^(8W - 1) so that it is unsigned; packing and unpacking are
     linear bytes joins and slices."""
-    bits = max(map(abs, A)).bit_length() + max(map(abs, B)).bit_length() + d.bit_length()
+    n = len(A)
+    bits = max(map(abs, A)).bit_length() + max(map(abs, B)).bit_length() + n.bit_length()
     W = bits // 8 + 1  # every product coefficient is below 2^bits <= H
     H = 1 << (8 * W - 1)
     slot = H.to_bytes(W, "little")
@@ -225,45 +270,71 @@ def _mul_cyclic(A: list[int], B: list[int], d: int) -> list[int]:
         biased = b"".join((c + H).to_bytes(W, "little") for c in P)
         return int.from_bytes(biased, "little") - int.from_bytes(slot * len(P), "little")
 
-    m = 2 * d - 1
+    m = 2 * n - 1
     prod = pack(A) * pack(B) + int.from_bytes(slot * m, "little")
     raw = prod.to_bytes(m * W, "little")
     c = [int.from_bytes(raw[t:t + W], "little") - H for t in range(0, m * W, W)]
-    return [x + y for x, y in zip(c, c[d:] + [0])]
+    return [x - y for x, y in zip(c, c[n:] + [0])]
 
 
-def _relative_norm(A: tuple[int, ...], d: int, p: int) -> tuple[int, ...]:
-    """The norm of A from Q(zeta_d) to Q(zeta_{d/p}), p^2 | d, on the power
-    basis of Q(zeta_{d/p}): the product of the conjugates, reduced by Phi_d,
-    is a polynomial in x^p."""
-    e = d // p
-    prod = list(A) + [0] * (d - len(A))
-    for k in range(1, p):
-        conj = [0] * d
-        for i, a in enumerate(A):
-            conj[i * (1 + k * e) % d] = a
-        prod = _mul_cyclic(prod, conj, d)
-    return tuple(_poly_rem(prod, d)[::p])
+def _relative_norm(A: tuple[int, ...], e: int, p: int, stage: str) -> tuple[int, ...]:
+    """The norm of A from Q(zeta_e) down to Q(zeta_m), m = e/p, e and m even,
+    at half length on both sides: the product of the conjugates sigma_k,
+    k = 1 (mod m), a cyclic group with generator g, built by doubling with
+    one check of the time limit (raising with `stage`) before each product.
+    It is read off with no reduction by Phi_e:
+    - p^2 | e: k = 1 + jm, and the conjugates of x^i with p not dividing i sum
+      to 0, so the norm is the sum of a_i zeta_m^(i/p) over p | i.
+    - p not dividing m: zeta_e^i = zeta_p^b zeta_m^t, b = i m^-1 mod p and
+      t = i p^-1 mod m; on the basis 1, zeta_p^2, ..., zeta_p^(p-1) over
+      Q(zeta_m) the norm is C_0 - C_1, C_b the sum of a_i zeta_m^t with that b."""
+    m, n = e // p, e // 2
+    if m % p == 0:
+        g, order = 1 + m, p
+    else:
+        g, order = _crt_lift(_primitive_root_mod_pk(p, 1), p, e), p - 1
+    A = list(A) + [0] * (n - len(A))
+    prod, size = A, 1  # prod = sigma_{g^0}(A) * ... * sigma_{g^(size - 1)}(A)
+    for bit in bin(order)[3:]:
+        _check(stage)
+        prod = _mul_negacyclic(prod, _conjugate(prod, pow(g, size, e)))
+        size *= 2
+        if bit == "1":
+            _check(stage)
+            prod = _mul_negacyclic(A, _conjugate(prod, g))
+            size += 1
+    if m % p == 0:
+        return tuple(prod[::p])
+    h, to_m, to_p = m // 2, pow(p, -1, m), pow(m, -1, p)
+    out = [0] * h
+    for i, a in enumerate(prod):
+        b, t = i * to_p % p, i * to_m % m
+        if b < 2:  # zeta_m^t = -zeta_m^(t - h) for t >= h
+            out[t % h] += a if (b + t // h) % 2 == 0 else -a
+    return tuple(out)
 
 
 def _descend(A: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
-    """(B, e) with Res(Phi_e, B) = Res(Phi_d, A), e the product of the primes
-    of d, by one relative norm per step d -> d/p while p^2 | d. The time limit
-    is checked before each step."""
+    """(B, e) with Res(Phi_e, B) = Res(Phi_d, A), for even d and len(A) <= d/2,
+    B at half length: p goes out while p^2 divides what is left, then each odd
+    prime, ascending, down to e = 2, where the resultant is B_0, or to e = 2p
+    for a last prime p above _CRT_LAST_PRIME."""
+    fact = factorize(d)
+    last = fact.primes()[-1]
+    steps = [p for p, k in fact.factors for _ in range(k - 1)]
+    steps += [p for p in fact.primes() if 2 < p and (p < last or p <= _CRT_LAST_PRIME)]
     e = d
-    for p in factorize(d).primes():
-        while e % (p * p) == 0:
-            _check(f"order-{d} norm: descent reached order {e}")
-            A = _relative_norm(A, e, p)
-            e //= p
+    for p in steps:
+        A = _relative_norm(A, e, p, f"order-{d} norm: descent reached order {e}")
+        e //= p
     return A, e
 
 
 def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi.
-    Raises TimeLimitExceeded when the time limit passes, checked once per 1024
-    rows of the reduction of B_1 by Phi_d, once per descent step and once per
-    CRT prime."""
+    Raises TimeLimitExceeded when the time limit passes, checked in every pass
+    of the reduction of B_1 by Phi_d, before every product of the descent and
+    before every CRT prime."""
     if not orbit.is_odd:
         raise ValueError("orbit norm is defined here for odd-character orbits only")
     chi = orbit.members[0]
@@ -271,16 +342,21 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     phi = euler_phi(d)
     if phi != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
-    aux = list(itertools.islice((c for c in itertools.count(2) if u % c and is_prime(c)), 2))
+    # chi(-1) = -1 makes d even, as _descend and _norm_mod need.
+    crt = factorize(d).primes()[-1] > _CRT_LAST_PRIME  # left to the CRT by _descend
+    primes = (c for c in itertools.count(2) if u % c and is_prime(c))
+    aux = list(itertools.islice(primes, 2)) if crt else []
     chi_at = dict.fromkeys(c % u for c in aux)
     c, f = b1_chi(chi, chi_at)
-    D = _stickelberger_denominator(d, [(a, chi_at[a % u]) for a in aux])
-    # T = N(B_{1,chi}) * D = Res(Phi_d, c0) * g^phi * D / f^phi, an integer.
+    # N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i), c0 = c/g.
     g = math.gcd(*c)
     c0 = tuple(x // g for x in c)
     beta, e = _descend(c0, d)
+    if not crt:
+        return Fraction(beta[0] * g**phi, f**phi) * Fraction(-1, 2) ** phi
+    # T = N(B_{1,chi}) * D, an integer, found by CRT.
+    D = _stickelberger_denominator(d, [(a, chi_at[a % u]) for a in aux])
     scale, f_phi = g**phi * D, f**phi
-    # chi(-1) = -1 makes d, and so e, even, as _norm_mod needs.
     bits = max(1, _norm_bound_bits(beta, e) + scale.bit_length() - f_phi.bit_length() + 1)
     x, mod = 0, 1
     for i, (q, omega) in enumerate(_norm_primes(e)):

@@ -9,7 +9,7 @@ pytest.
 Prints each mismatch, then the number of norms compared, the number of
 mismatches of each kind and both norm routes' total times; exits 1 on any
 mismatch. Phi_d is built before the timed calls, so the first conductor with a
-given orbit order does not charge it to orbit_norm; the x^k mod Phi_d rows
+given orbit order does not charge it to oracle_orbit_norm; the x^k mod Phi_d rows
 that oracle_b1 needs are dropped after each conductor, which keeps memory flat.
 """
 

@@ -23,6 +23,7 @@ from cycloclass.classnum import (
     _norm_mod,
     _norm_primes,
     _poly_rem,
+    _relative_norm,
     b1_chi,
     cyclotomic_polynomial,
     orbit_norm,
@@ -178,46 +179,94 @@ def test_orbit_norm_bound_holds():
         assert abs(res) < 2 ** _norm_bound_bits(beta, e), (chi.modulus, chi.exponents)
 
 
-def test_orbit_norm_crt_bound_of_order_1008(monkeypatch):
+def test_orbit_norm_crt_bound_of_order_1162(monkeypatch):
     # the CRT recovers N(B_1) * D, D from Stickelberger's theorem: for the
-    # order-1008 orbit of u = 1009 its bound, read from the time-out message
-    # of a limit that passes right after the descent 1008 -> 504 -> 252 ->
-    # 126 -> 42 (a fake clock reading 0, 1, 2, ...: within reads 0, the four
-    # descent checks read 1-4, the check before the first CRT prime reads 5),
-    # is below 1600 bits
+    # order-1162 orbit of u = 1163 (1162 = 2 * 7 * 83, so 7 is taken out
+    # exactly and the last prime 83 is left to the CRT at order 166) its
+    # bound, read from the time-out message of a limit that passes right
+    # after the descent (a fake clock reading 0, 1, 2, ...: within reads 0,
+    # the 16 passes of the reduction by Phi_1162 read 1-16, the three
+    # products of the step 1162 -> 166 read 17-19, the check before the first
+    # CRT prime reads 20), is below 3300 bits, where Res(Phi_166, beta) alone
+    # would need 7729
     ticks = iter(range(10**6))
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    big = max(galois_orbits([ch for ch in characters(1009) if ch.is_odd]), key=lambda ob: ob.order)
+    big = max(galois_orbits([ch for ch in characters(1163) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded) as exc:
-        with within(4.5):
+        with within(19.5):
             orbit_norm(big)
-    bits = re.fullmatch(r"order-1008 norm: 0 CRT primes, 1 of (\d+) bits", str(exc.value))
-    assert bits and int(bits[1]) < 1600
-    assert next(ticks) == 6
+    bits = re.fullmatch(r"order-1162 norm: 0 CRT primes, 1 of (\d+) bits", str(exc.value))
+    assert bits and int(bits[1]) < 3300
+    assert next(ticks) == 21
 
 
 def test_descent_keeps_the_resultant():
     # Res(Phi_e, beta) = Res(Phi_d, alpha) by Euclidean resultants, for random
     # alpha: p = 2 steps (4, 8, 48), odd-p steps (18 -> 6, 54 -> 6, 50 -> 10)
-    # and both (12, 36, 100, 400)
+    # and both (12, 36, 100, 400), each ending exactly at order 2; and orders
+    # whose last prime is above _CRT_LAST_PRIME, which end at 2p: 102 = 2 * 3 *
+    # 17 -> 34, 612 = 4 * 9 * 17 -> 34, 290 = 2 * 5 * 29 -> 58
     rng = random.Random(12)
-    for d in (4, 8, 12, 18, 36, 48, 50, 54, 100, 400):
+    cases = [(d, 2) for d in (4, 8, 12, 18, 36, 48, 50, 54, 100, 400)]
+    cases += [(102, 34), (612, 34), (290, 58)]
+    for d, end in cases:
         phi = euler_phi(d)
-        for length in (phi, rng.randrange(1, phi + 1)):
+        for length in (phi, rng.randrange(1, d // 2 + 1)):
             alpha = tuple(rng.randrange(-50, 51) for _ in range(length))
             beta, e = _descend(alpha, d)
-            assert e == math.prod(factorize(d).primes()) and len(beta) == euler_phi(e), (d, length)
+            assert e == end and len(beta) == e // 2, (d, length)
             want = _resultant_int(cyclotomic_polynomial(d), alpha)
             assert _resultant_int(cyclotomic_polynomial(e), beta) == want, (d, length)
 
 
+def test_relative_norm_matches_resultants():
+    # one step Q(zeta_e) -> Q(zeta_{e/p}) on random alpha of length e/2 keeps
+    # the resultant against Phi: steps with p exactly dividing e (6, 30, 42,
+    # 210 and 2 * 41 over each odd prime) and steps with p^2 | e (4, 8, 18, 50,
+    # 54, 36 over each such p)
+    rng = random.Random(16)
+    cases = [(e, p) for e in (6, 30, 42, 210, 82) for p in factorize(e).primes() if p > 2]
+    cases += [(4, 2), (8, 2), (18, 3), (50, 5), (54, 3), (36, 2), (36, 3)]
+    for e, p in cases:
+        for bound in (3, 2**40):
+            alpha = tuple(rng.randrange(-bound, bound + 1) for _ in range(e // 2))
+            beta = _relative_norm(alpha, e, p, "")
+            assert len(beta) == e // p // 2, (e, p)
+            want = _resultant_int(cyclotomic_polynomial(e), alpha)
+            assert _resultant_int(cyclotomic_polynomial(e // p), beta) == want, (e, p, bound)
+
+
+def test_exact_descents_use_no_crt_prime(monkeypatch):
+    # every odd orbit of u = 1009 (orders 16 * {1, 3, 7, 9, 21, 63}) and the
+    # order-4096 orbit of u = 12289 descend to order 2, where the resultant is
+    # exact: no CRT prime is drawn, and the values are those of the CRT route
+    # (h^-(1009) as pinned by the benchmark's hminus-norms workload; the
+    # order-4096 norm as the CRT at order 2 gave it)
+    def no_primes(e):
+        raise AssertionError(f"CRT prime drawn at order {e}")
+
+    monkeypatch.setattr(classnum, "_norm_primes", no_primes)
+    norms = [orbit_norm(ob) for ob in galois_orbits([ch for ch in characters(1009) if ch.is_odd])]
+    h = 2 * 1009 * math.prod(norms, start=Fraction(1))
+    assert h.denominator == 1 and len(str(h)) == 358
+    assert hashlib.sha256(str(h).encode()).hexdigest() == (
+        "aa5cc30f460e7b5fb288d1d96ca5638303d4153d9f7e72f7b129957f7c3c85ef"
+    )
+    orbits = galois_orbits([ch for ch in characters(12289) if ch.is_odd])
+    norm = orbit_norm(next(ob for ob in orbits if ob.order == 4096))
+    assert hashlib.sha256(str(norm).encode()).hexdigest() == (
+        "58ef6fd30a1a74c3c937902dcf55c1c26717d4c496ba4a065843e9416be9677d"
+    )
+
+
 def test_descent_of_order_4096_is_linear_in_its_packing(monkeypatch):
     # order 4096 descends to order 2 in 11 steps, each one big-integer product
-    # of about 2^18 bits; it checks against the chirp-z norm at order 4096 mod
-    # two primes (Res(Phi_2, beta) = beta_0). Packing the slots by bytes joins
-    # keeps the descent near 8 products of two 229,376-bit integers; a
-    # quadratic shift-and-add pack made it 20-30, so 15 is the budget. A
-    # passed deadline stops the descent before its first step.
+    # mod x^(e/2) + 1 of about 2^17 bits; it checks against the chirp-z norm
+    # at order 4096 mod two primes (Res(Phi_2, beta) = beta_0). Packing the
+    # slots by bytes joins keeps the descent near 4 products of two
+    # 229,376-bit integers; a quadratic shift-and-add pack made it 20-30, so
+    # 15 is the budget. A passed deadline stops the descent before its first
+    # product.
     rng = random.Random(4096)
     alpha = tuple(rng.randrange(-2**20, 2**20) for _ in range(2048))
     cyclotomic_polynomial(4096)
@@ -247,13 +296,23 @@ def test_descent_of_order_4096_is_linear_in_its_packing(monkeypatch):
 
 def test_reduction_by_phi_checks_the_time_limit():
     # B_1 of the order-99990 orbit of u = 99991 is reduced by Phi_99990 in
-    # 49995 - 24000 = 25995 rows, over 10 s in all: the limit is checked after
-    # every 1024th row, so a passed one stops it after the first 1024
+    # 2 * 2^5 sparse passes, one per binomial factor of the power series of
+    # Phi_99990 and of its inverse: the limit is checked before every pass, so
+    # a passed one stops it before the first, and the remainder is the long
+    # division's (checked against it on a shorter input)
     rng = random.Random(99990)
     acc = [rng.randrange(-99991, 99991) for _ in range(49995)]
-    with pytest.raises(TimeLimitExceeded, match=r"^reduction by Phi_99990: 1024 of 25995 rows$"):
+    with pytest.raises(TimeLimitExceeded, match=r"^reduction by Phi_99990: 0 of 64 passes$"):
         with within(0):
             _poly_rem(acc, 99990)
+    for d in (2, 3, 12, 105, 210, 1008, 2310):
+        num = [rng.randrange(-99991, 99991) for _ in range(d + 7)]
+        phi_d = cyclotomic_polynomial(d)
+        rem = list(num)
+        for i in range(len(num) - len(phi_d), -1, -1):
+            c = rem[i + len(phi_d) - 1]
+            rem[i : i + len(phi_d)] = [r - c * t for r, t in zip(rem[i : i + len(phi_d)], phi_d)]
+        assert _poly_rem(num, d) == rem[: len(phi_d) - 1], d
 
 
 def test_orbit_norm_rejects_nan_and_infinite_deadlines():
@@ -384,32 +443,33 @@ def test_hminus_time_limit_covers_work_before_first_crt_prime():
 
 def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
     # a fake clock that reads 0, 1, 2, ...: within reads it once (tick 0),
-    # the order-400 norm of h^-(401) descends 400 -> 200 -> 100 -> 50 -> 10
-    # with one check before each step (ticks 1-4), then checks once before
-    # each CRT prime (prime i reads 5 + i), so a limit of 7.5 stops it after
-    # 3 primes; without a limit the clock is never read
+    # the order-498 norm of h^-(499) reduces B_1 by Phi_498 in 16 passes, each
+    # after a check (ticks 1-16), descends 498 -> 166 in one product (tick
+    # 17), and leaves the last prime 83 to the CRT, with one check before each
+    # prime (prime i reads 18 + i), so a limit of 20.5 stops it after 3
+    # primes; without a limit the clock is never read
     ticks = iter(range(10**6))
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    big = max(galois_orbits([ch for ch in characters(401) if ch.is_odd]), key=lambda ob: ob.order)
-    with pytest.raises(TimeLimitExceeded, match=r"^order-400 norm: 3 CRT primes, \d+ of \d+ bits$"):
-        with within(7.5):
+    big = max(galois_orbits([ch for ch in characters(499) if ch.is_odd]), key=lambda ob: ob.order)
+    with pytest.raises(TimeLimitExceeded, match=r"^order-498 norm: 3 CRT primes, \d+ of \d+ bits$"):
+        with within(20.5):
             orbit_norm(big)
     assert orbit_norm(big) == oracle_orbit_norm(big)
-    assert next(ticks) == 9
-    # within reads 10 and the descent checks 11, 12, 13: a limit of 2.5
-    # stops it at order 100
-    with pytest.raises(TimeLimitExceeded, match=r"^order-400 norm: descent reached order 100$"):
-        with within(2.5):
+    assert next(ticks) == 22
+    # within reads 23, the reduction 24-39 and the product check 40: a limit
+    # of 16.5 stops it in the descent
+    with pytest.raises(TimeLimitExceeded, match=r"^order-498 norm: descent reached order 498$"):
+        with within(16.5):
             orbit_norm(big)
-    # relative_class_number reads the clock once in within (tick 14), then
-    # the largest orbit's norm descends (ticks 15-18) and stops at its third
-    # CRT prime (tick 21)
+    # relative_class_number reads the clock once in within (tick 41), then
+    # the largest orbit's norm reduces and descends (ticks 42-58) and stops at
+    # its third CRT prime (tick 61)
     with pytest.raises(
         TimeLimitExceeded,
-        match=r"^h\^-\(401\): time limit 6.5s exceeded in orbit norms after 0 of \d+ "
-        r"orbits \(order-400 norm: 2 CRT primes, \d+ of \d+ bits\)$",
+        match=r"^h\^-\(499\): time limit 19.5s exceeded in orbit norms after 0 of \d+ "
+        r"orbits \(order-498 norm: 2 CRT primes, \d+ of \d+ bits\)$",
     ):
-        relative_class_number(401, time_limit=6.5)
+        relative_class_number(499, time_limit=19.5)
 
 
 def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):

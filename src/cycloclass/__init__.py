@@ -31,7 +31,6 @@ from .classnum import (
     RelativeClassNumber,
     TimeLimitExceeded,
     b1_chi,
-    cyclotomic_polynomial,
     orbit_norm,
     relative_class_number,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "corollary1_verdict",
     "cyclic_subfield_spec",
     "cyclotomic_field_spec",
-    "cyclotomic_polynomial",
     "descent_subfield",
     "euler_phi",
     "factorize",

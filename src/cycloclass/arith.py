@@ -25,7 +25,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 # Smallest composite that fools the first twelve prime bases is
 # 3_317_044_064_679_887_385_961_981 (Sorenson-Webster), so below that limit
@@ -318,19 +318,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def carmichael_lambda(n: int) -> int:
-    """Exponent of (Z/n)^*: lcm of local exponents."""
-    if n < 1:
-        raise ValueError(f"carmichael_lambda expects n >= 1, got {n}")
-    parts = []
-    for p, e in factorize(n).factors:
-        if p == 2:
-            parts.append(1 if e == 1 else 2 if e == 2 else 2 ** (e - 2))
-        else:
-            parts.append(p ** (e - 1) * (p - 1))
-    return reduce(math.lcm, parts, 1)
-
-
 def multiplicative_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k == 1 (mod n); requires gcd(a, n) == 1."""
     if n < 1:
@@ -340,8 +327,8 @@ def multiplicative_order(a: int, n: int) -> int:
         raise ValueError(f"{a} is not a unit modulo {n}")
     if n == 1:
         return 1
-    # Start from the Carmichael exponent and strip primes while the power stays 1.
-    e = carmichael_lambda(n)
+    # Start from phi(n) and strip primes while the power stays 1.
+    e = euler_phi(n)
     for q, _ in factorize(e).factors:
         while e % q == 0 and pow(a, e // q, n) == 1:
             e //= q

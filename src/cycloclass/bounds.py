@@ -5,12 +5,15 @@ Evaluated in integer arithmetic as an interval [lo, hi] with dyadic rational
 endpoints and returned as the upper endpoint, so the result is always >= the
 true value (overestimating H is safe: it can only turn a theorem application
 into INCONCLUSIVE, never fabricate a violation). Natural logarithm throughout.
+The printed value is the `decimal` quotient of the upper endpoint, rounded
+toward +inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,39 +46,16 @@ class BoundResult:
         return f"{_decimal_ceiling(self.H_fraction, digits)}{marker}"
 
 
-def log10_floor(x: int | Fraction) -> int:
-    """floor(log10 x) for a rational x > 0, exactly and without a decimal
-    conversion (str() refuses ints above 4300 digits)."""
-    a, b = x.numerator, x.denominator
-    # a/b lies in (2^(n-1), 2^(n+1)) for n the difference of the bit lengths,
-    # so this starts within one or two of the answer
-    E = (a.bit_length() - b.bit_length()) * 30103 // 100_000
-    while True:
-        num, den = (a, b * 10**E) if E >= 0 else (a * 10**-E, b)
-        if num < den:
-            E -= 1
-        elif num >= den * 10:
-            E += 1
-        else:
-            return E
-
-
 def _decimal_ceiling(x: Fraction, digits: int) -> str:
-    """The least decimal >= x > 0 with `digits` significant digits. With E the
-    exponent of its leading digit it prints in fixed point when
-    min(-(digits // 3), -5) < E < digits (e.g. 62.64031880, 0.001234567890),
-    else as d.ddd...e+E or d.ddd...e-E (e.g. 1.234567890e+19)."""
-    E = log10_floor(x)
-    a, b = x.numerator, x.denominator
-    k = digits - 1 - E  # x * 10^k = a/b lies in [10^(digits-1), 10^digits)
-    if k >= 0:
-        a *= 10**k
-    else:
-        b *= 10**-k
-    n = -(-a // b)
-    if n == 10**digits:
-        n, E = n // 10, E + 1
-    s = str(n)
+    """The least decimal >= x > 0 with `digits` significant digits: the
+    `decimal` quotient rounded toward +inf. With E the exponent of its leading
+    digit it prints in fixed point when min(-(digits // 3), -5) < E < digits
+    (e.g. 62.64031880, 0.001234567890), else as d.ddd...e+E or d.ddd...e-E
+    (e.g. 1.234567890e+19)."""
+    ctx = Context(prec=digits, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    q = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+    E = q.adjusted()
+    s = str(int(q.scaleb(digits - 1 - E, ctx)))
     if min(-(digits // 3), -5) < E < digits:
         if E < 0:
             return "0." + "0" * (-E - 1) + s

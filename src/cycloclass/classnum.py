@@ -17,9 +17,9 @@ chirp-z convolution per prime, and the residues are CRT-combined past a
 Parseval bound. The denominator D comes from Stickelberger's theorem: for a
 prime c not dividing u, (c - chi(c)^-1) B_{1,chi} is integral, so D_c =
 N(c - chi(c)) = Phi_k(c)^(phi(d)/phi(k)), k the order of chi(c), clears the
-norm, and D is the gcd of D_c over the two smallest such auxiliary primes,
-chi(c) read off the walk of b1_chi. The norm of -B_{1,chi}/2 is
-N(B_{1,chi}) * (-1/2)^phi.
+norm, with Phi_k(c) = prod (c^f - 1)^mu(k/f) from the binomial product, and
+D is the gcd of D_c over the two smallest such auxiliary primes, chi(c) read
+off the walk of b1_chi. The norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
 
 relative_class_number runs under arith.within(time_limit), checked before
 every pass of a reduction by Phi_d, every product of the descent, every CRT
@@ -36,7 +36,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import (
     PrimeFactorization,
@@ -67,8 +66,8 @@ class IntegralityError(Exception):
 
 
 def _binomials(d: int) -> list[tuple[int, int]]:
-    """(e, mu(d/e)) for the squarefree d/e, so that Phi_d = prod (1 - x^e)^mu(d/e)
-    as a power series for d > 1."""
+    """(e, mu(d/e)) for the squarefree d/e, so that Phi_d = prod (x^e - 1)^mu(d/e),
+    and = prod (1 - x^e)^mu(d/e) as a power series for d > 1."""
     primes = factorize(d).primes()
     return [
         (d // math.prod(sub), (-1) ** k)
@@ -109,21 +108,6 @@ def _poly_rem(num: list[int], d: int) -> list[int]:
         _check(f"reduction by Phi_{d}: {i} of {passes} passes")
         _times_binomial(q, e, mu)
     return [a - b for a, b in zip(num, q)]
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Coefficients of Phi_d, ascending. For d > 1, Phi_d = prod_{e|d}
-    (1 - x^e)^mu(d/e) as power series cut after degree phi(d): one sparse
-    multiplication or division by a binomial per squarefree d/e."""
-    if d < 1:
-        raise ValueError(f"cyclotomic_polynomial expects d >= 1, got {d}")
-    if d == 1:
-        return (-1, 1)
-    poly = [1] + [0] * euler_phi(d)
-    for e, mu in _binomials(d):
-        _times_binomial(poly, e, mu)
-    return tuple(poly)
 
 
 def b1_chi(
@@ -220,14 +204,15 @@ def _stickelberger_denominator(d: int, aux: list[tuple[int, int]]) -> int:
     """D > 0 with D * N(B_{1,chi}) an integer, chi of order d: the gcd of
     N(c - chi(c)) = Phi_e(c)^(phi(d)/phi(e)) over the pairs (c, k) of aux, c
     prime to u and chi(c) = e(k/d) of order e = d/gcd(k, d) (Stickelberger;
-    Washington, Introduction to Cyclotomic Fields, 6.2)."""
+    Washington, Introduction to Cyclotomic Fields, 6.2). Phi_e(c) is the exact
+    quotient prod (c^f - 1)^mu(e/f) over the binomials of e."""
     D, phi = 0, euler_phi(d)
     for c, k in aux:
         e = d // math.gcd(k, d)
-        phi_e_c = 0
-        for a in reversed(cyclotomic_polynomial(e)):
-            phi_e_c = phi_e_c * c + a
-        D = math.gcd(D, phi_e_c ** (phi // euler_phi(e)))
+        terms = _binomials(e)
+        num = math.prod(c**f - 1 for f, mu in terms if mu == 1)
+        den = math.prod(c**f - 1 for f, mu in terms if mu == -1)
+        D = math.gcd(D, (num // den) ** (phi // euler_phi(e)))
     return D
 
 
@@ -343,16 +328,15 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     if phi != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
     # chi(-1) = -1 makes d even, as _descend and _norm_mod need.
-    crt = factorize(d).primes()[-1] > _CRT_LAST_PRIME  # left to the CRT by _descend
     primes = (c for c in itertools.count(2) if u % c and is_prime(c))
-    aux = list(itertools.islice(primes, 2)) if crt else []
+    aux = list(itertools.islice(primes, 2))
     chi_at = dict.fromkeys(c % u for c in aux)
     c, f = b1_chi(chi, chi_at)
     # N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i), c0 = c/g.
     g = math.gcd(*c)
     c0 = tuple(x // g for x in c)
     beta, e = _descend(c0, d)
-    if not crt:
+    if e == 2:
         return Fraction(beta[0] * g**phi, f**phi) * Fraction(-1, 2) ** phi
     # T = N(B_{1,chi}) * D, an integer, found by CRT.
     D = _stickelberger_denominator(d, [(a, chi_at[a % u]) for a in aux])

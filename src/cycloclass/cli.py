@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 
 from .arith import probable_prime_only
 from .abelian import normalize_conductor, subfields
-from .bounds import class_number_bound, field_bound, log10_floor
+from .bounds import class_number_bound, field_bound
 from .classnum import IntegralityError, TimeLimitExceeded, relative_class_number
 from .tables import (
     PROBABLE_PRIME_POLICIES,
@@ -89,7 +90,7 @@ def cmd_subfields(args) -> int:
     print(f"{'degree':>7}  {'conductor':>9}  {'|disc|':>24}  H_F")
     for F in fields:
         disc = F.abs_discriminant
-        disc_s = str(disc) if disc < 10**24 else f"~10^{log10_floor(disc)}"
+        disc_s = str(disc) if disc < 10**24 else f"~10^{Decimal(disc).adjusted()}"
         print(f"{F.degree:>7}  {F.conductor:>9}  {disc_s:>24}  {field_bound(F).display()}")
     return EXIT_OK
 

@@ -2,9 +2,10 @@
 b1_chi and the transform route in cycloclass.classnum.orbit_norm are tested
 against.
 
-CyclotomicNumber is exact arithmetic in Q(zeta_d) on the power basis, with
-x^k mod Phi_d taken from the rows of _power_rows; oracle_b1 sums roots of unity
-in it, reading chi(a) from char_value, a discrete-log table of (Z/u)^* built
+cyclotomic_polynomial gives the dense coefficients of Phi_d, which the package
+itself never builds. CyclotomicNumber is exact arithmetic in Q(zeta_d) on the
+power basis, with x^k mod Phi_d taken from the rows of _power_rows; oracle_b1
+sums roots of unity in it, reading chi(a) from char_value, a discrete-log table of (Z/u)^* built
 here rather than from the generator walk of DirichletCharacter.values.
 oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder sequence
 over F_p for descending 62-bit primes p, CRT-combined past a Hadamard bound. _sylvester_resultant is the Sylvester determinant, and
@@ -15,14 +16,37 @@ determinant, independent of b1_chi; _bareiss_det evaluates both determinants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
 from cycloclass.abelian import CharacterOrbit, DirichletCharacter, _unit_data
-from cycloclass.arith import euler_phi, is_prime
-from cycloclass.classnum import cyclotomic_polynomial
+from cycloclass.arith import euler_phi, factorize, is_prime
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
+    """Coefficients of Phi_d, ascending. For d > 1, Phi_d = prod_{e|d}
+    (1 - x^e)^mu(d/e) as power series cut after degree phi(d): one sparse
+    multiplication or division by a binomial per squarefree d/e."""
+    if d < 1:
+        raise ValueError(f"cyclotomic_polynomial expects d >= 1, got {d}")
+    if d == 1:
+        return (-1, 1)
+    poly = [1] + [0] * euler_phi(d)
+    primes = factorize(d).primes()
+    for k in range(len(primes) + 1):
+        for sub in itertools.combinations(primes, k):
+            e = d // math.prod(sub)
+            if k % 2 == 0:  # times 1 - x^e
+                for i in range(len(poly) - 1, e - 1, -1):
+                    poly[i] -= poly[i - e]
+            else:  # divided by 1 - x^e: times 1 + x^e + x^2e + ...
+                for i in range(e, len(poly)):
+                    poly[i] += poly[i - e]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

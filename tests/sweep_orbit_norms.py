@@ -20,8 +20,8 @@ import time
 from fractions import Fraction
 
 from cycloclass.abelian import characters, galois_orbits
-from cycloclass.classnum import b1_chi, cyclotomic_polynomial, orbit_norm
-from norm_oracle import _power_rows, oracle_b1, oracle_orbit_norm
+from cycloclass.classnum import b1_chi, orbit_norm
+from norm_oracle import _power_rows, cyclotomic_polynomial, oracle_b1, oracle_orbit_norm
 
 
 def main(argv: list[str]) -> int:

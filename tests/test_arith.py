@@ -19,7 +19,6 @@ from cycloclass.arith import (
     _pollard_pm1,
     _pollard_rho,
     _small_primes,
-    carmichael_lambda,
     euler_phi,
     factorize,
     is_prime,
@@ -262,16 +261,6 @@ def test_prime_factorization_assemble_strips_cofactor():
 def test_euler_phi_matches_unit_count():
     for n in range(1, 500):
         assert euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
-
-
-def test_carmichael_divides_phi():
-    for n in range(1, 400):
-        lam, phi = carmichael_lambda(n), euler_phi(n)
-        assert phi % lam == 0
-        # Every unit's order divides lambda.
-        for a in range(1, n):
-            if math.gcd(a, n) == 1:
-                assert pow(a, lam, n) == 1
 
 
 def test_multiplicative_order_small_exhaustive():

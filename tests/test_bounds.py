@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cycloclass.abelian import AbelianFieldSpec, cyclotomic_field_spec
-from cycloclass.bounds import class_number_bound, field_bound, log10_floor
+from cycloclass.bounds import _decimal_ceiling, class_number_bound, field_bound
 
 REL_WIDTH = Fraction(1, 2**100)
 
@@ -128,12 +128,42 @@ def test_determinism_across_calls():
     assert a.H_fraction == b.H_fraction and a.display() == b.display()
 
 
-def test_log10_floor_around_powers_of_ten():
-    for k in range(5001):
-        p = 10**k
-        assert log10_floor(p) == log10_floor(p + 1) == k
-        assert log10_floor(Fraction(1, p)) == -k
-        assert log10_floor(Fraction(1, p + 1)) == -k - 1
-        if k:
-            assert log10_floor(p - 1) == k - 1
-            assert log10_floor(Fraction(1, p - 1)) == -k
+def _leading_exponent(v: Fraction) -> int:
+    """E with 10^E <= v < 10^(E + 1), from integer comparisons alone."""
+    E = (v.numerator.bit_length() - v.denominator.bit_length()) * 30103 // 100_000
+    while Fraction(10) ** E > v:
+        E -= 1
+    while Fraction(10) ** (E + 1) <= v:
+        E += 1
+    return E
+
+
+def test_printed_bound_is_the_least_ten_digit_decimal():
+    # the printed value is >= x, and the next ten-digit decimal below it is
+    # < x; it reads in fixed point exactly when -5 < E < 10, E the exponent
+    # of its leading digit
+    rng = random.Random(17)
+    xs = []
+    for _ in range(2000):
+        a = rng.randrange(1, 10 ** rng.randint(1, 30))
+        b = rng.randrange(1, 10 ** rng.randint(1, 30))
+        x = Fraction(a, b) * Fraction(10) ** rng.randint(-12, 6000)
+        if Fraction(1, 10**12) <= x <= 10**6000:
+            xs.append(x)
+    for E in range(-12, 20):  # both sides of both layout edges
+        xs += [Fraction(rng.randrange(10**19, 10**20), 10**19) * Fraction(10) ** E
+               for _ in range(3)]
+    for _ in range(200):
+        x = Fraction(rng.randrange(10**9, 10**10)) * Fraction(10) ** rng.randint(-21, 5990)
+        xs += [x, x - Fraction(1, 10**50), x + Fraction(1, 10**50)]
+    assert len(xs) > 2000
+    for x in xs:
+        text = _decimal_ceiling(x, 10)
+        printed = Fraction(text)
+        E = _leading_exponent(printed)
+        mantissa = printed / Fraction(10) ** (E - 9)
+        assert mantissa.denominator == 1 and 10**9 <= mantissa < 10**10, text
+        assert len(text.split("e")[0].replace(".", "").lstrip("0")) == 10, text
+        ulp = Fraction(10) ** (E - 9 - (mantissa == 10**9))
+        assert printed - ulp < x <= printed, text
+        assert ("e" not in text) == (-5 < E < 10), text

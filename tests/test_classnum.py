@@ -24,8 +24,8 @@ from cycloclass.classnum import (
     _norm_primes,
     _poly_rem,
     _relative_norm,
+    _stickelberger_denominator,
     b1_chi,
-    cyclotomic_polynomial,
     orbit_norm,
     relative_class_number,
 )
@@ -36,6 +36,7 @@ from norm_oracle import (
     _sylvester_resultant,
     char_power,
     char_value,
+    cyclotomic_polynomial,
     maillet_hminus,
     oracle_b1,
     oracle_orbit_norm,
@@ -161,6 +162,15 @@ def test_orbit_norm_matches_oracle():
             e = d // math.gcd(char_value(chi, c), d)
             denom = _poly_eval(cyclotomic_polynomial(e), c) ** (euler_phi(d) // euler_phi(e))
             assert (norm_b1 * denom).denominator == 1, (chi.modulus, chi.exponents, c)
+
+
+def test_stickelberger_phi_from_binomials():
+    # Phi_e(c) as the exact quotient of the binomial product equals the dense
+    # Phi_e at c, e = 1 included: with chi(c) = e(1/e), D = Phi_e(c)
+    for e in range(1, 301):
+        for c in (2, 3, 5, 7):
+            want = _poly_eval(cyclotomic_polynomial(e), c)
+            assert _stickelberger_denominator(e, [(c, 1)]) == want, (e, c)
 
 
 def test_orbit_norm_bound_holds():

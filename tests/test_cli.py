@@ -161,6 +161,25 @@ def test_subfields_discriminant_beyond_str_limit(capsys):
     assert last[:3] == ["2002", "2003", "~10^6606"]
 
 
+def test_subfields_abbreviate_exactly_the_large_discriminants(capsys):
+    # a row prints |disc| in full below 10^24 and as ~10^E from there on,
+    # with 10^E <= |disc| < 10^(E+1); 9907's discriminants run to 39,000 digits
+    for u in (480, 9907):
+        rc, out, _ = run(capsys, "subfields", str(u))
+        assert rc == EXIT_OK
+        rows = [line.split() for line in out.splitlines()[2:]]
+        fields = cycloclass.subfields(u)
+        assert len(rows) == len(fields)
+        for (degree, conductor, disc_s, *_), F in zip(rows, fields):
+            assert (int(degree), int(conductor)) == (F.degree, F.conductor)
+            disc = F.abs_discriminant
+            if disc < 10**24:
+                assert disc_s == str(disc)
+            else:
+                E = int(re.fullmatch(r"~10\^(\d+)", disc_s)[1])
+                assert 10**E <= disc < 10 ** (E + 1), (u, F.degree, F.conductor)
+
+
 def test_audit_clean_file(tmp_path, capsys):
     f = tmp_path / "recs.jsonl"
     f.write_text(

@@ -5,12 +5,13 @@ of (Z/u)^*; values are integer root-of-unity exponents k mod d (chi(a) = e(k/d),
 d the order of chi), so all downstream arithmetic stays exact in Q(zeta_d).
 
 A subfield of Q(zeta_u) is its character group X < prod Z/o_i, held as the
-Hermite-normal-form rows of its preimage lattice in Z^k.  Characters and fields
-share one conductor rule, the levels of _UnitData.  A field's invariants come
-from its rows without listing X: the size of X's image at every level is read
-from the column gcds of the rows, and, for the two coordinates of 2^e (e >= 3),
-from one gcd of 2x2 minors.  DirichletCharacter objects are built only where
-character values are needed (B_1 and Galois orbits).
+Hermite-normal-form rows of its preimage lattice in Z^k.  Its invariants come
+from the rows without listing X: the size of X's image at every level of
+_UnitData is read from the column gcds of the rows, and, for the two
+coordinates of 2^e (e >= 3), from one gcd of 2x2 minors.  A character's
+conductor is that of the cyclic field it cuts out (conductor-discriminant),
+read on first use: once per Galois orbit.  DirichletCharacter objects are
+built only where character values are needed (B_1 and Galois orbits).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
-from .arith import euler_phi, factorize, is_prime
+from .arith import _has_order, euler_phi, factorize, is_prime
 
 
 def normalize_conductor(u: int) -> int:
@@ -32,10 +33,7 @@ def normalize_conductor(u: int) -> int:
 
 def _primitive_root_mod_pk(p: int, e: int) -> int:
     """Smallest primitive root mod p, lifted so it stays primitive mod p^e."""
-    qs = factorize(p - 1).primes()
-    g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
-        g += 1
+    g = next(g for g in itertools.count(2) if _has_order(g, p - 1, p))
     if e >= 2 and pow(g, p - 1, p * p) == 1:
         g += p
     return g
@@ -86,8 +84,7 @@ class _UnitData:
                 levels = [(o // euler_phi(p**j),) for j in range(e)]
             for g, o, m in local:
                 g = _crt_lift(g, q, u)
-                exact = all(pow(g, o // r, q) != 1 for r in factorize(o).primes())
-                if (g - 1) % (u // q) or pow(g, o, q) != 1 or not exact:
+                if (g - 1) % (u // q) or not _has_order(g, o, q):
                     raise AssertionError(f"generator {g} mod {u} is not of order {o} mod {q}")
                 units.append((g, o, m))
             comps.append((p, range(start, len(units)), levels))
@@ -102,33 +99,18 @@ def _unit_data(u: int) -> _UnitData:
     return _UnitData(u)
 
 
-def _conductor(data: _UnitData, exps: tuple[int, ...]) -> int:
-    """Conductor of the character with the given exponents: a factor p for
-    each level it is not trivial on."""
-    cond = 1
-    for p, idx, levels in data.components:
-        for ms in levels:
-            if any(exps[i] % m for i, m in zip(idx, ms)):
-                cond *= p
-    return cond
-
-
-def _is_odd(data: _UnitData, exps: tuple[int, ...]) -> bool:
-    # -1 has order 2: its exponents are 0 or o_i/2, so chi(-1) = (-1)^(sum e_i)
-    return sum(e for e, k in zip(exps, data.minus_one) if k) % 2 == 1
-
-
 @dataclass(frozen=True)
 class DirichletCharacter:
     """Character mod u given by exponents against the fixed unit-group generators.
 
-    chi(g_i) = e(exponents[i] / o_i) with e(x) = exp(2*pi*i*x).
+    chi(g_i) = e(exponents[i] / o_i) with e(x) = exp(2*pi*i*x).  The order
+    and parity are set when the character is built, the conductor on first
+    read.
     """
 
     modulus: int
     exponents: tuple[int, ...]
     order: int = field(init=False, compare=False, default=0)
-    conductor: int = field(init=False, compare=False, default=0)
     is_odd: bool = field(init=False, compare=False, default=False)
 
     def __post_init__(self):
@@ -143,8 +125,13 @@ class DirichletCharacter:
             math.lcm, (o // math.gcd(e, o) for e, o in zip(exps, data.orders)), 1
         )
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "conductor", _conductor(data, exps))
-        object.__setattr__(self, "is_odd", _is_odd(data, exps))
+        # -1 has order 2: its exponents are 0 or o_i/2, so chi(-1) = (-1)^(sum e_i)
+        is_odd = sum(e for e, k in zip(exps, data.minus_one) if k) % 2 == 1
+        object.__setattr__(self, "is_odd", is_odd)
+
+    @cached_property
+    def conductor(self) -> int:
+        return AbelianFieldSpec(self.modulus, (self.exponents,)).conductor
 
     @property
     def is_trivial(self) -> bool:
@@ -206,24 +193,17 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[CharacterOrbit]:
             continue
         chi = pool[exps]
         d, orders = chi.order, _unit_data(chi.modulus).orders
-        members = {}
+        powers = []
         for k in range(1, d + 1):
             if math.gcd(k, d) != 1:
                 continue
             power = tuple(k * e % o for e, o in zip(exps, orders))
             if power not in remaining:
-                raise ValueError(
-                    f"input not Galois-closed: power {k} of {exps} is missing"
-                )
-            members[power] = pool[power]
-        remaining -= set(members)
-        mlist = tuple(members[e] for e in sorted(members))
-        if not all(
-            m.order == d and m.conductor == chi.conductor and m.is_odd == chi.is_odd
-            for m in mlist
-        ):
-            raise AssertionError("orbit members disagree on order/conductor/parity")
-        orbits.append(CharacterOrbit(mlist, d, chi.conductor, chi.is_odd))
+                raise ValueError(f"input not Galois-closed: power {k} of {exps} is missing")
+            remaining.remove(power)
+            powers.append(power)
+        members = tuple(pool[e] for e in sorted(powers))
+        orbits.append(CharacterOrbit(members, d, chi.conductor, chi.is_odd))
     orbits.sort(key=lambda ob: (ob.order, ob.conductor, ob.members[0].exponents))
     return orbits
 
@@ -320,15 +300,20 @@ def _subgroups(orders: tuple[int, ...], order: int | None = None):
     of the rows below it.
     """
 
+    divisors = [[1] for _ in orders]
+    for ds, o in zip(divisors, orders):
+        for p, e in factorize(o).factors:
+            ds[:] = sorted(d * p**j for d in ds for j in range(e + 1))
+
     def extend(i: int, below: list[tuple[int, ...]], size: int):
         if i < 0:
             if order is None or size == order:
                 yield tuple(below)
             return
         o = orders[i]
-        for d in range(1, o + 1):
+        for d in divisors[i]:
             m = o // d
-            if o % d or (order is not None and order % (size * m)):
+            if order is not None and order % (size * m):
                 continue
             pivots = [r[j] for j, r in enumerate(below, i + 1)]
             for tail in itertools.product(*map(range, pivots)):
@@ -435,5 +420,5 @@ def quadratic_signed_discriminant(F: AbelianFieldSpec) -> int:
     nontrivial character is odd (imaginary field), +conductor when even."""
     if F.degree != 2:
         raise ValueError(f"need a quadratic field, got degree {F.degree}")
-    data = _unit_data(F.modulus)
-    return -F.conductor if any(_is_odd(data, row) for row in F.rows) else F.conductor
+    odd = any(DirichletCharacter(F.modulus, row).is_odd for row in F.rows)
+    return -F.conductor if odd else F.conductor

@@ -318,6 +318,11 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _has_order(g: int, o: int, n: int) -> bool:
+    """Whether g has exact order o mod n (g^o = 1, g^(o/r) != 1 for primes r | o)."""
+    return pow(g, o, n) == 1 and all(pow(g, o // r, n) != 1 for r in factorize(o).primes())
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k == 1 (mod n); requires gcd(a, n) == 1."""
     if n < 1:

@@ -41,6 +41,7 @@ from .arith import (
     PrimeFactorization,
     TimeLimitExceeded,
     _check,
+    _has_order,
     euler_phi,
     factorize,
     is_prime,
@@ -147,7 +148,6 @@ def _norm_primes(d: int):
     """Yield (q, omega) for the primes q = m*d + 1 < 2^62, descending, with
     omega of exact order d mod q; one pool per d, grown lazily."""
     pool = _ROOT_POOLS.setdefault(d, [])
-    cofactors = [d // p for p in factorize(d).primes()]
     i = 0
     while True:
         if i == len(pool):
@@ -155,7 +155,7 @@ def _norm_primes(d: int):
             while not is_prime(q):
                 q -= d
             roots = (pow(g, (q - 1) // d, q) for g in range(2, q))
-            omega = next(w for w in roots if all(pow(w, c, q) != 1 for c in cofactors))
+            omega = next(w for w in roots if _has_order(w, d, q))
             pool.append((q, omega))
         yield pool[i]
         i += 1

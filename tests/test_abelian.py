@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycloclass.arith import euler_phi, factorize
+from cycloclass.arith import euler_phi, factorize, multiplicative_order
 from cycloclass.abelian import (
     AbelianFieldSpec,
     DirichletCharacter,
@@ -28,6 +28,7 @@ from cycloclass.abelian import (
     subfields,
     two_power_subfield,
 )
+from cycloclass.classnum import orbit_norm
 from cycloclass.cli import EXIT_USAGE, main
 import cycloclass.abelian as abelian
 from norm_oracle import char_power, char_value, dlog_table
@@ -162,6 +163,17 @@ def test_character_values_walk_every_unit_once():
         assert all(0 < r < u and math.gcd(r, u) == 1 for r in residues), u
 
 
+def test_primitive_root_is_the_smallest():
+    for p in (q for q in range(3, 400) if factorize(q).factors == ((q, 1),)):
+        g = abelian._primitive_root_mod_pk(p, 1)
+        assert multiplicative_order(g, p) == p - 1, p
+        assert all(multiplicative_order(h, p) < p - 1 for h in range(2, g)), p
+        g2 = abelian._primitive_root_mod_pk(p, 2)
+        assert g2 % p == g and multiplicative_order(g2, p * p) == p * (p - 1), p
+    # no caller passes p = 2, but the search still ends there
+    assert abelian._primitive_root_mod_pk(2, 1) % 2 == 1
+
+
 def test_unit_data_refuses_generator_of_wrong_order(monkeypatch):
     # 2 has order 3 mod 7, not 6: the order check stands in for a span check
     monkeypatch.setattr(abelian, "_primitive_root_mod_pk", lambda p, e: 2)
@@ -215,7 +227,8 @@ def test_primitive_character_iff_conductor_equals_modulus():
 
 
 def test_galois_orbits_partition_and_invariants():
-    for u in (5, 16, 59, 63, 80):
+    # galois_orbits reads one representative; 1680 has five generators
+    for u in (5, 16, 59, 63, 80, 401, 572, 1009, 1680):
         chars = characters(u)
         orbits = galois_orbits(chars)
         assert sum(ob.size for ob in orbits) == len(chars)
@@ -228,6 +241,26 @@ def test_galois_orbits_partition_and_invariants():
                 assert m.is_odd == ob.is_odd
                 assert m.exponents not in seen
                 seen.add(m.exponents)
+
+
+def test_conductor_builds_one_field_spec_per_orbit(monkeypatch):
+    # a conductor is a field spec built on first read: the parity filter
+    # builds none, galois_orbits one per orbit, and orbit_norm no more
+    built = []
+
+    class Counting(AbelianFieldSpec):
+        def __post_init__(self):
+            built.append(self.modulus)
+            super().__post_init__()
+
+    monkeypatch.setattr(abelian, "AbelianFieldSpec", Counting)
+    odd = [c for c in characters(1009) if c.is_odd]
+    assert built == []
+    orbits = galois_orbits(odd)
+    assert len(built) == len(orbits) == 6
+    for ob in orbits:
+        orbit_norm(ob)
+    assert len(built) == 6
 
 
 def test_galois_orbit_count_for_prime_modulus():

@@ -16,6 +16,7 @@ from cycloclass.arith import (
     PrimeFactorization,
     TimeLimitExceeded,
     _check,
+    _has_order,
     _pollard_pm1,
     _pollard_rho,
     _small_primes,
@@ -268,6 +269,15 @@ def test_multiplicative_order_small_exhaustive():
         for a in range(1, n):
             if math.gcd(a, n) == 1:
                 assert multiplicative_order(a, n) == _order_linear(a, n), (a, n)
+
+
+def test_has_order_is_exact_order():
+    # non-units never reach 1; o = 1 holds only for g = 1 mod n
+    for n in range(2, 60):
+        for g in range(n):
+            order = _order_linear(g, n) if math.gcd(g, n) == 1 else None
+            for o in range(1, n + 1):
+                assert _has_order(g, o, n) == (o == order), (g, o, n)
 
 
 def test_multiplicative_order_sampled_moduli():

@@ -11,15 +11,19 @@ _UnitData is read from the column gcds of the rows, and, for the two
 coordinates of 2^e (e >= 3), from one gcd of 2x2 minors.  A character's
 conductor is that of the cyclic field it cuts out (conductor-discriminant),
 read on first use: once per Galois orbit.  DirichletCharacter objects are
-built only where character values are needed (B_1 and Galois orbits).
+built only where character values are needed (B_1 and Galois orbits).  Their
+values read one walk of the units per modulus, _UnitData.units, built on the
+first read of character values (never for subfields or the audit) and shared
+by every character mod u; each character adds only its exponents k.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from .arith import _has_order, euler_phi, factorize, is_prime
 
@@ -93,6 +97,20 @@ class _UnitData:
         self.minus_one = tuple(m for _, _, m in units)
         self.components = tuple(comps)
 
+    @cached_property
+    def units(self) -> tuple[int, ...]:
+        """Every unit r = prod g_i^t_i mod u, the t_i run like an odometer
+        (last digit fastest); built on the first read of character values."""
+        u, walk = self.modulus, [1]
+
+        def mul(a: int, b: int) -> int:
+            return a * b % u
+
+        for g, o in self.generators:
+            powers = list(itertools.accumulate(itertools.repeat(g, o - 1), mul, initial=1))
+            walk = [r * x % u for r in walk for x in powers]
+        return tuple(walk)
+
 
 @lru_cache(maxsize=None)
 def _unit_data(u: int) -> _UnitData:
@@ -119,14 +137,12 @@ class DirichletCharacter:
             raise ValueError(
                 f"expected {len(data.orders)} exponents for modulus {self.modulus}"
             )
-        exps = tuple(e % o for e, o in zip(self.exponents, data.orders))
+        exps = tuple(map(operator.mod, self.exponents, data.orders))
         object.__setattr__(self, "exponents", exps)
-        order = reduce(
-            math.lcm, (o // math.gcd(e, o) for e, o in zip(exps, data.orders)), 1
-        )
+        order = math.lcm(*map(operator.floordiv, data.orders, map(math.gcd, exps, data.orders)))
         object.__setattr__(self, "order", order)
         # -1 has order 2: its exponents are 0 or o_i/2, so chi(-1) = (-1)^(sum e_i)
-        is_odd = sum(e for e, k in zip(exps, data.minus_one) if k) % 2 == 1
+        is_odd = sum(itertools.compress(exps, data.minus_one)) % 2 == 1
         object.__setattr__(self, "is_odd", is_odd)
 
     @cached_property
@@ -138,22 +154,16 @@ class DirichletCharacter:
         return all(e == 0 for e in self.exponents)
 
     def values(self):
-        """Yield (r, k) for every unit r mod u, with chi(r) = e(k/d), d the
-        order of chi: r = prod g_i^t_i runs like an odometer over the t_i, and
-        k = sum t_i e_i d/o_i mod d (o_i | e_i d, so each weight is an int)."""
-        u, d = self.modulus, self.order
-        data = _unit_data(u)
-        steps = [(g, o, e * d // o) for (g, o), e in zip(data.generators, self.exponents)]
-        r, k, digits = 1, 0, [0] * len(steps)
-        for _ in range(math.prod(data.orders)):
-            yield r, k
-            # g_i^o_i = 1 and o_i w_i = 0 mod d, so a digit wraps with no reset
-            for i in reversed(range(len(steps))):
-                g, o, w = steps[i]
-                r, k = r * g % u, (k + w) % d
-                digits[i] = (digits[i] + 1) % o
-                if digits[i]:
-                    break
+        """An iterator of (r, k) over every unit r mod u, with chi(r) = e(k/d),
+        d the order of chi: r runs through _UnitData.units, r = prod g_i^t_i,
+        and k = sum t_i e_i d/o_i mod d (o_i | e_i d, so each weight is an int)."""
+        d, data = self.order, _unit_data(self.modulus)
+        ks = [0]
+        for o, e in zip(data.orders, self.exponents):
+            w = e * d // o
+            steps = [t * w % d for t in range(o)]
+            ks = [(k + s) % d for k in ks for s in steps]
+        return zip(data.units, ks)
 
 
 def characters(u: int) -> list[DirichletCharacter]:

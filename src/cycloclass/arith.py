@@ -8,12 +8,12 @@ was only probabilistically certified.
 factorize is one splitter with three stages: trial division by the primes
 below 10^4, one Pollard p - 1 stage with smoothness bound 20000, and
 Brent-Pollard rho. Trial division and p - 1 share one list of the primes
-below 20000, sieved on first use. The time limit is ambient: within(seconds)
-sets it, and _check, the package's only clock reading, raises once it has
-passed. Checked once per batch of p - 1 or rho steps, it stops the splitter:
-what it found then comes back, with the unsplit rest as a composite cofactor,
-on the TimeLimitExceeded it raises. As an lru_cache, factorize stores nothing
-for a call that raises.
+below 20000, sieved on first use, and p - 1 batches their prime powers once.
+The time limit is ambient: within(seconds) sets it, and _check, the
+package's only clock reading, raises once it has passed. Checked once per
+batch of p - 1 or rho steps, it stops the splitter: what it found then comes
+back, with the unsplit rest as a composite cofactor, on the TimeLimitExceeded
+it raises. As an lru_cache, factorize stores nothing for a call that raises.
 """
 
 from __future__ import annotations
@@ -130,22 +130,29 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(itertools.compress(range(_PM1_BOUND), sieve))
 
 
-def _pollard_pm1(n: int) -> int | None:
-    """A nontrivial factor of odd composite n from one Pollard p - 1 stage, or
-    None. The base 2 is raised to the largest power below _PM1_BOUND of each
-    prime below it, so a prime p | n is caught once every prime power dividing
-    p - 1 is below _PM1_BOUND."""
+@lru_cache(maxsize=None)
+def _pm1_batches() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The largest power below _PM1_BOUND of each prime below it, in batches
+    of _PM1_BATCH, each with its product; built on first use."""
     powers = []
     for p in _small_primes():
         q = p
         while q * p < _PM1_BOUND:
             q *= p
         powers.append(q)
+    batches = (tuple(powers[i:i + _PM1_BATCH]) for i in range(0, len(powers), _PM1_BATCH))
+    return tuple((batch, math.prod(batch)) for batch in batches)
+
+
+def _pollard_pm1(n: int) -> int | None:
+    """A nontrivial factor of odd composite n from one Pollard p - 1 stage, or
+    None. The base 2 is raised to the largest power below _PM1_BOUND of each
+    prime below it, so a prime p | n is caught once every prime power dividing
+    p - 1 is below _PM1_BOUND."""
     a = 2
-    for i in range(0, len(powers), _PM1_BATCH):
+    for batch, exponent in _pm1_batches():
         _check("Pollard p - 1")
-        batch = powers[i:i + _PM1_BATCH]
-        b = pow(a, math.prod(batch), n)
+        b = pow(a, exponent, n)
         g = math.gcd(b - 1, n)
         if g == n:
             # Every prime of n was caught within this batch: redo it one

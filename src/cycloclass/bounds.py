@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import lru_cache
 
 from .abelian import AbelianFieldSpec
 
 _TARGET_REL_WIDTH = Fraction(1, 2**100)
+# integer products and powers in this context are exact, or raise Inexact
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,29 @@ class BoundResult:
         return f"{_decimal_ceiling(self.H_fraction, digits)}{marker}"
 
 
+@lru_cache(maxsize=None)
+def _ceiling_context(digits: int) -> Context:
+    """Rounds toward +inf to `digits` significant digits, at any exponent."""
+    return Context(prec=digits, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def _decimal_ceiling(x: Fraction, digits: int) -> str:
     """The least decimal >= x > 0 with `digits` significant digits: the
     `decimal` quotient rounded toward +inf. With E the exponent of its leading
     digit it prints in fixed point when min(-(digits // 3), -5) < E < digits
     (e.g. 62.64031880, 0.001234567890), else as d.ddd...e+E or d.ddd...e-E
     (e.g. 1.234567890e+19)."""
-    ctx = Context(prec=digits, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    q = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+    # x = (a/b) * 2^e with a, b odd: Decimal(int) takes time quadratic in
+    # its size, so only the odd parts are converted, and 2^|e| is applied exactly
+    a, b = x.numerator, x.denominator
+    e = (a & -a).bit_length() - (b & -b).bit_length()
+    num, den = Decimal(a >> max(e, 0)), Decimal(b >> max(-e, 0))
+    if e >= 0:
+        num = _EXACT.multiply(num, _EXACT.power(2, e))
+    else:
+        den = _EXACT.multiply(den, _EXACT.power(2, -e))
+    ctx = _ceiling_context(digits)
+    q = ctx.divide(num, den)
     E = q.adjusted()
     s = str(int(q.scaleb(digits - 1 - E, ctx)))
     if min(-(digits // 3), -5) < E < digits:

@@ -6,7 +6,9 @@ cyclotomic_polynomial gives the dense coefficients of Phi_d, which the package
 itself never builds. CyclotomicNumber is exact arithmetic in Q(zeta_d) on the
 power basis, with x^k mod Phi_d taken from the rows of _power_rows; oracle_b1
 sums roots of unity in it, reading chi(a) from char_value, a discrete-log table of (Z/u)^* built
-here rather than from the generator walk of DirichletCharacter.values.
+here rather than from the cached unit walk of DirichletCharacter.values;
+odometer_values steps through the generators one unit at a time, the order
+that walk must keep.
 oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder sequence
 over F_p for descending 62-bit primes p, CRT-combined past a Hadamard bound. _sylvester_resultant is the Sylvester determinant, and
 _orbit_norm_conjugates the explicit product of Galois conjugates.
@@ -69,6 +71,25 @@ def char_value(chi: DirichletCharacter, a: int) -> int | None:
         return None
     orders = _unit_data(u).orders
     return sum(e * d // o * t for e, t, o in zip(chi.exponents, ts, orders)) % d
+
+
+def odometer_values(chi: DirichletCharacter):
+    """Yield (r, k) for every unit r mod u, with chi(r) = e(k/d): r = prod
+    g_i^t_i steps like an odometer over the t_i (last digit fastest), and
+    k = sum t_i e_i d/o_i mod d."""
+    u, d = chi.modulus, chi.order
+    data = _unit_data(u)
+    steps = [(g, o, e * d // o) for (g, o), e in zip(data.generators, chi.exponents)]
+    r, k, digits = 1, 0, [0] * len(steps)
+    for _ in range(math.prod(data.orders)):
+        yield r, k
+        # g_i^o_i = 1 and o_i w_i = 0 mod d, so a digit wraps with no reset
+        for i in reversed(range(len(steps))):
+            g, o, w = steps[i]
+            r, k = r * g % u, (k + w) % d
+            digits[i] = (digits[i] + 1) % o
+            if digits[i]:
+                break
 
 
 def char_power(chi: DirichletCharacter, k: int) -> DirichletCharacter:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -31,7 +32,7 @@ from cycloclass.abelian import (
 from cycloclass.classnum import orbit_norm
 from cycloclass.cli import EXIT_USAGE, main
 import cycloclass.abelian as abelian
-from norm_oracle import char_power, char_value, dlog_table
+from norm_oracle import char_power, char_value, dlog_table, odometer_values
 from subgroup_oracle import (
     _all_subgroups,
     _index_n_subgroups,
@@ -161,6 +162,47 @@ def test_character_values_walk_every_unit_once():
         residues = [r for r, _ in DirichletCharacter(u, (1,) * k).values()]
         assert len(set(residues)) == len(residues) == euler_phi(u), u
         assert all(0 < r < u and math.gcd(r, u) == 1 for r in residues), u
+
+
+def test_character_values_follow_the_odometer():
+    # the cached walk gives the pairs of the one-unit-at-a-time odometer, in
+    # its order, for every character
+    for u in MODULI + [480, 572, 1680]:
+        for chi in characters(u):
+            assert list(chi.values()) == list(odometer_values(chi)), chi
+
+
+def test_characters_of_one_modulus_share_one_walk(monkeypatch):
+    monkeypatch.setattr(abelian, "_unit_data", lru_cache(maxsize=None)(abelian._UnitData))
+    a, b = characters(1009)[1:3]
+    data = abelian._unit_data(1009)
+    assert "units" not in vars(data)
+    walk = [r for r, _ in a.values()]
+    units = vars(data)["units"]
+    assert list(units) == walk
+    assert [r for r, _ in b.values()] == walk
+    assert vars(data)["units"] is units
+
+
+def test_unit_walk_is_built_only_for_character_values(monkeypatch, capsys):
+    # subfield lattices, character groups and the audit read no character
+    # value, so they build no walk of (Z/u)^*
+    built = {}
+
+    def unit_data(u):
+        if u not in built:
+            built[u] = abelian._UnitData(u)
+        return built[u]
+
+    monkeypatch.setattr(abelian, "_unit_data", unit_data)
+    subfields(480)
+    characters(480)
+    assert main(["verify-paper"]) == 0
+    capsys.readouterr()
+    assert {480, 9907} <= set(built)
+    assert all("units" not in vars(data) for data in built.values())
+    list(characters(480)[1].values())
+    assert "units" in vars(built[480])
 
 
 def test_primitive_root_is_the_smallest():

@@ -17,6 +17,7 @@ from cycloclass.arith import (
     TimeLimitExceeded,
     _check,
     _has_order,
+    _pm1_batches,
     _pollard_pm1,
     _pollard_rho,
     _small_primes,
@@ -139,6 +140,29 @@ def test_pm1_stage_separates_primes_caught_in_one_batch():
     # 748861 - 1 = 2^2 3 5 7 1783 and 207293548177 - 1 end in 1783 and 1789,
     # which share a batch: the batch is redone one prime power at a time
     assert _pollard_pm1(207293548177 * 748861) == 748861
+
+
+def test_pm1_batches_are_built_once_and_checked_once_each(monkeypatch):
+    # the batches hold, in order, the largest power below the bound of every
+    # prime below it, each with its product
+    powers = [p ** int(math.log(20_000 - 1, p)) for p in _small_primes()]
+    assert all(q < 20_000 <= q * p for q, p in zip(powers, _small_primes()))
+    batches = _pm1_batches()
+    assert [q for batch, _ in batches for q in batch] == powers
+    assert all(len(batch) == 64 for batch, _ in batches[:-1])
+    assert all(product == math.prod(batch) for batch, product in batches)
+    assert _pm1_batches() is batches
+    # a run that finds nothing reads the clock once in within, then once per batch
+    readings = []
+
+    def clock():
+        readings.append(len(readings))
+        return 0
+
+    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=clock))
+    with within(1):
+        assert _pollard_pm1(10000000000000000051 * 30000000000000000041) is None
+    assert len(readings) == 1 + len(batches)
 
 
 def test_factorize_deadline_returns_partial_uncached(monkeypatch):

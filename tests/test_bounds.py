@@ -3,7 +3,7 @@ independent Decimal-arithmetic oracle."""
 
 import math
 import random
-from decimal import Decimal, getcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, Context, Decimal, getcontext
 from fractions import Fraction
 
 import pytest
@@ -167,3 +167,20 @@ def test_printed_bound_is_the_least_ten_digit_decimal():
         ulp = Fraction(10) ** (E - 9 - (mantissa == 10**9))
         assert printed - ulp < x <= printed, text
         assert ("e" not in text) == (-5 < E < 10), text
+
+
+def _converted_ceiling(x: Fraction, digits: int) -> Fraction:
+    """The least `digits`-digit decimal >= x, from the whole numerator and
+    denominator converted to Decimal and divided once, rounding up."""
+    ctx = Context(prec=digits, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return Fraction(ctx.divide(Decimal(x.numerator), Decimal(x.denominator)))
+
+
+def test_printed_bound_of_a_large_dyadic_matches_full_conversion():
+    # H_fraction is q * 2^e with q of about 136 bits; only q is converted,
+    # and the power of two is applied exactly
+    rng = random.Random(19)
+    qs = [1, 3, 10**9 + 7] + [rng.getrandbits(136) | 1 for _ in range(20)]
+    for q in qs:
+        for x in (Fraction(q << 20000), Fraction(q, 1 << 20000)):
+            assert Fraction(_decimal_ceiling(x, 10)) == _converted_ceiling(x, 10), q

@@ -15,6 +15,13 @@ built only where character values are needed (B_1 and Galois orbits).  Their
 values read one walk of the units per modulus, _UnitData.units, built on the
 first read of character values (never for subfields or the audit) and shared
 by every character mod u; each character adds only its exponents k.
+
+_subgroups and _hnf return their rows as a _Rows, a tuple that records the
+orders o_i it is the HNF basis for.  That basis is unique (Cohen, GTM 138,
+2.4), so reducing such rows again returns them unchanged: AbelianFieldSpec
+trusts a _Rows whose orders are its modulus's and reduces every other input.
+The size of the lattice is counted from the o_i (Birkhoff) before subfields
+lists it.
 """
 
 from __future__ import annotations
@@ -223,7 +230,9 @@ class AbelianFieldSpec:
     """An abelian field presented by its group X of Dirichlet characters mod u.
 
     Built from any exponent tuples generating X; `rows` holds the canonical
-    HNF rows (as _subgroups yields them).  Degree n = |X| = prod o_i/d_i.  At
+    HNF rows (as _subgroups yields them).  Rows that _subgroups or _hnf
+    returned for these orders are already canonical and are not reduced
+    again; any other input is.  Degree n = |X| = prod o_i/d_i.  At
     each level of each prime p, with s the size of X's image mod the level's
     m_i, n - n/s characters have v_p(f_chi) above that level: so |disc| = prod
     f_chi (conductor-discriminant) gains p^(n - n/s), and the conductor (lcm
@@ -239,7 +248,9 @@ class AbelianFieldSpec:
 
     def __post_init__(self):
         data = _unit_data(self.modulus)
-        rows = _hnf(self.rows, data.orders)
+        rows = self.rows
+        if not (isinstance(rows, _Rows) and rows.orders == data.orders):
+            rows = _hnf(rows, data.orders)
         n, cond, disc = _order(rows, data.orders), 1, 1
         for p, sizes in _level_sizes(data, rows):
             cond *= p ** sum(s > 1 for s in sizes)
@@ -287,6 +298,51 @@ def cyclic_subfield_spec(u: int, n: int) -> AbelianFieldSpec:
 _MAX_SUBGROUPS = 100_000
 
 
+class _Rows(tuple):
+    """HNF rows, canonical for the orders o_i in `orders`."""
+
+    orders: tuple[int, ...]
+
+
+def _rows(rows, orders: tuple[int, ...]) -> _Rows:
+    out = _Rows(rows)
+    out.orders = orders
+    return out
+
+
+def _gaussian(n: int, k: int, p: int) -> int:
+    """The Gaussian binomial [n choose k]_p: the number of k-dimensional
+    subspaces of F_p^n."""
+    num = math.prod(p ** (n - j) - 1 for j in range(k))
+    return num // math.prod(p**j - 1 for j in range(1, k + 1))
+
+
+def _count_subgroups(orders: tuple[int, ...]) -> int:
+    """The number of subgroups of prod Z/o_i, without listing them: the
+    product over p of the count for the Sylow p-subgroup, of type lam (the
+    v_p(o_i) > 0).  Its subgroups of type mu number prod_{i>=1}
+    p^(mu'_{i+1}(lam'_i - mu'_i)) [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_p,
+    ' the conjugate partition (Birkhoff; Butler, Mem. AMS 1994).  The sum over
+    mu runs over mu' last part first: f[a] totals the choices of the parts
+    after a part equal to a."""
+    lam: dict[int, list[int]] = {}
+    for o in orders:
+        for p, e in factorize(o).factors:
+            lam.setdefault(p, []).append(e)
+    total = 1
+    for p, es in lam.items():
+        f = {0: 1}
+        for i in range(max(es), 0, -1):
+            n = sum(e >= i for e in es)
+            f = {
+                a: sum(p ** (b * (n - a)) * _gaussian(n - b, a - b, p) * c
+                       for b, c in f.items() if b <= a)
+                for a in range(n + 1)
+            }
+        total *= sum(f.values())
+    return total
+
+
 def _in_span(v: list[int], rows: list[tuple[int, ...]], start: int) -> bool:
     """Whether v (zero before column `start`) is an integer combination of
     the echelon rows, whose pivots sit on columns start, start+1, ..., k-1."""
@@ -318,7 +374,7 @@ def _subgroups(orders: tuple[int, ...], order: int | None = None):
     def extend(i: int, below: list[tuple[int, ...]], size: int):
         if i < 0:
             if order is None or size == order:
-                yield tuple(below)
+                yield _rows(below, orders)
             return
         o = orders[i]
         for d in divisors[i]:
@@ -333,7 +389,7 @@ def _subgroups(orders: tuple[int, ...], order: int | None = None):
     yield from extend(len(orders) - 1, [], 1)
 
 
-def _hnf(gens, orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _hnf(gens, orders: tuple[int, ...]) -> _Rows:
     """The rows _subgroups yields for the subgroup generated by the exponent
     tuples gens: Euclid down each column, starting from o_i e_i, then each
     tail reduced by the pivots below it."""
@@ -354,7 +410,7 @@ def _hnf(gens, orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         for j in range(i + 1, k):
             q = row[j] // rows[j][j]
             row[:] = [a - q * b for a, b in zip(row, rows[j])]
-    return tuple(map(tuple, rows))
+    return _rows(map(tuple, rows), orders)
 
 
 def _order(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> int:
@@ -387,18 +443,17 @@ def _level_sizes(data: _UnitData, rows: tuple[tuple[int, ...], ...]):
 def subfields(u: int) -> tuple[AbelianFieldSpec, ...]:
     """All subfields of Q(zeta_u) (as field specs), sorted by degree then |disc|.
 
-    Raises ValueError when the subgroup lattice has more than _MAX_SUBGROUPS
-    members.
+    Raises ValueError, before listing any, when the subgroup lattice has
+    more than _MAX_SUBGROUPS members.
     """
     u = normalize_conductor(u)
-    groups = []
-    for rows in _subgroups(_unit_data(u).orders):
-        groups.append(rows)
-        if len(groups) > _MAX_SUBGROUPS:
-            raise ValueError(
-                f"Q(zeta_{u}) has more than {_MAX_SUBGROUPS} subfields; refusing to list them"
-            )
-    specs = [AbelianFieldSpec(u, rows) for rows in groups]
+    orders = _unit_data(u).orders
+    count = _count_subgroups(orders)
+    if count > _MAX_SUBGROUPS:
+        raise ValueError(
+            f"Q(zeta_{u}) has {count} subfields, more than {_MAX_SUBGROUPS}; refusing to list them"
+        )
+    specs = [AbelianFieldSpec(u, rows) for rows in _subgroups(orders)]
     return tuple(sorted(specs, key=AbelianFieldSpec._sort_key))
 
 

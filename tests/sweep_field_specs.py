@@ -2,16 +2,20 @@
 conductor 3 <= u <= N with u != 2 (mod 4), by cycloclass.abelian.AbelianFieldSpec
 (level sizes from the column gcds of the HNF rows and, for 2^e with e >= 3,
 one gcd of 2x2 minors) against subgroup_oracle.oracle_field_invariants
-(member by member, local orders). Not collected by pytest.
+(member by member, local orders), and each enumerated row set against
+cycloclass.abelian._hnf of it as plain tuples, which must return it unchanged
+(AbelianFieldSpec trusts enumerated rows as canonical). Not collected by
+pytest.
 
     PYTHONPATH=src:tests python tests/sweep_field_specs.py 300
 
 Prints each mismatch, then the number of subgroups compared, the number of
-mismatches and both routes' total times; exits 1 on any mismatch. The
+mismatches, the number of row sets that are not fixed points of _hnf and both
+routes' total times; exits 1 on any mismatch or moved row set. The
 oracle lists every member of every subgroup, so its cost grows with the
-lattices and it takes about three quarters of the time: on one core of a
-2-core x86-64 machine, u <= 300 (6716 subgroups) takes about 1 s and
-u <= 600 (21679 subgroups) 3-4 s, of which AbelianFieldSpec takes 0.6-1.0 s.
+lattices and it takes about two thirds of the time: on one core of a 2-core
+x86-64 machine, u <= 300 (6716 subgroups) takes about 1 s and u <= 600
+(21679 subgroups) about 4.5 s, of which AbelianFieldSpec takes about 0.4 s.
 """
 
 from __future__ import annotations
@@ -19,18 +23,19 @@ from __future__ import annotations
 import sys
 import time
 
-from cycloclass.abelian import AbelianFieldSpec, _subgroups, _unit_data
+from cycloclass.abelian import AbelianFieldSpec, _hnf, _subgroups, _unit_data
 from subgroup_oracle import oracle_field_invariants
 
 
 def main(argv: list[str]) -> int:
     n = int(argv[1]) if len(argv) > 1 else 300
-    count = mismatches = 0
+    count = mismatches = moved = 0
     spec_s = oracle_s = 0.0
     for u in range(3, n + 1):
         if u % 4 == 2:
             continue
-        for rows in _subgroups(_unit_data(u).orders):
+        orders = _unit_data(u).orders
+        for rows in _subgroups(orders):
             t0 = time.perf_counter()
             F = AbelianFieldSpec(u, rows)
             t1 = time.perf_counter()
@@ -42,11 +47,15 @@ def main(argv: list[str]) -> int:
             if (F.degree, F.conductor, F.abs_discriminant) != expect or F.rows != rows:
                 mismatches += 1
                 print(f"MISMATCH u={u} rows={rows}")
+            if _hnf(tuple(map(tuple, rows)), orders) != rows:
+                moved += 1
+                print(f"NOT CANONICAL u={u} rows={rows}")
     print(
-        f"u <= {n}: {count} subgroups, {mismatches} mismatches; "
+        f"u <= {n}: {count} subgroups, {mismatches} mismatches, "
+        f"{moved} not fixed points of _hnf; "
         f"AbelianFieldSpec {spec_s:.1f} s, oracle_field_invariants {oracle_s:.1f} s"
     )
-    return 1 if mismatches else 0
+    return 1 if mismatches or moved else 0
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -13,6 +15,7 @@ from cycloclass.arith import euler_phi, factorize, multiplicative_order
 from cycloclass.abelian import (
     AbelianFieldSpec,
     DirichletCharacter,
+    _count_subgroups,
     _hnf,
     _level_sizes,
     _order,
@@ -387,6 +390,71 @@ def test_subfields_refuses_oversized_lattice(monkeypatch, capsys):
         subfields(24)
     assert main(["subfields", "24"]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_subgroup_count_matches_enumeration():
+    for u in [u for u in range(3, 301) if u % 4 != 2] + [480, 840, 1680]:
+        orders = _unit_data(u).orders
+        assert _count_subgroups(orders) == sum(1 for _ in _subgroups(orders)), u
+
+
+def test_subfields_refuses_before_listing(monkeypatch, capsys):
+    # 948024 subgroups: the count refuses, _subgroups is never entered
+    monkeypatch.setattr(abelian, "_subgroups", None)
+    t0 = time.perf_counter()
+    assert main(["subfields", "65520"]) == EXIT_USAGE
+    assert time.perf_counter() - t0 < 0.5
+    assert "948024" in capsys.readouterr().err
+
+
+def test_enumerated_rows_are_fixed_points_of_hnf():
+    # the HNF basis of a lattice is unique, so each row set _subgroups
+    # yields, reduced again from plain tuples, comes back unchanged
+    for u in ORACLE_MODULI + [480, 840, 1680]:
+        orders = _unit_data(u).orders
+        size = math.prod(orders)
+        indices = (1, *factorize(size).primes())
+        listed = [_subgroups(orders)] + [_subgroups(orders, size // n) for n in indices]
+        for rows in itertools.chain(*listed):
+            assert _hnf(tuple(map(tuple, rows)), orders) == rows, (u, rows)
+
+
+def _count_hnf_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    real = abelian._hnf
+
+    def counted(gens, orders):
+        calls[0] += 1
+        return real(gens, orders)
+
+    monkeypatch.setattr(abelian, "_hnf", counted)
+    return calls
+
+
+def test_enumerated_rows_are_not_reduced_again(monkeypatch):
+    K = cyclotomic_field_spec(63)
+    calls = _count_hnf_calls(monkeypatch)
+    fields = subfields(480)
+    descent_subfield.__wrapped__(K, 3)
+    assert len(fields) == 380 and calls[0] == 0
+    # rows given as plain tuples are reduced
+    assert AbelianFieldSpec(480, tuple(map(tuple, fields[1].rows))) == fields[1]
+    assert calls[0] == 1
+
+
+def test_rows_canonical_for_other_orders_are_reduced(monkeypatch):
+    # 63 and 91 both have two generators, of orders (6, 6) and (6, 12):
+    # rows enumerated for one are reduced again for the other, and the
+    # rows of order-12 pivots or tails are not canonical for 63
+    calls = _count_hnf_calls(monkeypatch)
+    for a, b in ((63, 91), (91, 63)):
+        groups = list(_subgroups(_unit_data(a).orders))
+        calls[0] = 0
+        specs = [AbelianFieldSpec(b, rows) for rows in groups]
+        assert calls[0] == len(groups), (a, b)
+        for rows, F in zip(groups, specs):
+            assert F == AbelianFieldSpec(b, tuple(map(tuple, rows))), (a, b, rows)
+        assert (b == 63) == any(F.rows != rows for rows, F in zip(groups, specs)), (a, b)
 
 
 def test_descent_subfield_prime_cyclic():

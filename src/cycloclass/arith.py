@@ -25,6 +25,8 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 # Smallest composite that fools the first twelve prime bases is
@@ -208,6 +210,13 @@ def _pollard_rho(n: int) -> int:
         # Degenerate cycle; retry with fresh deterministic parameters.
 
 
+def _decimal(x: int | Fraction) -> str:
+    """str(x) of an integer or a fraction, through Decimal: CPython's limit on
+    int-to-str conversion (4300 digits by default) does not cover it."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 @dataclass(frozen=True)
 class PrimeFactorization:
     """value = prod(p**e) * cofactor, primes strictly increasing, exponents >= 1.
@@ -265,9 +274,9 @@ class PrimeFactorization:
 
     def terms(self) -> list[str]:
         """'p' or 'p^e' per listed prime, then 'C<digits>' for a cofactor."""
-        out = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
+        out = [f"{_decimal(p)}^{e}" if e > 1 else _decimal(p) for p, e in self.factors]
         if self.cofactor > 1:
-            out.append(f"C{len(str(self.cofactor))}")
+            out.append(f"C{Decimal(self.cofactor).adjusted() + 1}")
         return out
 
     def __str__(self) -> str:

@@ -4,29 +4,33 @@ h^-(u) = Q * w * prod_{chi odd} (-B_{1,chi}/2), the product taken over Galois
 orbits as exact rational norms. b1_chi gives B_{1,chi} as integers c_i over the
 conductor f on the power basis of Q(zeta_d): a character sum over the units,
 folded by x^(d/2) + 1 and reduced by Phi_d through the power series of 1/Phi_d.
-Then N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i) and c0 = c/g.
+Then N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i) and c0 = c/g;
+orbit_norm takes c before the reduction, which the resultant does not need.
 Res(Phi_d, c0) descends the cyclotomic tower: the norm of c0 from Q(zeta_e)
 down to Q(zeta_{e/p}) has the same resultant against Phi_{e/p}, and is an
 exact product of conjugates mod x^(e/2) + 1, first while p^2 | e, then for
-each odd p of the squarefree rest. At e = 2 the resultant is the one
-coefficient left. A last prime above _CRT_LAST_PRIME is not taken out: there
-the integer T = N(B_{1,chi}) * D = Res(Phi_e, beta) * g^phi * D / f^phi is
-found modulo primes q = 1 (mod e) below 2^62, where the resultant is
-prod_{k in (Z/e)^*} beta(omega^k) with omega of order e mod q, from one
-chirp-z convolution per prime, and the residues are CRT-combined past a
-Parseval bound. The denominator D comes from Stickelberger's theorem: for a
-prime c not dividing u, (c - chi(c)^-1) B_{1,chi} is integral, so D_c =
-N(c - chi(c)) = Phi_k(c)^(phi(d)/phi(k)), k the order of chi(c), clears the
-norm, with Phi_k(c) = prod (c^f - 1)^mu(k/f) from the binomial product, and
-D is the gcd of D_c over the two smallest such auxiliary primes, chi(c) read
-off the walk of b1_chi. The norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
+each odd p of the squarefree rest but the largest, q. At e = 2 the resultant
+is the one coefficient left. At e = 2q the last step takes the exact product
+gamma of the conjugates over a subgroup H of (Z/2q)^*, chosen by a cost rule,
+and Res(Phi_2q, beta) is the product of gamma over one root of unity per coset
+of H, each value a sum of Gauss periods. For H the whole group that is one
+integer. Otherwise the integer T = N(B_{1,chi}) * D = Res(Phi_e, beta) * g^phi
+* D / f^phi is found modulo primes p = 1 (mod e) below 2^62, where the m coset
+values are one cyclic correlation per prime, and the residues are
+CRT-combined past a Parseval bound. The denominator D comes from
+Stickelberger's theorem: for a prime c not dividing u, (c - chi(c)^-1)
+B_{1,chi} is integral, so D_c = N(c - chi(c)) = Phi_k(c)^(phi(d)/phi(k)), k
+the order of chi(c), clears the norm, with Phi_k(c) = prod (c^f - 1)^mu(k/f)
+from the binomial product, and D is the gcd of D_c over the two smallest such
+auxiliary primes, chi(c) read off the walk of the character sum. The norm of
+-B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
 
 relative_class_number runs under arith.within(time_limit), checked before
-every pass of a reduction by Phi_d, every product of the descent, every CRT
-prime and in the factoring of h^-. Out of time in the norms,
-TimeLimitExceeded says how far they got; out of time in the factoring, the
-exact value comes back, its unsplit rest a composite cofactor, and
-RelativeClassNumber.note says so.
+every product of the descent and of the last step, every CRT prime and in the
+factoring of h^-; b1_chi checks it before every pass of its reduction by
+Phi_d. Out of time in the norms, TimeLimitExceeded says how far they got; out
+of time in the factoring, the exact value comes back, its unsplit rest a
+composite cofactor, and RelativeClassNumber.note says so.
 """
 
 from __future__ import annotations
@@ -36,11 +40,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import (
     PrimeFactorization,
     TimeLimitExceeded,
     _check,
+    _decimal,
     _has_order,
     euler_phi,
     factorize,
@@ -62,7 +68,7 @@ class IntegralityError(Exception):
     """The analytic product failed to be a positive integer."""
 
     def __init__(self, message: str, offending: Fraction):
-        super().__init__(f"{message}: {offending}")
+        super().__init__(f"{message}: {_decimal(offending)}")
         self.offending = offending
 
 
@@ -111,6 +117,27 @@ def _poly_rem(num: list[int], d: int) -> list[int]:
     return [a - b for a, b in zip(num, q)]
 
 
+def _b1_sums(
+    chi: DirichletCharacter, chi_at: dict[int, int | None] | None = None
+) -> tuple[list[int], int]:
+    """(c, f) with f * B_{1,chi} = sum c_i zeta^i, zeta of order d = order of
+    chi and f the conductor, c not reduced by Phi_d: the walk sums over the
+    units, divided by phi(u)/phi(f) and, for even d, folded by x^(d/2) + 1.
+    Fills `chi_at` as b1_chi does."""
+    d, f, u = chi.order, chi.conductor, chi.modulus
+    acc = [0] * d
+    chi_at = {} if chi_at is None else chi_at
+    # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
+    for r, k in chi.values():
+        acc[k] += r % f
+        if r in chi_at:
+            chi_at[r] = k
+    m = euler_phi(u) // euler_phi(f)
+    if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
+        return [(a - b) // m for a, b in zip(acc[: d // 2], acc[d // 2:])], f
+    return [a // m for a in acc], f
+
+
 def b1_chi(
     chi: DirichletCharacter, chi_at: dict[int, int | None] | None = None
 ) -> tuple[tuple[int, ...], int]:
@@ -121,25 +148,14 @@ def b1_chi(
     its value the exponent k of chi(r) = e(k/d), read off the same walk."""
     if chi.is_trivial:
         raise ValueError("B_{1,chi} is defined here only for nontrivial chi")
-    d, f, u = chi.order, chi.conductor, chi.modulus
-    acc = [0] * d
-    chi_at = {} if chi_at is None else chi_at
-    # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
-    for r, k in chi.values():
-        acc[k] += r % f
-        if r in chi_at:
-            chi_at[r] = k
-    if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
-        acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
-    c = _poly_rem(acc, d)
-    m = euler_phi(u) // euler_phi(f)
-    return tuple(x // m for x in c), f
+    c, f = _b1_sums(chi, chi_at)
+    return tuple(_poly_rem(c, chi.order)), f
 
 
 # ---------------------------------------------------------------------------
 # Orbit norms: N(B_{1,chi}) times a Stickelberger denominator, from
-# Res(Phi_e, beta) = prod_{k in (Z/e)^*} beta(omega^k) modulo primes
-# q = 1 (mod e), where Phi_e splits with roots omega^k, CRT-combined.
+# Res(Phi_e, beta), exactly or modulo primes p = 1 (mod e), where Phi_e
+# splits, CRT-combined.
 
 _ROOT_POOLS: dict[int, list[tuple[int, int]]] = {}
 
@@ -159,36 +175,6 @@ def _norm_primes(d: int):
             pool.append((q, omega))
         yield pool[i]
         i += 1
-
-
-def _norm_mod(A: tuple[int, ...], d: int, q: int, omega: int) -> int:
-    """prod A(omega^k) mod q over the units k mod d, for even d, len(A) <= d/2
-    and omega of exact order d.
-
-    The units are the odd k = 2j + 1, and A(omega^(2j+1)) is a length-d/2 DFT
-    of a_i omega^i. Bluestein's 2ij = i^2 + j^2 - (j-i)^2 makes it
-    omega^(j^2) sum_i (a_i omega^(i+i^2)) omega^(-(j-i)^2): one convolution
-    with a chirp, done as a single big-integer product of W-byte slots
-    (Kronecker substitution). A slot holds at most len(A) products below q^2.
-    """
-    L, n = len(A), d // 2
-    pw = [1] * d
-    for k in range(1, d):
-        pw[k] = pw[k - 1] * omega % q
-    W = (2 * q.bit_length() + L.bit_length() + 7) // 8
-    a = b"".join(
-        (c * pw[(i + i * i) % d] % q).to_bytes(W, "little") for i, c in enumerate(A)
-    )
-    chirp = b"".join(pw[-m * m % d].to_bytes(W, "little") for m in range(1 - L, n))
-    conv = int.from_bytes(a, "little") * int.from_bytes(chirp, "little")
-    conv = conv.to_bytes(len(a) + len(chirp), "little")
-    acc, e = 1, 0
-    for j in range(n):
-        if math.gcd(2 * j + 1, d) == 1:
-            t = (j + L - 1) * W
-            acc = acc * int.from_bytes(conv[t:t + W], "little") % q
-            e += j * j
-    return acc * pow(omega, e, q) % q
 
 
 def _norm_bound_bits(A: tuple[int, ...], d: int) -> int:
@@ -223,12 +209,6 @@ def _stickelberger_denominator(d: int, aux: list[tuple[int, int]]) -> int:
 # of Z[x]/(x^(e/2) + 1). The norm from Q(zeta_e) down to Q(zeta_{e/p}) has the
 # same resultant against Phi_{e/p} as A against Phi_e.
 
-# A last prime p above this is left to the CRT at order 2p: timed against that
-# CRT with its primes found cold, the exact step took at most 1.08 times as
-# long for p <= 13, up to 1.3 times for p = 17-23, and 1.1-4.2 times (median
-# 2.4) for p >= 37 once the coefficients passed 80 bits (CHANGES.md).
-_CRT_LAST_PRIME = 13
-
 
 def _conjugate(A: list[int], k: int) -> list[int]:
     """sigma_k(A) mod x^n + 1, n = len(A), for odd k."""
@@ -262,12 +242,28 @@ def _mul_negacyclic(A: list[int], B: list[int]) -> list[int]:
     return [x - y for x, y in zip(c, c[n:] + [0])]
 
 
+def _conjugate_product(A: list[int], g: int, order: int, stage: str) -> list[int]:
+    """prod_{j < order} sigma_{g^j}(A) mod x^n + 1, n = len(A), g odd, built
+    by doubling with one check of the time limit (raising with `stage`)
+    before each product."""
+    e = 2 * len(A)
+    prod, size = A, 1  # prod = sigma_{g^0}(A) * ... * sigma_{g^(size - 1)}(A)
+    for bit in bin(order)[3:]:
+        _check(stage)
+        prod = _mul_negacyclic(prod, _conjugate(prod, pow(g, size, e)))
+        size *= 2
+        if bit == "1":
+            _check(stage)
+            prod = _mul_negacyclic(A, _conjugate(prod, g))
+            size += 1
+    return prod
+
+
 def _relative_norm(A: tuple[int, ...], e: int, p: int, stage: str) -> tuple[int, ...]:
     """The norm of A from Q(zeta_e) down to Q(zeta_m), m = e/p, e and m even,
     at half length on both sides: the product of the conjugates sigma_k,
-    k = 1 (mod m), a cyclic group with generator g, built by doubling with
-    one check of the time limit (raising with `stage`) before each product.
-    It is read off with no reduction by Phi_e:
+    k = 1 (mod m), a cyclic group, from _conjugate_product. It is read off
+    with no reduction by Phi_e:
     - p^2 | e: k = 1 + jm, and the conjugates of x^i with p not dividing i sum
       to 0, so the norm is the sum of a_i zeta_m^(i/p) over p | i.
     - p not dividing m: zeta_e^i = zeta_p^b zeta_m^t, b = i m^-1 mod p and
@@ -278,16 +274,7 @@ def _relative_norm(A: tuple[int, ...], e: int, p: int, stage: str) -> tuple[int,
         g, order = 1 + m, p
     else:
         g, order = _crt_lift(_primitive_root_mod_pk(p, 1), p, e), p - 1
-    A = list(A) + [0] * (n - len(A))
-    prod, size = A, 1  # prod = sigma_{g^0}(A) * ... * sigma_{g^(size - 1)}(A)
-    for bit in bin(order)[3:]:
-        _check(stage)
-        prod = _mul_negacyclic(prod, _conjugate(prod, pow(g, size, e)))
-        size *= 2
-        if bit == "1":
-            _check(stage)
-            prod = _mul_negacyclic(A, _conjugate(prod, g))
-            size += 1
+    prod = _conjugate_product(list(A) + [0] * (n - len(A)), g, order, stage)
     if m % p == 0:
         return tuple(prod[::p])
     h, to_m, to_p = m // 2, pow(p, -1, m), pow(m, -1, p)
@@ -302,12 +289,11 @@ def _relative_norm(A: tuple[int, ...], e: int, p: int, stage: str) -> tuple[int,
 def _descend(A: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
     """(B, e) with Res(Phi_e, B) = Res(Phi_d, A), for even d and len(A) <= d/2,
     B at half length: p goes out while p^2 divides what is left, then each odd
-    prime, ascending, down to e = 2, where the resultant is B_0, or to e = 2p
-    for a last prime p above _CRT_LAST_PRIME."""
+    prime but the largest, ascending, down to e = 2q, q the largest odd prime
+    of d, or to e = 2 when d is a power of 2, where the resultant is B_0."""
     fact = factorize(d)
-    last = fact.primes()[-1]
     steps = [p for p, k in fact.factors for _ in range(k - 1)]
-    steps += [p for p in fact.primes() if 2 < p and (p < last or p <= _CRT_LAST_PRIME)]
+    steps += [p for p in fact.primes()[:-1] if p > 2]
     e = d
     for p in steps:
         A = _relative_norm(A, e, p, f"order-{d} norm: descent reached order {e}")
@@ -315,11 +301,117 @@ def _descend(A: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
     return A, e
 
 
+# ---------------------------------------------------------------------------
+# The last step: Res(Phi_2q, B) for an odd prime q, through a subgroup H of
+# (Z/2q)^* = (Z/q)^*, cyclic of order q - 1. With y = -x, Z[x]/(x^q + 1) is
+# Z[y]/(y^q - 1) and sigma_k: y -> y^k depends on k mod q only. The product
+# gamma of the conjugates of B over H is H-invariant, so its coefficients a_j
+# on y^j are constant on the cosets g^s H, g a primitive root mod q: a_0 and
+# A_s, s < m = (q - 1)/|H|. Res(Phi_2q, B) is the product of gamma over one
+# primitive q-th root of unity per coset, zeta^(g^t), t < m, and
+# gamma(zeta^(g^t)) = a_0 + sum_s A_s eta_{s+t}, with the Gauss periods
+# eta_s = sum_{i = s (mod m)} zeta^(g^i) (Washington, Introduction to
+# Cyclotomic Fields, ch. 8). For H the whole group, m = 1, eta_0 = -1, and
+# the resultant is the integer a_0 - A_0.
+
+
+@lru_cache(maxsize=None)
+def _walk(q: int) -> tuple[int, ...]:
+    """g^i mod q for i < q - 1, g the smallest primitive root mod the odd prime q."""
+    g = _primitive_root_mod_pk(q, 1)
+    powers = itertools.accumulate(itertools.repeat(g, q - 2), lambda x, _: x * g % q, initial=1)
+    return tuple(powers)
+
+
+# The cost rule that picks H, in seconds. The exact product of |H| = h
+# conjugates takes the products of _conjugate_product's doubling chain, each
+# _SLOT_S per slot plus _KARATSUBA_S per bit^1.585 of its packed operands
+# (CPython multiplies big integers by Karatsuba), with coefficients growing by
+# b + log2(q)/2 bits per conjugate, b those of B. Each CRT prime then takes
+# _POWER_S per power of zeta, _COSET_S per coset, _CORRELATION_S per
+# bit^1.585 of the correlation's operands and _COLD_PRIME_S to be found. The
+# constants are least-squares fits, within 35% for the products and 15% per
+# prime, to best-of-3 timings of _conjugate_product (q = 17-509, b = 8-64,
+# every divisor h of q - 1) and of _coset_norm_mod (q = 17-5003), and the
+# mean cost of the first 20 primes of _norm_primes(2q), on a 2-core x86-64
+# machine under CPython 3.11 (CHANGES.md). On the tabulated conductors the
+# rule takes H = (Z/2q)^* for every last prime up to 53, and |H| = 2 and 8
+# for q = 83 and 89 (u = 167 and 179); at u = 10007 it takes |H| = 41.
+_SLOT_S = 1.3e-6
+_KARATSUBA_S = 3.0e-11
+_POWER_S = 3.2e-7
+_COSET_S = 1.6e-6
+_CORRELATION_S = 7.7e-11
+_COLD_PRIME_S = 5e-4
+
+
+def _subgroup_order(B: tuple[int, ...], q: int, bits: int) -> int:
+    """The order h of H, a divisor of q - 1, that costs least by the rule
+    above, for a CRT past `bits` bits when H is not the whole group."""
+    w, log_q = max(map(abs, B)).bit_length() + math.log2(q) / 2, math.log2(q)
+    primes = bits / 62 + 1
+
+    def product(size: int) -> float:  # one product, of `size` conjugates
+        return q * _SLOT_S + _KARATSUBA_S * (q * (size * w + log_q)) ** 1.585
+
+    def cost(h: int) -> float:
+        t, size = 0.0, 1
+        for bit in bin(h)[3:]:
+            size *= 2
+            t += product(size)
+            if bit == "1":
+                size += 1
+                t += product(size)
+        m = (q - 1) // h
+        if m > 1:
+            slot_bits = 8 * ((2 * 62 + m.bit_length() + 7) // 8)
+            per_prime = q * _POWER_S + m * _COSET_S + _COLD_PRIME_S
+            t += primes * (per_prime + _CORRELATION_S * (m * slot_bits) ** 1.585)
+        return t
+
+    return min((h for h in range(1, q) if (q - 1) % h == 0), key=cost)
+
+
+def _coset_values(B: tuple[int, ...], q: int, bits: int, stage: str) -> tuple[int, list[int]]:
+    """(a_0, [A_0, ..., A_{m-1}]) of gamma = prod_{k in H} sigma_k(B) mod
+    x^q + 1, |H| = _subgroup_order(B, q, bits), read at y^0 and at y^(g^s)."""
+    h, walk = _subgroup_order(B, q, bits), _walk(q)
+    m = (q - 1) // h
+    generator = _crt_lift(pow(walk[1], m, q), q, 2 * q)  # g^m, odd
+    gamma = _conjugate_product(list(B) + [0] * (q - len(B)), generator, h, stage)
+    # a_j = (-1)^j c_j, c_j the coefficient of x^j
+    return gamma[0], [-gamma[j] if j % 2 else gamma[j] for j in walk[:m]]
+
+
+def _coset_norm_mod(a0: int, A: list[int], q: int, p: int, omega: int) -> int:
+    """prod_{t < m} (a0 + sum_s A_s eta_{s+t}) mod p, m = len(A) dividing
+    q - 1, with omega of order 2q mod p. zeta = -omega has order q; one pass
+    over its powers, in the order of _walk(q), sums the Gauss periods, and the
+    m sums over s are one cyclic correlation, done as a single big-integer
+    product of W-byte slots (Kronecker substitution): the coefficient of
+    z^(m-1+t) in (sum_s A_s z^(m-1-s)) * (sum_{k < 2m-1} eta_{k mod m} z^k).
+    A slot holds at most m products below p^2."""
+    m, zeta = len(A), p - omega
+    pw = [1] * q
+    for j in range(1, q):
+        pw[j] = pw[j - 1] * zeta % p
+    vals = [pw[j] for j in _walk(q)]
+    eta = [sum(vals[s::m]) % p for s in range(m)]
+    W = (2 * p.bit_length() + m.bit_length() + 7) // 8
+    a = b"".join((x % p).to_bytes(W, "little") for x in reversed(A))
+    b = b"".join(x.to_bytes(W, "little") for x in eta + eta[:-1])
+    conv = int.from_bytes(a, "little") * int.from_bytes(b, "little")
+    conv = conv.to_bytes(len(a) + len(b), "little")
+    acc, a0 = 1, a0 % p
+    for t in range(m - 1, 2 * m - 1):
+        acc = acc * (a0 + int.from_bytes(conv[t * W:(t + 1) * W], "little")) % p
+    return acc
+
+
 def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi.
-    Raises TimeLimitExceeded when the time limit passes, checked in every pass
-    of the reduction of B_1 by Phi_d, before every product of the descent and
-    before every CRT prime."""
+    Raises TimeLimitExceeded when the time limit passes, checked before every
+    product of the descent and of the last step and before every CRT prime."""
     if not orbit.is_odd:
         raise ValueError("orbit norm is defined here for odd-character orbits only")
     chi = orbit.members[0]
@@ -327,29 +419,36 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     phi = euler_phi(d)
     if phi != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
-    # chi(-1) = -1 makes d even, as _descend and _norm_mod need.
+    # chi(-1) = -1 makes d even, as _descend needs.
     primes = (c for c in itertools.count(2) if u % c and is_prime(c))
     aux = list(itertools.islice(primes, 2))
     chi_at = dict.fromkeys(c % u for c in aux)
-    c, f = b1_chi(chi, chi_at)
+    # Res(Phi_d, .) depends only on the residue mod Phi_d: no reduction.
+    c, f = _b1_sums(chi, chi_at)
     # N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i), c0 = c/g.
     g = math.gcd(*c)
     c0 = tuple(x // g for x in c)
     beta, e = _descend(c0, d)
-    if e == 2:
+    if e == 2:  # Res(Phi_2, beta) = beta_0
         return Fraction(beta[0] * g**phi, f**phi) * Fraction(-1, 2) ** phi
+    res_bits, g_phi, f_phi = _norm_bound_bits(beta, e), g**phi, f**phi
+    # The rule is sized by the CRT bound below without D, which adds few bits.
+    rule_bits = max(1, res_bits + g_phi.bit_length() - f_phi.bit_length() + 1)
+    a0, A = _coset_values(beta, e // 2, rule_bits, f"order-{d} norm: descent reached order {e}")
+    if len(A) == 1:  # H is the whole group: Res(Phi_e, beta) = a0 - A_0
+        return Fraction((a0 - A[0]) * g_phi, f_phi) * Fraction(-1, 2) ** phi
     # T = N(B_{1,chi}) * D, an integer, found by CRT.
     D = _stickelberger_denominator(d, [(a, chi_at[a % u]) for a in aux])
-    scale, f_phi = g**phi * D, f**phi
-    bits = max(1, _norm_bound_bits(beta, e) + scale.bit_length() - f_phi.bit_length() + 1)
+    scale = g_phi * D
+    bits = max(1, res_bits + scale.bit_length() - f_phi.bit_length() + 1)
     x, mod = 0, 1
-    for i, (q, omega) in enumerate(_norm_primes(e)):
+    for i, (p, omega) in enumerate(_norm_primes(e)):
         _check(f"order-{d} norm: {i} CRT primes, {mod.bit_length()} of {bits} bits")
-        r = _norm_mod(beta, e, q, omega) * (scale % q) * pow(f, -phi, q) % q
-        # CRT: combine (x mod mod) with (r mod q).
-        t = (r - x) * pow(mod, -1, q) % q
+        r = _coset_norm_mod(a0, A, e // 2, p, omega) * (scale % p) * pow(f, -phi, p) % p
+        # CRT: combine (x mod mod) with (r mod p).
+        t = (r - x) * pow(mod, -1, p) % p
         x += mod * t
-        mod *= q
+        mod *= p
         if mod.bit_length() > bits + 1:
             break
     T = x - mod if 2 * x > mod else x

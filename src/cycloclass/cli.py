@@ -20,7 +20,7 @@ import argparse
 import sys
 from decimal import Decimal
 
-from .arith import probable_prime_only
+from .arith import _decimal, probable_prime_only
 from .abelian import normalize_conductor, subfields
 from .bounds import class_number_bound, field_bound
 from .classnum import IntegralityError, TimeLimitExceeded, relative_class_number
@@ -49,19 +49,19 @@ def cmd_hminus(args) -> int:
     except IntegralityError as exc:
         print(f"integrality failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    u, value = result.modulus, result.value
+    u, value = result.modulus, _decimal(result.value)
     factored = " · ".join(result.factorization.terms())
-    if value == 1 or factored == str(value):
+    if result.value == 1 or factored == value:
         print(f"h-({u}) = {value}")
     else:
         print(f"h-({u}) = {value} = {factored}")
     if args.verbose:
         print(f"  Q = {result.q_factor}, roots of unity w = {result.roots_of_unity}")
         for o in result.orbit_norms:
-            print(f"  orbit {o.orbit_id}: size {o.size}, norm {o.norm}")
+            print(f"  orbit {o.orbit_id}: size {o.size}, norm {_decimal(o.norm)}")
         for p, e in result.factorization.factors:
             if probable_prime_only(p):
-                print(f"  note: {p} is a probable prime (beyond deterministic range)")
+                print(f"  note: {_decimal(p)} is a probable prime (beyond deterministic range)")
     if result.note:
         print(f"note: h-({u}): {result.note}", file=sys.stderr)
         return EXIT_FAIL

@@ -42,10 +42,6 @@ def encode_int(v: int) -> int | str:
     return v if v.bit_length() <= _INLINE_INT_BITS else hex(v)
 
 
-def decode_int(v: int | str) -> int:
-    return v if isinstance(v, int) else int(v, 16)
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one theorem application: status plus a replayable witness."""

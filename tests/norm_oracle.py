@@ -12,6 +12,9 @@ that walk must keep.
 oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder sequence
 over F_p for descending 62-bit primes p, CRT-combined past a Hadamard bound. _sylvester_resultant is the Sylvester determinant, and
 _orbit_norm_conjugates the explicit product of Galois conjugates.
+_norm_mod is prod A(omega^k) mod q over the units k mod d by one Bluestein
+chirp-z convolution, independent of the Gauss periods of the package's last
+descent step.
 maillet_hminus is h^-(p) for prime p from the classical half-matrix
 determinant, independent of b1_chi; _bareiss_det evaluates both determinants.
 """
@@ -348,6 +351,36 @@ def _sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
 def _sylvester_resultant(f, g) -> int:
     """Reference resultant: determinant of the Sylvester matrix (slow, exact)."""
     return _bareiss_det(_sylvester_matrix(list(f), list(g)))
+
+
+def _norm_mod(A: tuple[int, ...], d: int, q: int, omega: int) -> int:
+    """prod A(omega^k) mod q over the units k mod d, for even d, len(A) <= d/2
+    and omega of exact order d.
+
+    The units are the odd k = 2j + 1, and A(omega^(2j+1)) is a length-d/2 DFT
+    of a_i omega^i. Bluestein's 2ij = i^2 + j^2 - (j-i)^2 makes it
+    omega^(j^2) sum_i (a_i omega^(i+i^2)) omega^(-(j-i)^2): one convolution
+    with a chirp, done as a single big-integer product of W-byte slots
+    (Kronecker substitution). A slot holds at most len(A) products below q^2.
+    """
+    L, n = len(A), d // 2
+    pw = [1] * d
+    for k in range(1, d):
+        pw[k] = pw[k - 1] * omega % q
+    W = (2 * q.bit_length() + L.bit_length() + 7) // 8
+    a = b"".join(
+        (c * pw[(i + i * i) % d] % q).to_bytes(W, "little") for i, c in enumerate(A)
+    )
+    chirp = b"".join(pw[-m * m % d].to_bytes(W, "little") for m in range(1 - L, n))
+    conv = int.from_bytes(a, "little") * int.from_bytes(chirp, "little")
+    conv = conv.to_bytes(len(a) + len(chirp), "little")
+    acc, e = 1, 0
+    for j in range(n):
+        if math.gcd(2 * j + 1, d) == 1:
+            t = (j + L - 1) * W
+            acc = acc * int.from_bytes(conv[t:t + W], "little") % q
+            e += j * j
+    return acc * pow(omega, e, q) % q
 
 
 def oracle_orbit_norm(orbit: CharacterOrbit) -> Fraction:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -281,6 +282,24 @@ def test_prime_factorization_assemble_strips_cofactor():
         PrimeFactorization(2 * 7, ((2, 1),), 7).verify()  # prime cofactor
     with pytest.raises(ValueError):
         PrimeFactorization(2 * 14, ((2, 1),), 14).verify()  # shares a listed prime
+
+
+def test_terms_count_cofactor_digits_past_the_str_limit():
+    # a 5000-digit cofactor, above CPython's default limit of 4300 digits for
+    # int-to-str conversion: its digits are counted exactly, no str() needed
+    cofactor = 10**4999 + 1  # divisible by 7 and 11, so not prime
+    fact = PrimeFactorization(2**3 * 3 * cofactor, ((2, 3), (3, 1)), cofactor)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError):
+            str(cofactor)
+        assert fact.terms() == ["2^3", "3", "C5000"]
+        assert str(fact) == "2^3 * 3 * C5000"
+        assert PrimeFactorization(10**4300, (), 10**4300).terms() == ["C4301"]
+        assert PrimeFactorization(10**4299, (), 10**4299).terms() == ["C4300"]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_euler_phi_matches_unit_count():

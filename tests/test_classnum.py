@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -14,23 +15,29 @@ from types import SimpleNamespace
 import pytest
 
 from cycloclass import arith, classnum
-from cycloclass.abelian import characters, galois_orbits
+from cycloclass.abelian import _crt_lift, characters, galois_orbits
 from cycloclass.arith import euler_phi, factorize, is_prime, within
 from cycloclass.classnum import (
+    IntegralityError,
     TimeLimitExceeded,
+    _conjugate_product,
+    _coset_norm_mod,
+    _coset_values,
     _descend,
     _norm_bound_bits,
-    _norm_mod,
     _norm_primes,
     _poly_rem,
     _relative_norm,
     _stickelberger_denominator,
+    _subgroup_order,
+    _walk,
     b1_chi,
     orbit_norm,
     relative_class_number,
 )
 from norm_oracle import (
     CyclotomicNumber,
+    _norm_mod,
     _orbit_norm_conjugates,
     _resultant_int,
     _sylvester_resultant,
@@ -192,33 +199,34 @@ def test_orbit_norm_bound_holds():
 def test_orbit_norm_crt_bound_of_order_1162(monkeypatch):
     # the CRT recovers N(B_1) * D, D from Stickelberger's theorem: for the
     # order-1162 orbit of u = 1163 (1162 = 2 * 7 * 83, so 7 is taken out
-    # exactly and the last prime 83 is left to the CRT at order 166) its
-    # bound, read from the time-out message of a limit that passes right
-    # after the descent (a fake clock reading 0, 1, 2, ...: within reads 0,
-    # the 16 passes of the reduction by Phi_1162 read 1-16, the three
-    # products of the step 1162 -> 166 read 17-19, the check before the first
-    # CRT prime reads 20), is below 3300 bits, where Res(Phi_166, beta) alone
-    # would need 7729
+    # exactly, and at order 166 the rule takes |H| = 2 for the last prime 83
+    # and leaves 41 cosets to the CRT) its bound, read from the time-out
+    # message of a limit that passes right after the exact products (a fake
+    # clock reading 0, 1, 2, ...: within reads 0, the three products of the
+    # step 1162 -> 166 read 1-3, the one product over H reads 4, the check
+    # before the first CRT prime reads 5), is below 2200 bits, where
+    # Res(Phi_166, beta) alone would need 7095
     ticks = iter(range(10**6))
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = max(galois_orbits([ch for ch in characters(1163) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded) as exc:
-        with within(19.5):
+        with within(4.5):
             orbit_norm(big)
     bits = re.fullmatch(r"order-1162 norm: 0 CRT primes, 1 of (\d+) bits", str(exc.value))
-    assert bits and int(bits[1]) < 3300
-    assert next(ticks) == 21
+    assert bits and int(bits[1]) < 2200
+    assert next(ticks) == 6
 
 
 def test_descent_keeps_the_resultant():
     # Res(Phi_e, beta) = Res(Phi_d, alpha) by Euclidean resultants, for random
-    # alpha: p = 2 steps (4, 8, 48), odd-p steps (18 -> 6, 54 -> 6, 50 -> 10)
-    # and both (12, 36, 100, 400), each ending exactly at order 2; and orders
-    # whose last prime is above _CRT_LAST_PRIME, which end at 2p: 102 = 2 * 3 *
-    # 17 -> 34, 612 = 4 * 9 * 17 -> 34, 290 = 2 * 5 * 29 -> 58
+    # alpha: p = 2 steps down to order 2 (4, 8), and steps that end at 2q, q
+    # the largest odd prime of d, which the descent leaves to the last step:
+    # p = 2 steps (12, 48 -> 6), odd-p steps (18 -> 6, 54 -> 6, 50 -> 10),
+    # both (36 -> 6, 100 -> 10, 400 -> 10), and 102 = 2 * 3 * 17 -> 34,
+    # 612 = 4 * 9 * 17 -> 34, 290 = 2 * 5 * 29 -> 58
     rng = random.Random(12)
-    cases = [(d, 2) for d in (4, 8, 12, 18, 36, 48, 50, 54, 100, 400)]
-    cases += [(102, 34), (612, 34), (290, 58)]
+    cases = [(4, 2), (8, 2), (12, 6), (18, 6), (36, 6), (48, 6), (50, 10), (54, 6)]
+    cases += [(100, 10), (400, 10), (102, 34), (612, 34), (290, 58)]
     for d, end in cases:
         phi = euler_phi(d)
         for length in (phi, rng.randrange(1, d // 2 + 1)):
@@ -227,6 +235,50 @@ def test_descent_keeps_the_resultant():
             assert e == end and len(beta) == e // 2, (d, length)
             want = _resultant_int(cyclotomic_polynomial(d), alpha)
             assert _resultant_int(cyclotomic_polynomial(e), beta) == want, (d, length)
+
+
+def _subgroups_of(q):
+    """The orders of the trivial group, of a proper subgroup when there is
+    one (the largest proper divisor of q - 1), and of all of (Z/2q)^*."""
+    proper = [h for h in range(2, q - 1) if (q - 1) % h == 0]
+    return [1] + proper[-1:] + [q - 1]
+
+
+def test_subgroup_norm_matches_resultants(monkeypatch):
+    # the last step on random alpha of length q, the half length of order 2q,
+    # keeps Res(Phi_2q, alpha) by Euclidean resultants for H trivial, a proper
+    # cyclic subgroup and the whole group: exactly as a0 - A_0 for the whole
+    # group, and modulo two CRT primes from the Gauss periods otherwise; q - 1
+    # smooth (31, 211: 30 = 2 * 3 * 5, 210 = 2 * 3 * 5 * 7), safe-prime-like
+    # (23, 47, 59: 2 * 11, 2 * 23, 2 * 29), and 3, where H is trivial or
+    # whole; coefficients up to 2^40 below q = 100
+    rng = random.Random(2)
+    for q in (3, 23, 31, 47, 59, 211):
+        phi_2q = cyclotomic_polynomial(2 * q)
+        for bound in (3, 2**40) if q < 100 else (3,):
+            alpha = tuple(rng.randrange(-bound, bound + 1) for _ in range(q))
+            want = _resultant_int(phi_2q, alpha)
+            for h in _subgroups_of(q):
+                monkeypatch.setattr(classnum, "_subgroup_order", lambda B, q_, bits: h)
+                a0, A = _coset_values(alpha, q, 1, "")
+                assert len(A) == (q - 1) // h, (q, h)
+                if h == q - 1:
+                    assert a0 - A[0] == want, (q, bound)
+                    continue
+                for p, omega in itertools.islice(_norm_primes(2 * q), 2):
+                    assert _coset_norm_mod(a0, A, q, p, omega) == want % p, (q, h, bound)
+
+
+def test_subgroup_rule_picks_by_cost():
+    # the whole group where the exact product is cheap: small q, and the
+    # coefficient sizes of the tabulated conductors up to q = 79; a subgroup
+    # and the CRT where it is not: q = 83 of u = 167 and 499, and the safe
+    # prime 5003 of u = 10007, where |H| = 41 leaves 122 cosets
+    small = tuple(range(-100, 100, 7))
+    for q in (3, 5, 7, 11, 13, 17, 29, 41, 53, 79):
+        assert _subgroup_order(small[: q], q, 400) == q - 1, q
+    assert _subgroup_order((2**7,) * 83, 83, 250) == 2
+    assert _subgroup_order((2**13,) * 5003, 5003, 29285) == 41
 
 
 def test_relative_norm_matches_resultants():
@@ -334,7 +386,9 @@ def test_orbit_norm_rejects_nan_and_infinite_deadlines():
 
 
 def test_norm_mod_matches_horner():
-    # chirp-z kernel vs direct prod_{k unit} A(omega^k) mod q
+    # direct prod_{k unit} A(omega^k) mod p by Horner against the chirp-z
+    # oracle at any even order d, and against the Gauss-period evaluator of
+    # the last step at order 2q, fed with the product over each subgroup H
     rng = random.Random(11)
     for d in (4, 6, 8, 12, 30, 64, 210, 1008):
         phi = euler_phi(d)
@@ -350,6 +404,22 @@ def test_norm_mod_matches_horner():
             for k in units:
                 want = want * _poly_eval(A, pow(omega, k, q)) % q
             assert _norm_mod(tuple(A), d, q, omega) == want, (d, length)
+    for q in (3, 5, 17, 29, 101):
+        units = [k for k in range(2 * q) if math.gcd(k, 2 * q) == 1]
+        walk = _walk(q)
+        A = [rng.randrange(-2**40, 2**40) for _ in range(q)]
+        for h in [h for h in range(1, q) if (q - 1) % h == 0]:
+            m = (q - 1) // h
+            gamma = _conjugate_product(A, _crt_lift(pow(walk[1], m, q), q, 2 * q), h, "")
+            a0, cosets = gamma[0], [(-1) ** j * gamma[j] for j in walk[:m]]
+            for p, omega in itertools.islice(_norm_primes(2 * q), 2):
+                want = 1
+                for k in units:
+                    want = want * _poly_eval(A, pow(omega, k, p)) % p
+                if m == 1:
+                    assert (a0 - cosets[0]) % p == want, (q, h)
+                else:
+                    assert _coset_norm_mod(a0, cosets, q, p, omega) == want, (q, h)
 
 
 def test_orbit_norm_rejects_even_orbits():
@@ -429,6 +499,18 @@ def test_hminus_orbit_norms_multiply_to_value():
     assert sum(o.size for o in r.orbit_norms) == euler_phi(59) // 2
 
 
+def test_integrality_error_message_past_the_str_limit():
+    # the offending value is written in full, above CPython's default limit
+    # of 4300 digits for int-to-str conversion
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        exc = IntegralityError("h^-(8191) is not a positive integer", Fraction(10**5000 + 1, 3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(exc) == "h^-(8191) is not a positive integer: 1" + "0" * 4999 + "1/3"
+
+
 def test_hminus_rejects_bad_input():
     with pytest.raises(ValueError):
         relative_class_number(0)
@@ -453,33 +535,33 @@ def test_hminus_time_limit_covers_work_before_first_crt_prime():
 
 def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
     # a fake clock that reads 0, 1, 2, ...: within reads it once (tick 0),
-    # the order-498 norm of h^-(499) reduces B_1 by Phi_498 in 16 passes, each
-    # after a check (ticks 1-16), descends 498 -> 166 in one product (tick
-    # 17), and leaves the last prime 83 to the CRT, with one check before each
-    # prime (prime i reads 18 + i), so a limit of 20.5 stops it after 3
-    # primes; without a limit the clock is never read
+    # the order-498 norm of h^-(499) descends 498 -> 166 in one product (tick
+    # 1), takes the product over |H| = 2 for the last prime 83 (tick 2), and
+    # leaves 41 cosets to the CRT, with one check before each prime (prime i
+    # reads 3 + i), so a limit of 5.5 stops it after 3 primes; without a
+    # limit the clock is never read
     ticks = iter(range(10**6))
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = max(galois_orbits([ch for ch in characters(499) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded, match=r"^order-498 norm: 3 CRT primes, \d+ of \d+ bits$"):
-        with within(20.5):
+        with within(5.5):
             orbit_norm(big)
     assert orbit_norm(big) == oracle_orbit_norm(big)
-    assert next(ticks) == 22
-    # within reads 23, the reduction 24-39 and the product check 40: a limit
-    # of 16.5 stops it in the descent
+    assert next(ticks) == 7
+    # within reads 8 and the descent's product check 9: a limit of 0.5 stops
+    # it in the descent
     with pytest.raises(TimeLimitExceeded, match=r"^order-498 norm: descent reached order 498$"):
-        with within(16.5):
+        with within(0.5):
             orbit_norm(big)
-    # relative_class_number reads the clock once in within (tick 41), then
-    # the largest orbit's norm reduces and descends (ticks 42-58) and stops at
-    # its third CRT prime (tick 61)
+    # relative_class_number reads the clock once in within (tick 10), then
+    # the largest orbit's norm takes its two products (ticks 11-12) and stops
+    # at its third CRT prime (tick 15)
     with pytest.raises(
         TimeLimitExceeded,
-        match=r"^h\^-\(499\): time limit 19.5s exceeded in orbit norms after 0 of \d+ "
+        match=r"^h\^-\(499\): time limit 4.5s exceeded in orbit norms after 0 of \d+ "
         r"orbits \(order-498 norm: 2 CRT primes, \d+ of \d+ bits\)$",
     ):
-        relative_class_number(499, time_limit=19.5)
+        relative_class_number(499, time_limit=4.5)
 
 
 def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):

@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import cycloclass
+from cycloclass import cli
+from cycloclass.arith import PrimeFactorization
 from cycloclass.bounds import BoundResult
+from cycloclass.classnum import OrbitNorm, RelativeClassNumber
 from cycloclass.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -90,6 +93,36 @@ def test_hminus_time_limit_in_factoring_prints_cofactor(capsys):
         r"note: h-\(401\): time limit 5\.0s exceeded in factorization "
         r"\(Pollard (rho|p - 1) stopped on C\d+\)\n",
         err,
+    )
+
+
+def test_hminus_prints_values_past_the_str_limit(capsys, monkeypatch):
+    # h^- and an orbit norm of 4401 and more digits, above CPython's default
+    # limit of 4300 digits for int-to-str conversion, print in full, with
+    # and without --verbose; the norms and the factoring are stubbed
+    cofactor = 10**4400 + 1  # x^275 + 1 at x = 10^16: divisible by x + 1
+    value = 3 * cofactor
+    norm = Fraction(value, 2 * 8191)
+    result = RelativeClassNumber(
+        8191, value, PrimeFactorization(value, ((3, 1),), cofactor),
+        (OrbitNorm(8190, 2160, (1,), norm),), 1, 16382,
+        "time limit 3s exceeded in factorization (Pollard p - 1 stopped on C4401)",
+    )
+    monkeypatch.setattr(cli, "relative_class_number", lambda u, time_limit: result)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc, out, err = run(capsys, "hminus", "8191", "--time-limit", "3")
+        rc_v, out_v, err_v = run(capsys, "hminus", "8191", "--verbose")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    digits = "3" + "0" * 4399 + "3"
+    assert rc == rc_v == EXIT_FAIL
+    assert out == f"h-(8191) = {digits} = 3 · C4401\n"
+    assert err == err_v == f"note: h-(8191): {result.note}\n"
+    assert out_v == out + (
+        "  Q = 1, roots of unity w = 16382\n"
+        f"  orbit order=8190 size=2160 rep=(1,): size 2160, norm {digits}/16382\n"
     )
 
 

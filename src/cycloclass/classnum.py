@@ -4,8 +4,7 @@ h^-(u) = Q * w * prod_{chi odd} (-B_{1,chi}/2), the product taken over Galois
 orbits as exact rational norms. b1_chi gives B_{1,chi} as integers c_i over the
 conductor f on the power basis of Q(zeta_d): a character sum over the units,
 folded by x^(d/2) + 1 and reduced by Phi_d through the power series of 1/Phi_d.
-Then N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i) and c0 = c/g;
-orbit_norm takes c before the reduction, which the resultant does not need.
+Then N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i) and c0 = c/g.
 Res(Phi_d, c0) descends the cyclotomic tower: the norm of c0 from Q(zeta_e)
 down to Q(zeta_{e/p}) has the same resultant against Phi_{e/p}, and is an
 exact product of conjugates mod x^(e/2) + 1, first while p^2 | e, then for
@@ -22,15 +21,15 @@ Stickelberger's theorem: for a prime c not dividing u, (c - chi(c)^-1)
 B_{1,chi} is integral, so D_c = N(c - chi(c)) = Phi_k(c)^(phi(d)/phi(k)), k
 the order of chi(c), clears the norm, with Phi_k(c) = prod (c^f - 1)^mu(k/f)
 from the binomial product, and D is the gcd of D_c over the two smallest such
-auxiliary primes, chi(c) read off the walk of the character sum. The norm of
+auxiliary primes, chi(c) read off the walk of b1_chi. The norm of
 -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
 
 relative_class_number runs under arith.within(time_limit), checked before
-every product of the descent and of the last step, every CRT prime and in the
-factoring of h^-; b1_chi checks it before every pass of its reduction by
-Phi_d. Out of time in the norms, TimeLimitExceeded says how far they got; out
-of time in the factoring, the exact value comes back, its unsplit rest a
-composite cofactor, and RelativeClassNumber.note says so.
+every pass of a reduction by Phi_d, every product of the descent and of the
+last step, every CRT prime and in the factoring of h^-. Out of time in the
+norms, TimeLimitExceeded says how far they got; out of time in the factoring,
+the exact value comes back, its unsplit rest a composite cofactor, and
+RelativeClassNumber.note says so.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import (
     PrimeFactorization,
@@ -58,6 +56,7 @@ from .abelian import (
     DirichletCharacter,
     _crt_lift,
     _primitive_root_mod_pk,
+    _unit_data,
     characters,
     galois_orbits,
     normalize_conductor,
@@ -117,27 +116,6 @@ def _poly_rem(num: list[int], d: int) -> list[int]:
     return [a - b for a, b in zip(num, q)]
 
 
-def _b1_sums(
-    chi: DirichletCharacter, chi_at: dict[int, int | None] | None = None
-) -> tuple[list[int], int]:
-    """(c, f) with f * B_{1,chi} = sum c_i zeta^i, zeta of order d = order of
-    chi and f the conductor, c not reduced by Phi_d: the walk sums over the
-    units, divided by phi(u)/phi(f) and, for even d, folded by x^(d/2) + 1.
-    Fills `chi_at` as b1_chi does."""
-    d, f, u = chi.order, chi.conductor, chi.modulus
-    acc = [0] * d
-    chi_at = {} if chi_at is None else chi_at
-    # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
-    for r, k in chi.values():
-        acc[k] += r % f
-        if r in chi_at:
-            chi_at[r] = k
-    m = euler_phi(u) // euler_phi(f)
-    if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
-        return [(a - b) // m for a, b in zip(acc[: d // 2], acc[d // 2:])], f
-    return [a // m for a in acc], f
-
-
 def b1_chi(
     chi: DirichletCharacter, chi_at: dict[int, int | None] | None = None
 ) -> tuple[tuple[int, ...], int]:
@@ -148,8 +126,19 @@ def b1_chi(
     its value the exponent k of chi(r) = e(k/d), read off the same walk."""
     if chi.is_trivial:
         raise ValueError("B_{1,chi} is defined here only for nontrivial chi")
-    c, f = _b1_sums(chi, chi_at)
-    return tuple(_poly_rem(c, chi.order)), f
+    d, f, u = chi.order, chi.conductor, chi.modulus
+    acc = [0] * d
+    chi_at = {} if chi_at is None else chi_at
+    # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
+    for r, k in chi.values():
+        acc[k] += r % f
+        if r in chi_at:
+            chi_at[r] = k
+    if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
+        acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
+    c = _poly_rem(acc, d)
+    m = euler_phi(u) // euler_phi(f)
+    return tuple(x // m for x in c), f
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +295,14 @@ def _descend(A: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
 # (Z/2q)^* = (Z/q)^*, cyclic of order q - 1. With y = -x, Z[x]/(x^q + 1) is
 # Z[y]/(y^q - 1) and sigma_k: y -> y^k depends on k mod q only. The product
 # gamma of the conjugates of B over H is H-invariant, so its coefficients a_j
-# on y^j are constant on the cosets g^s H, g a primitive root mod q: a_0 and
-# A_s, s < m = (q - 1)/|H|. Res(Phi_2q, B) is the product of gamma over one
+# on y^j are constant on the cosets g^s H, g the generator of the unit walk
+# abelian._unit_data(q).units = (g^i mod q, i < q - 1): a_0 and A_s,
+# s < m = (q - 1)/|H|. Res(Phi_2q, B) is the product of gamma over one
 # primitive q-th root of unity per coset, zeta^(g^t), t < m, and
 # gamma(zeta^(g^t)) = a_0 + sum_s A_s eta_{s+t}, with the Gauss periods
 # eta_s = sum_{i = s (mod m)} zeta^(g^i) (Washington, Introduction to
 # Cyclotomic Fields, ch. 8). For H the whole group, m = 1, eta_0 = -1, and
 # the resultant is the integer a_0 - A_0.
-
-
-@lru_cache(maxsize=None)
-def _walk(q: int) -> tuple[int, ...]:
-    """g^i mod q for i < q - 1, g the smallest primitive root mod the odd prime q."""
-    g = _primitive_root_mod_pk(q, 1)
-    powers = itertools.accumulate(itertools.repeat(g, q - 2), lambda x, _: x * g % q, initial=1)
-    return tuple(powers)
 
 
 # The cost rule that picks H, in seconds. The exact product of |H| = h
@@ -375,7 +357,7 @@ def _subgroup_order(B: tuple[int, ...], q: int, bits: int) -> int:
 def _coset_values(B: tuple[int, ...], q: int, bits: int, stage: str) -> tuple[int, list[int]]:
     """(a_0, [A_0, ..., A_{m-1}]) of gamma = prod_{k in H} sigma_k(B) mod
     x^q + 1, |H| = _subgroup_order(B, q, bits), read at y^0 and at y^(g^s)."""
-    h, walk = _subgroup_order(B, q, bits), _walk(q)
+    h, walk = _subgroup_order(B, q, bits), _unit_data(q).units
     m = (q - 1) // h
     generator = _crt_lift(pow(walk[1], m, q), q, 2 * q)  # g^m, odd
     gamma = _conjugate_product(list(B) + [0] * (q - len(B)), generator, h, stage)
@@ -386,8 +368,8 @@ def _coset_values(B: tuple[int, ...], q: int, bits: int, stage: str) -> tuple[in
 def _coset_norm_mod(a0: int, A: list[int], q: int, p: int, omega: int) -> int:
     """prod_{t < m} (a0 + sum_s A_s eta_{s+t}) mod p, m = len(A) dividing
     q - 1, with omega of order 2q mod p. zeta = -omega has order q; one pass
-    over its powers, in the order of _walk(q), sums the Gauss periods, and the
-    m sums over s are one cyclic correlation, done as a single big-integer
+    over its powers, in the order of the walk g^i, sums the Gauss periods, and
+    the m sums over s are one cyclic correlation, done as a single big-integer
     product of W-byte slots (Kronecker substitution): the coefficient of
     z^(m-1+t) in (sum_s A_s z^(m-1-s)) * (sum_{k < 2m-1} eta_{k mod m} z^k).
     A slot holds at most m products below p^2."""
@@ -395,7 +377,7 @@ def _coset_norm_mod(a0: int, A: list[int], q: int, p: int, omega: int) -> int:
     pw = [1] * q
     for j in range(1, q):
         pw[j] = pw[j - 1] * zeta % p
-    vals = [pw[j] for j in _walk(q)]
+    vals = [pw[j] for j in _unit_data(q).units]
     eta = [sum(vals[s::m]) % p for s in range(m)]
     W = (2 * p.bit_length() + m.bit_length() + 7) // 8
     a = b"".join((x % p).to_bytes(W, "little") for x in reversed(A))
@@ -423,8 +405,7 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     primes = (c for c in itertools.count(2) if u % c and is_prime(c))
     aux = list(itertools.islice(primes, 2))
     chi_at = dict.fromkeys(c % u for c in aux)
-    # Res(Phi_d, .) depends only on the residue mod Phi_d: no reduction.
-    c, f = _b1_sums(chi, chi_at)
+    c, f = b1_chi(chi, chi_at)
     # N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i), c0 = c/g.
     g = math.gcd(*c)
     c0 = tuple(x // g for x in c)

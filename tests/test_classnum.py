@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from cycloclass import arith, classnum
-from cycloclass.abelian import _crt_lift, characters, galois_orbits
+from cycloclass.abelian import _crt_lift, _unit_data, characters, galois_orbits
 from cycloclass.arith import euler_phi, factorize, is_prime, within
 from cycloclass.classnum import (
     IntegralityError,
@@ -30,7 +30,6 @@ from cycloclass.classnum import (
     _relative_norm,
     _stickelberger_denominator,
     _subgroup_order,
-    _walk,
     b1_chi,
     orbit_norm,
     relative_class_number,
@@ -202,19 +201,20 @@ def test_orbit_norm_crt_bound_of_order_1162(monkeypatch):
     # exactly, and at order 166 the rule takes |H| = 2 for the last prime 83
     # and leaves 41 cosets to the CRT) its bound, read from the time-out
     # message of a limit that passes right after the exact products (a fake
-    # clock reading 0, 1, 2, ...: within reads 0, the three products of the
-    # step 1162 -> 166 read 1-3, the one product over H reads 4, the check
-    # before the first CRT prime reads 5), is below 2200 bits, where
-    # Res(Phi_166, beta) alone would need 7095
+    # clock reading 0, 1, 2, ...: within reads 0, the 16 passes of the
+    # reduction by Phi_1162 read 1-16, the three products of the step
+    # 1162 -> 166 read 17-19, the one product over H reads 20, the check
+    # before the first CRT prime reads 21), is below 3300 bits, where
+    # Res(Phi_166, beta) alone would need 7729
     ticks = iter(range(10**6))
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = max(galois_orbits([ch for ch in characters(1163) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded) as exc:
-        with within(4.5):
+        with within(20.5):
             orbit_norm(big)
     bits = re.fullmatch(r"order-1162 norm: 0 CRT primes, 1 of (\d+) bits", str(exc.value))
-    assert bits and int(bits[1]) < 2200
-    assert next(ticks) == 6
+    assert bits and int(bits[1]) < 3300
+    assert next(ticks) == 22
 
 
 def test_descent_keeps_the_resultant():
@@ -406,7 +406,7 @@ def test_norm_mod_matches_horner():
             assert _norm_mod(tuple(A), d, q, omega) == want, (d, length)
     for q in (3, 5, 17, 29, 101):
         units = [k for k in range(2 * q) if math.gcd(k, 2 * q) == 1]
-        walk = _walk(q)
+        walk = _unit_data(q).units
         A = [rng.randrange(-2**40, 2**40) for _ in range(q)]
         for h in [h for h in range(1, q) if (q - 1) % h == 0]:
             m = (q - 1) // h
@@ -535,33 +535,34 @@ def test_hminus_time_limit_covers_work_before_first_crt_prime():
 
 def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
     # a fake clock that reads 0, 1, 2, ...: within reads it once (tick 0),
-    # the order-498 norm of h^-(499) descends 498 -> 166 in one product (tick
-    # 1), takes the product over |H| = 2 for the last prime 83 (tick 2), and
-    # leaves 41 cosets to the CRT, with one check before each prime (prime i
-    # reads 3 + i), so a limit of 5.5 stops it after 3 primes; without a
-    # limit the clock is never read
+    # the order-498 norm of h^-(499) reduces B_1 by Phi_498 in 16 passes, each
+    # after a check (ticks 1-16), descends 498 -> 166 in one product (tick
+    # 17), takes the product over |H| = 2 for the last prime 83 (tick 18),
+    # and leaves 41 cosets to the CRT, with one check before each prime
+    # (prime i reads 19 + i), so a limit of 21.5 stops it after 3 primes;
+    # without a limit the clock is never read
     ticks = iter(range(10**6))
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     big = max(galois_orbits([ch for ch in characters(499) if ch.is_odd]), key=lambda ob: ob.order)
     with pytest.raises(TimeLimitExceeded, match=r"^order-498 norm: 3 CRT primes, \d+ of \d+ bits$"):
-        with within(5.5):
+        with within(21.5):
             orbit_norm(big)
     assert orbit_norm(big) == oracle_orbit_norm(big)
-    assert next(ticks) == 7
-    # within reads 8 and the descent's product check 9: a limit of 0.5 stops
-    # it in the descent
+    assert next(ticks) == 23
+    # within reads 23, the reduction 24-39 and the product check 40: a limit
+    # of 16.5 stops it in the descent
     with pytest.raises(TimeLimitExceeded, match=r"^order-498 norm: descent reached order 498$"):
-        with within(0.5):
+        with within(16.5):
             orbit_norm(big)
-    # relative_class_number reads the clock once in within (tick 10), then
-    # the largest orbit's norm takes its two products (ticks 11-12) and stops
-    # at its third CRT prime (tick 15)
+    # relative_class_number reads the clock once in within (tick 41), then
+    # the largest orbit's norm reduces and takes its two products (ticks
+    # 42-59) and stops at its third CRT prime (tick 62)
     with pytest.raises(
         TimeLimitExceeded,
-        match=r"^h\^-\(499\): time limit 4.5s exceeded in orbit norms after 0 of \d+ "
+        match=r"^h\^-\(499\): time limit 20.5s exceeded in orbit norms after 0 of \d+ "
         r"orbits \(order-498 norm: 2 CRT primes, \d+ of \d+ bits\)$",
     ):
-        relative_class_number(499, time_limit=4.5)
+        relative_class_number(499, time_limit=20.5)
 
 
 def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):

@@ -309,16 +309,20 @@ def _descend(A: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
 # conjugates takes the products of _conjugate_product's doubling chain, each
 # _SLOT_S per slot plus _KARATSUBA_S per bit^1.585 of its packed operands
 # (CPython multiplies big integers by Karatsuba), with coefficients growing by
-# b + log2(q)/2 bits per conjugate, b those of B. Each CRT prime then takes
+# b + log2(q)/2 bits per conjugate, b those of B. For H the whole group the
+# chain stops at (q - 1)/2 conjugates, and the read-off is 2q products of
+# two coefficients at the same _KARATSUBA_S. Each CRT prime then takes
 # _POWER_S per power of zeta, _COSET_S per coset, _CORRELATION_S per
 # bit^1.585 of the correlation's operands and _COLD_PRIME_S to be found. The
 # constants are least-squares fits, within 35% for the products and 15% per
 # prime, to best-of-3 timings of _conjugate_product (q = 17-509, b = 8-64,
 # every divisor h of q - 1) and of _coset_norm_mod (q = 17-5003), and the
 # mean cost of the first 20 primes of _norm_primes(2q), on a 2-core x86-64
-# machine under CPython 3.11 (CHANGES.md). On the tabulated conductors the
-# rule takes H = (Z/2q)^* for every last prime up to 53, and |H| = 2 and 8
-# for q = 83 and 89 (u = 167 and 179); at u = 10007 it takes |H| = 41.
+# machine under CPython 3.11 (CHANGES.md); the read-off is within 0.6-1.6
+# times its timings above q = 17 (below, under 5% of its chain). On the
+# tabulated conductors the rule takes H = (Z/2q)^* for every last prime, up
+# to q = 89; at u = 1163 it takes |H| = 2 for q = 83, and at u = 10007
+# |H| = 41.
 _SLOT_S = 1.3e-6
 _KARATSUBA_S = 3.0e-11
 _POWER_S = 3.2e-7
@@ -337,15 +341,17 @@ def _subgroup_order(B: tuple[int, ...], q: int, bits: int) -> int:
         return q * _SLOT_S + _KARATSUBA_S * (q * (size * w + log_q)) ** 1.585
 
     def cost(h: int) -> float:
+        m = (q - 1) // h
         t, size = 0.0, 1
-        for bit in bin(h)[3:]:
+        for bit in bin(h // 2 if m == 1 else h)[3:]:
             size *= 2
             t += product(size)
             if bit == "1":
                 size += 1
                 t += product(size)
-        m = (q - 1) // h
-        if m > 1:
+        if m == 1:  # the read-off: 2q products of two coefficients
+            t += 2 * q * _KARATSUBA_S * (size * w) ** 1.585
+        else:
             slot_bits = 8 * ((2 * 62 + m.bit_length() + 7) // 8)
             per_prime = q * _POWER_S + m * _COSET_S + _COLD_PRIME_S
             t += primes * (per_prime + _CORRELATION_S * (m * slot_bits) ** 1.585)
@@ -356,11 +362,21 @@ def _subgroup_order(B: tuple[int, ...], q: int, bits: int) -> int:
 
 def _coset_values(B: tuple[int, ...], q: int, bits: int, stage: str) -> tuple[int, list[int]]:
     """(a_0, [A_0, ..., A_{m-1}]) of gamma = prod_{k in H} sigma_k(B) mod
-    x^q + 1, |H| = _subgroup_order(B, q, bits), read at y^0 and at y^(g^s)."""
+    x^q + 1, |H| = _subgroup_order(B, q, bits), read at y^0 and at y^(g^s).
+    For H the whole group, sigma_{g^((q-1)/2)} = sigma_{-1}: y -> y^-1, so
+    gamma = P(y) P(1/y), P the product over the first half of the walk, and
+    a_0 and A_0 = a_1 are the sums of y_i^2 and y_i y_{i-1}, y_i the
+    coefficients of P on y^i; the chain's last and largest product is not
+    made."""
     h, walk = _subgroup_order(B, q, bits), _unit_data(q).units
     m = (q - 1) // h
     generator = _crt_lift(pow(walk[1], m, q), q, 2 * q)  # g^m, odd
-    gamma = _conjugate_product(list(B) + [0] * (q - len(B)), generator, h, stage)
+    B = list(B) + [0] * (q - len(B))
+    if m == 1:
+        P = _conjugate_product(B, generator, h // 2, stage)
+        y = [-c if j % 2 else c for j, c in enumerate(P)]
+        return sum(map(operator.mul, y, y)), [sum(map(operator.mul, y, y[-1:] + y[:-1]))]
+    gamma = _conjugate_product(B, generator, h, stage)
     # a_j = (-1)^j c_j, c_j the coefficient of x^j
     return gamma[0], [-gamma[j] if j % 2 else gamma[j] for j in walk[:m]]
 

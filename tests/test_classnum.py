@@ -263,6 +263,10 @@ def test_subgroup_norm_matches_resultants(monkeypatch):
                 a0, A = _coset_values(alpha, q, 1, "")
                 assert len(A) == (q - 1) // h, (q, h)
                 if h == q - 1:
+                    # a_0 and a_1 of the product over the whole group
+                    g = _crt_lift(_unit_data(q).units[1], q, 2 * q)
+                    gamma = _conjugate_product(list(alpha), g, h, "")
+                    assert (a0, A) == (gamma[0], [-gamma[1]]), (q, bound)
                     assert a0 - A[0] == want, (q, bound)
                     continue
                 for p, omega in itertools.islice(_norm_primes(2 * q), 2):
@@ -271,13 +275,15 @@ def test_subgroup_norm_matches_resultants(monkeypatch):
 
 def test_subgroup_rule_picks_by_cost():
     # the whole group where the exact product is cheap: small q, and the
-    # coefficient sizes of the tabulated conductors up to q = 79; a subgroup
-    # and the CRT where it is not: q = 83 of u = 167 and 499, and the safe
+    # coefficient sizes of the tabulated conductors up to q = 89 (7 bits and
+    # a 250-bit CRT at q = 83 for u = 167); a subgroup and the CRT where it
+    # is not: q = 83 with the 91-bit coefficients of u = 1163, and the safe
     # prime 5003 of u = 10007, where |H| = 41 leaves 122 cosets
     small = tuple(range(-100, 100, 7))
     for q in (3, 5, 7, 11, 13, 17, 29, 41, 53, 79):
         assert _subgroup_order(small[: q], q, 400) == q - 1, q
-    assert _subgroup_order((2**7,) * 83, 83, 250) == 2
+    assert _subgroup_order((2**7,) * 83, 83, 250) == 82
+    assert _subgroup_order((2**91,) * 83, 83, 3212) == 2
     assert _subgroup_order((2**13,) * 5003, 5003, 29285) == 41
 
 
@@ -535,34 +541,33 @@ def test_hminus_time_limit_covers_work_before_first_crt_prime():
 
 def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
     # a fake clock that reads 0, 1, 2, ...: within reads it once (tick 0),
-    # the order-498 norm of h^-(499) reduces B_1 by Phi_498 in 16 passes, each
-    # after a check (ticks 1-16), descends 498 -> 166 in one product (tick
-    # 17), takes the product over |H| = 2 for the last prime 83 (tick 18),
-    # and leaves 41 cosets to the CRT, with one check before each prime
-    # (prime i reads 19 + i), so a limit of 21.5 stops it after 3 primes;
-    # without a limit the clock is never read
+    # the order-262 norm of h^-(263) reduces B_1 by Phi_262 in 8 passes, each
+    # after a check (ticks 1-8), takes the four products over |H| = 10 for
+    # the prime 131 (ticks 9-12), and leaves 13 cosets to the CRT, with one
+    # check before each prime (prime i reads 13 + i), so a limit of 15.5
+    # stops it after 3 primes; without a limit the clock is never read
     ticks = iter(range(10**6))
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    big = max(galois_orbits([ch for ch in characters(499) if ch.is_odd]), key=lambda ob: ob.order)
-    with pytest.raises(TimeLimitExceeded, match=r"^order-498 norm: 3 CRT primes, \d+ of \d+ bits$"):
-        with within(21.5):
+    big = max(galois_orbits([ch for ch in characters(263) if ch.is_odd]), key=lambda ob: ob.order)
+    with pytest.raises(TimeLimitExceeded, match=r"^order-262 norm: 3 CRT primes, \d+ of \d+ bits$"):
+        with within(15.5):
             orbit_norm(big)
     assert orbit_norm(big) == oracle_orbit_norm(big)
-    assert next(ticks) == 23
-    # within reads 23, the reduction 24-39 and the product check 40: a limit
-    # of 16.5 stops it in the descent
-    with pytest.raises(TimeLimitExceeded, match=r"^order-498 norm: descent reached order 498$"):
-        with within(16.5):
+    assert next(ticks) == 17
+    # within reads 17, the reduction 18-25 and the first product check 26: a
+    # limit of 8.5 stops it before the product over H
+    with pytest.raises(TimeLimitExceeded, match=r"^order-262 norm: descent reached order 262$"):
+        with within(8.5):
             orbit_norm(big)
-    # relative_class_number reads the clock once in within (tick 41), then
-    # the largest orbit's norm reduces and takes its two products (ticks
-    # 42-59) and stops at its third CRT prime (tick 62)
+    # relative_class_number reads the clock once in within (tick 27), then
+    # the largest orbit's norm reduces and takes its four products (ticks
+    # 28-39) and stops at its third CRT prime (tick 42)
     with pytest.raises(
         TimeLimitExceeded,
-        match=r"^h\^-\(499\): time limit 20.5s exceeded in orbit norms after 0 of \d+ "
-        r"orbits \(order-498 norm: 2 CRT primes, \d+ of \d+ bits\)$",
+        match=r"^h\^-\(263\): time limit 14.5s exceeded in orbit norms after 0 of \d+ "
+        r"orbits \(order-262 norm: 2 CRT primes, \d+ of \d+ bits\)$",
     ):
-        relative_class_number(499, time_limit=20.5)
+        relative_class_number(263, time_limit=14.5)
 
 
 def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):

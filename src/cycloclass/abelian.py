@@ -11,10 +11,13 @@ _UnitData is read from the column gcds of the rows, and, for the two
 coordinates of 2^e (e >= 3), from one gcd of 2x2 minors.  A character's
 conductor is that of the cyclic field it cuts out (conductor-discriminant),
 read on first use: once per Galois orbit.  DirichletCharacter objects are
-built only where character values are needed (B_1 and Galois orbits).  Their
+built only where character values are needed (B_1 and Galois orbits).
+characters(u) builds them generator by generator: each generator has a table
+of o_i/gcd(e, o_i) and of the parity of e against -1 over its exponents e, and
+a character's order and parity combine one entry per generator.  Character
 values read one walk of the units per modulus, _UnitData.units, built on the
-first read of character values (never for subfields or the audit) and shared
-by every character mod u; each character adds only its exponents k.
+first b1_chi or values() (never for subfields or the audit) and shared by
+every character mod u; each character adds only its exponents k.
 
 _subgroups and _hnf return their rows as a _Rows, a tuple that records the
 orders o_i it is the HNF basis for.  That basis is unique (Cohen, GTM 138,
@@ -58,7 +61,9 @@ def _crt_lift(r: int, q: int, u: int) -> int:
     return (r * m * pow(m, -1, q) + q * pow(q, -1, m)) % u
 
 
-_MAX_CONDUCTOR = 100_000  # characters(u) and a character's values take time in proportion to u
+# characters(u) builds phi(u) characters and B_1 walks phi(u) units, so both
+# take time in proportion to u
+_MAX_CONDUCTOR = 100_000
 
 
 class _UnitData:
@@ -103,11 +108,12 @@ class _UnitData:
         self.orders = tuple(o for _, o, _ in units)
         self.minus_one = tuple(m for _, _, m in units)
         self.components = tuple(comps)
+        self._reduced: dict[int, tuple[int, ...]] = {}
 
     @cached_property
     def units(self) -> tuple[int, ...]:
         """Every unit r = prod g_i^t_i mod u, the t_i run like an odometer
-        (last digit fastest); built on the first read of character values."""
+        (last digit fastest); built on the first b1_chi or values()."""
         u, walk = self.modulus, [1]
 
         def mul(a: int, b: int) -> int:
@@ -117,6 +123,15 @@ class _UnitData:
             powers = list(itertools.accumulate(itertools.repeat(g, o - 1), mul, initial=1))
             walk = [r * x % u for r in walk for x in powers]
         return tuple(walk)
+
+    def units_mod(self, f: int) -> tuple[int, ...]:
+        """`units` with each r reduced mod f, f | u: the walk that B_1 of a
+        character of conductor f sums; built once per f."""
+        walk = self._reduced.get(f)
+        if walk is None:
+            walk = self.units if f == self.modulus else tuple(r % f for r in self.units)
+            self._reduced[f] = walk
+        return walk
 
 
 @lru_cache(maxsize=None)
@@ -174,12 +189,29 @@ class DirichletCharacter:
 
 
 def characters(u: int) -> list[DirichletCharacter]:
-    """All phi(u) Dirichlet characters mod u, in lexicographic exponent order."""
+    """All phi(u) Dirichlet characters mod u, in lexicographic exponent order.
+
+    Generator i contributes, for each exponent e < o_i, the order
+    o_i/gcd(e, o_i) of chi(g_i) and whether chi(-1) gains a sign (e odd where
+    -1 has exponent o_i/2); a character's order is the lcm and its parity the
+    sum of its entries.  The exponents are in range by construction, so each
+    character is set up directly, without DirichletCharacter's checks."""
     data = _unit_data(u)
-    return [
-        DirichletCharacter(u, exps)
-        for exps in itertools.product(*(range(o) for o in data.orders))
-    ]
+    rows = [((), 1, False)]  # (exponents, order, is_odd) on the generators so far
+    for o, m in zip(data.orders, data.minus_one):
+        table = [(e, o // math.gcd(e, o), m > 0 and e % 2 == 1) for e in range(o)]
+        rows = [
+            (exps + (e,), math.lcm(d, de), odd != flips)
+            for exps, d, odd in rows
+            for e, de, flips in table
+        ]
+    chars = []
+    for exps, d, odd in rows:
+        chi = object.__new__(DirichletCharacter)
+        attrs = chi.__dict__
+        attrs["modulus"], attrs["exponents"], attrs["order"], attrs["is_odd"] = u, exps, d, odd
+        chars.append(chi)
+    return chars
 
 
 @dataclass(frozen=True)

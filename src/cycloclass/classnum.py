@@ -2,8 +2,10 @@
 
 h^-(u) = Q * w * prod_{chi odd} (-B_{1,chi}/2), the product taken over Galois
 orbits as exact rational norms. b1_chi gives B_{1,chi} as integers c_i over the
-conductor f on the power basis of Q(zeta_d): a character sum over the units,
-folded by x^(d/2) + 1 and reduced by Phi_d through the power series of 1/Phi_d.
+conductor f on the power basis of Q(zeta_d): a character sum over the unit
+walk mod f, taken by slices of units that share chi's value and not one unit
+at a time, folded by x^(d/2) + 1 and reduced by Phi_d through the power series
+of 1/Phi_d.
 Then N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i) and c0 = c/g.
 Res(Phi_d, c0) descends the cyclotomic tower: the norm of c0 from Q(zeta_e)
 down to Q(zeta_{e/p}) has the same resultant against Phi_{e/p}, and is an
@@ -21,8 +23,8 @@ Stickelberger's theorem: for a prime c not dividing u, (c - chi(c)^-1)
 B_{1,chi} is integral, so D_c = N(c - chi(c)) = Phi_k(c)^(phi(d)/phi(k)), k
 the order of chi(c), clears the norm, with Phi_k(c) = prod (c^f - 1)^mu(k/f)
 from the binomial product, and D is the gcd of D_c over the two smallest such
-auxiliary primes, chi(c) read off the walk of b1_chi. The norm of
--B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
+auxiliary primes, chi(c) read off c's position in the walk of b1_chi. The
+norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
 
 relative_class_number runs under arith.within(time_limit), checked before
 every pass of a reduction by Phi_d, every product of the descent and of the
@@ -122,18 +124,52 @@ def b1_chi(
     """B_{1,chi} = (1/f) sum_{a=1}^{f} chi*(a) a, chi* the primitive character
     of conductor f inducing chi, as (c, f) with B_{1,chi} = (1/f) sum c_i zeta^i:
     the phi(d) integer coefficients on the power basis of Q(zeta_d), d = order
-    of chi, and the conductor. Each key r of `chi_at`, a unit 0 < r < u, gets as
-    its value the exponent k of chi(r) = e(k/d), read off the same walk."""
+    of chi, and the conductor. Each key r of `chi_at` gets as its value the
+    exponent k of chi(r) = e(k/d), read off r's position in the unit walk;
+    raises ValueError for a key that is not a unit in (0, u).
+
+    The sum runs over _UnitData.units mod f, r = prod g_i^t_i with the last
+    digit fastest, where chi(r) = e(sum t_i w_i / d), w_i = e_i d/o_i. chi(g_i)
+    has order d_i = o_i/gcd(e_i, o_i), so t_i matters only mod d_i. Generator
+    by generator from the first, the sub-walks of one digit value t_i are
+    added elementwise into one per class of t_i mod d_i, and sub-walks that
+    reach the same partial exponent k0 merge. What is left are blocks of the
+    last generator, one per k0, and each residue class j mod d_n of a block
+    is one slice sum, added to the coefficient of k0 + j w_n."""
     if chi.is_trivial:
         raise ValueError("B_{1,chi} is defined here only for nontrivial chi")
     d, f, u = chi.order, chi.conductor, chi.modulus
-    acc = [0] * d
-    chi_at = {} if chi_at is None else chi_at
+    data = _unit_data(u)
+    weights = [e * d // o for o, e in zip(data.orders, chi.exponents)]
+    for r in chi_at or ():
+        try:
+            pos = data.units.index(r)
+        except ValueError:
+            raise ValueError(f"chi_at key {r!r} is not a unit in (0, {u})") from None
+        k = 0
+        for o, w in zip(reversed(data.orders), reversed(weights)):
+            pos, t = divmod(pos, o)
+            k += t * w
+        chi_at[r] = k % d
     # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
-    for r, k in chi.values():
-        acc[k] += r % f
-        if r in chi_at:
-            chi_at[r] = k
+    blocks = {0: data.units_mod(f)}  # partial exponent k0 -> walk over the digits left
+    *head, (o, e, w) = zip(data.orders, chi.exponents, weights)
+    for oi, ei, wi in head:
+        di, merged = oi // math.gcd(ei, oi), {}
+        for k0, walk in blocks.items():
+            s = len(walk) // oi
+            for j in range(di):
+                parts = [walk[t * s : (t + 1) * s] for t in range(j, oi, di)]
+                part = parts[0] if len(parts) == 1 else list(map(sum, zip(*parts)))
+                k = (k0 + j * wi) % d
+                if k in merged:
+                    part = list(map(operator.add, merged[k], part))
+                merged[k] = part
+        blocks = merged
+    dn, acc = o // math.gcd(e, o), [0] * d
+    for k0, walk in blocks.items():
+        for j in range(dn):
+            acc[(k0 + j * w) % d] += sum(walk[j::dn])
     if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
         acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
     c = _poly_rem(acc, d)

@@ -8,7 +8,8 @@ power basis, with x^k mod Phi_d taken from the rows of _power_rows; oracle_b1
 sums roots of unity in it, reading chi(a) from char_value, a discrete-log table of (Z/u)^* built
 here rather than from the cached unit walk of DirichletCharacter.values;
 odometer_values steps through the generators one unit at a time, the order
-that walk must keep.
+that walk must keep. per_unit_b1_chi is b1_chi summed one unit of that walk
+at a time, where b1_chi sums residue classes of it by slices.
 oracle_orbit_norm computes Res(Phi_d, A) by the Euclidean remainder sequence
 over F_p for descending 62-bit primes p, CRT-combined past a Hadamard bound. _sylvester_resultant is the Sylvester determinant, and
 _orbit_norm_conjugates the explicit product of Galois conjugates.
@@ -29,6 +30,7 @@ from functools import lru_cache, reduce
 
 from cycloclass.abelian import CharacterOrbit, DirichletCharacter, _unit_data
 from cycloclass.arith import euler_phi, factorize, is_prime
+from cycloclass.classnum import _poly_rem
 
 
 @lru_cache(maxsize=None)
@@ -237,6 +239,29 @@ def oracle_b1(chi: DirichletCharacter) -> CyclotomicNumber:
         if w:
             total = total + CyclotomicNumber.root_of_unity(d, k) * w
     return total * Fraction(1, f)
+
+
+
+def per_unit_b1_chi(
+    chi: DirichletCharacter, chi_at: dict[int, int | None] | None = None
+) -> tuple[tuple[int, ...], int]:
+    """b1_chi one unit at a time: (c, f) with B_{1,chi} = (1/f) sum c_i zeta^i,
+    from every (r, k) of chi.values() adding r mod f to the coefficient of
+    zeta^k, then folded by x^(d/2) + 1 and reduced by Phi_d as b1_chi does.
+    Each key r of chi_at that the walk meets gets k; other keys stay as
+    they are."""
+    d, f, u = chi.order, chi.conductor, chi.modulus
+    acc = [0] * d
+    chi_at = {} if chi_at is None else chi_at
+    for r, k in chi.values():
+        acc[k] += r % f
+        if r in chi_at:
+            chi_at[r] = k
+    if d % 2 == 0:
+        acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
+    c = _poly_rem(acc, d)
+    m = euler_phi(u) // euler_phi(f)
+    return tuple(x // m for x in c), f
 
 
 _PRIME_POOL: list[int] = []

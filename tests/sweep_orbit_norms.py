@@ -1,13 +1,14 @@
 """Equality sweep: every odd-orbit norm of every conductor 3 <= u <= N with
 u != 2 (mod 4), by cycloclass.classnum.orbit_norm (transform route) against
-norm_oracle.oracle_orbit_norm (Euclidean resultants), and each orbit's
-b1_chi against norm_oracle.oracle_b1 (sum of roots of unity). Not collected by
-pytest.
+norm_oracle.oracle_orbit_norm (Euclidean resultants), each orbit's b1_chi
+against norm_oracle.oracle_b1 (sum of roots of unity), and the exponents b1_chi
+writes to chi_at at orbit_norm's two auxiliary primes against
+norm_oracle.char_value (discrete-log table). Not collected by pytest.
 
     PYTHONPATH=src:tests python tests/sweep_orbit_norms.py 1000
 
 Prints each mismatch, then the number of norms compared, the number of
-mismatches of each kind and both norm routes' total times; exits 1 on any
+mismatches of each kind (norm, b1_chi, chi_at) and both norm routes' total times; exits 1 on any
 mismatch. Phi_d is built before the timed calls, so the first conductor with a
 given orbit order does not charge it to oracle_orbit_norm; the x^k mod Phi_d rows
 that oracle_b1 needs are dropped after each conductor, which keeps memory flat.
@@ -15,22 +16,33 @@ that oracle_b1 needs are dropped after each conductor, which keeps memory flat.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from fractions import Fraction
 
 from cycloclass.abelian import characters, galois_orbits
+from cycloclass.arith import is_prime
 from cycloclass.classnum import b1_chi, orbit_norm
-from norm_oracle import _power_rows, cyclotomic_polynomial, oracle_b1, oracle_orbit_norm
+from norm_oracle import (
+    _power_rows,
+    char_value,
+    cyclotomic_polynomial,
+    oracle_b1,
+    oracle_orbit_norm,
+)
 
 
 def main(argv: list[str]) -> int:
     n = int(argv[1]) if len(argv) > 1 else 1000
-    count = mismatches = b1_mismatches = 0
+    count = mismatches = b1_mismatches = at_mismatches = 0
     new_s = oracle_s = 0.0
     for u in range(3, n + 1):
         if u % 4 == 2:
             continue
+        # orbit_norm's auxiliary primes: the two smallest primes not dividing u
+        primes = (c for c in itertools.count(2) if u % c and is_prime(c))
+        aux = list(itertools.islice(primes, 2))
         for ob in galois_orbits([ch for ch in characters(u) if ch.is_odd]):
             chi = ob.members[0]
             cyclotomic_polynomial(ob.order)
@@ -45,17 +57,21 @@ def main(argv: list[str]) -> int:
             if new != old:
                 mismatches += 1
                 print(f"MISMATCH u={u} order={ob.order} rep={chi.exponents}")
-            c, f = b1_chi(chi)
+            chi_at = dict.fromkeys(a % u for a in aux)
+            c, f = b1_chi(chi, chi_at)
             if tuple(Fraction(x, f) for x in c) != oracle_b1(chi).coeffs:
                 b1_mismatches += 1
                 print(f"B1 MISMATCH u={u} order={ob.order} rep={chi.exponents}")
+            if any(chi_at[a % u] != char_value(chi, a) for a in aux):
+                at_mismatches += 1
+                print(f"CHI_AT MISMATCH u={u} order={ob.order} rep={chi.exponents}")
         _power_rows.cache_clear()
     print(
         f"u <= {n}: {count} odd-orbit norms, {mismatches} mismatches, "
-        f"{b1_mismatches} b1_chi mismatches; "
+        f"{b1_mismatches} b1_chi mismatches, {at_mismatches} chi_at mismatches; "
         f"orbit_norm {new_s:.1f} s, oracle_orbit_norm {oracle_s:.1f} s"
     )
-    return 1 if mismatches or b1_mismatches else 0
+    return 1 if mismatches or b1_mismatches or at_mismatches else 0
 
 
 if __name__ == "__main__":

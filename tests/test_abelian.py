@@ -228,6 +228,22 @@ def test_unit_data_refuses_generator_of_wrong_order(monkeypatch):
         abelian._UnitData(28)
 
 
+def test_characters_match_the_constructor():
+    # characters() sets order and parity from per-generator tables and skips
+    # the constructor; moduli with no, one and two generators at 2^k
+    for u in (3, 4, 5, 8, 16, 63, 80, 480, 572, 1680, 4620):
+        exps = itertools.product(*map(range, _unit_data(u).orders))
+        want = [DirichletCharacter(u, e) for e in exps]
+        got = characters(u)
+        assert len(got) == len(want) == euler_phi(u)
+        for chi, ref in zip(got, want):
+            assert type(chi) is DirichletCharacter
+            assert (chi.modulus, chi.exponents, chi.order, chi.is_odd, chi.conductor) == (
+                ref.modulus, ref.exponents, ref.order, ref.is_odd, ref.conductor
+            ), (u, ref.exponents)
+            assert chi == ref and hash(chi) == hash(ref) and repr(chi) == repr(ref)
+
+
 def test_character_order_against_scan():
     for u in (5, 8, 9, 12, 16, 21, 40, 63):
         for chi in characters(u):

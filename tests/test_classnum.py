@@ -46,6 +46,7 @@ from norm_oracle import (
     maillet_hminus,
     oracle_b1,
     oracle_orbit_norm,
+    per_unit_b1_chi,
 )
 
 # Conductors with relative class number exactly 1 (classical: finitely many).
@@ -124,6 +125,28 @@ def test_b1_chi_matches_oracle():
             want = oracle_b1(ch).coeffs
             assert tuple(Fraction(x, f) for x in c) == want, (u, ch.exponents)
             assert chi_at == {r: char_value(ch, r) for r in chi_at}, (u, ch.exponents)
+
+
+def test_b1_chi_matches_the_per_unit_sum():
+    # the slice sums against one unit at a time, in (c, f) and in the exponents
+    # written to chi_at, for every nontrivial character (imprimitive included)
+    for u in [u for u in range(3, 201) if u % 4 != 2] + [572, 1680, 4620]:
+        primes = (c for c in itertools.count(2) if u % c and is_prime(c))
+        keys = {c % u for c in itertools.islice(primes, 2)} | {1, u - 1}
+        for chi in characters(u)[1:]:
+            got, want = dict.fromkeys(keys), dict.fromkeys(keys)
+            assert b1_chi(chi, got) == per_unit_b1_chi(chi, want), (u, chi.exponents)
+            assert got == want, (u, chi.exponents)
+
+
+def test_b1_chi_rejects_a_key_that_is_not_a_unit():
+    chi = characters(12)[1]
+    for key in (0, 2, 6, 12, 13, -1):
+        with pytest.raises(ValueError, match=re.escape(f"chi_at key {key} is not a unit in (0, 12)")):
+            b1_chi(chi, {5: None, key: None})
+    at = {5: None, 11: None}
+    b1_chi(chi, at)
+    assert None not in at.values()
 
 
 def test_b1_galois_equivariance():

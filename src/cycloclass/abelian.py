@@ -32,8 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .arith import _has_order, euler_phi, factorize, is_prime
 
@@ -139,8 +139,14 @@ def _unit_data(u: int) -> _UnitData:
     return _UnitData(u)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class _Character(NamedTuple):
+    modulus: int
+    exponents: tuple[int, ...]
+    order: int
+    is_odd: bool
+
+
+class DirichletCharacter(_Character):
     """Character mod u given by exponents against the fixed unit-group generators.
 
     chi(g_i) = e(exponents[i] / o_i) with e(x) = exp(2*pi*i*x).  The order
@@ -148,24 +154,18 @@ class DirichletCharacter:
     read.
     """
 
-    modulus: int
-    exponents: tuple[int, ...]
-    order: int = field(init=False, compare=False, default=0)
-    is_odd: bool = field(init=False, compare=False, default=False)
-
-    def __post_init__(self):
-        data = _unit_data(self.modulus)
-        if len(self.exponents) != len(data.orders):
-            raise ValueError(
-                f"expected {len(data.orders)} exponents for modulus {self.modulus}"
-            )
-        exps = tuple(map(operator.mod, self.exponents, data.orders))
-        object.__setattr__(self, "exponents", exps)
+    def __new__(cls, modulus: int, exponents: tuple[int, ...]):
+        data = _unit_data(modulus)
+        if len(exponents) != len(data.orders):
+            raise ValueError(f"expected {len(data.orders)} exponents for modulus {modulus}")
+        exps = tuple(map(operator.mod, exponents, data.orders))
         order = math.lcm(*map(operator.floordiv, data.orders, map(math.gcd, exps, data.orders)))
-        object.__setattr__(self, "order", order)
         # -1 has order 2: its exponents are 0 or o_i/2, so chi(-1) = (-1)^(sum e_i)
         is_odd = sum(itertools.compress(exps, data.minus_one)) % 2 == 1
-        object.__setattr__(self, "is_odd", is_odd)
+        return tuple.__new__(cls, (modulus, exps, order, is_odd))
+
+    def __getnewargs__(self):  # pickle and copy rebuild from the constructor's arguments
+        return self[:2]
 
     @cached_property
     def conductor(self) -> int:
@@ -205,17 +205,10 @@ def characters(u: int) -> list[DirichletCharacter]:
             for exps, d, odd in rows
             for e, de, flips in table
         ]
-    chars = []
-    for exps, d, odd in rows:
-        chi = object.__new__(DirichletCharacter)
-        attrs = chi.__dict__
-        attrs["modulus"], attrs["exponents"], attrs["order"], attrs["is_odd"] = u, exps, d, odd
-        chars.append(chi)
-    return chars
+    return [tuple.__new__(DirichletCharacter, (u, *row)) for row in rows]
 
 
-@dataclass(frozen=True)
-class CharacterOrbit:
+class CharacterOrbit(NamedTuple):
     """A Galois orbit {chi^k : gcd(k, d) = 1}; members share order/conductor/parity."""
 
     members: tuple[DirichletCharacter, ...]
@@ -257,8 +250,15 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[CharacterOrbit]:
     return orbits
 
 
-@dataclass(frozen=True)
-class AbelianFieldSpec:
+class _FieldSpec(NamedTuple):
+    modulus: int
+    rows: tuple[tuple[int, ...], ...]
+    degree: int
+    conductor: int
+    abs_discriminant: int
+
+
+class AbelianFieldSpec(_FieldSpec):
     """An abelian field presented by its group X of Dirichlet characters mod u.
 
     Built from any exponent tuples generating X; `rows` holds the canonical
@@ -272,25 +272,20 @@ class AbelianFieldSpec:
     at levels 0-1 of 2^e (e >= 3), one gcd of 2x2 minors (_level_sizes).
     """
 
-    modulus: int
-    rows: tuple[tuple[int, ...], ...]
-    degree: int = field(init=False, compare=False, default=0)
-    conductor: int = field(init=False, compare=False, default=0)
-    abs_discriminant: int = field(init=False, compare=False, default=0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        data = _unit_data(self.modulus)
-        rows = self.rows
+    def __new__(cls, modulus: int, rows: tuple[tuple[int, ...], ...]):
+        data = _unit_data(modulus)
         if not (isinstance(rows, _Rows) and rows.orders == data.orders):
             rows = _hnf(rows, data.orders)
         n, cond, disc = _order(rows, data.orders), 1, 1
         for p, sizes in _level_sizes(data, rows):
             cond *= p ** sum(s > 1 for s in sizes)
             disc *= p ** sum(n - n // s for s in sizes)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "degree", n)
-        object.__setattr__(self, "conductor", cond)
-        object.__setattr__(self, "abs_discriminant", disc)
+        return tuple.__new__(cls, (modulus, rows, n, cond, disc))
+
+    def __getnewargs__(self):
+        return self[:2]
 
     def _sort_key(self):
         return (self.degree, self.abs_discriminant, self.conductor, self.rows)

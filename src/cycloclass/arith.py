@@ -24,10 +24,10 @@ import random
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 # Smallest composite that fools the first twelve prime bases is
 # 3_317_044_064_679_887_385_961_981 (Sorenson-Webster), so below that limit
@@ -217,8 +217,7 @@ def _decimal(x: int | Fraction) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(NamedTuple):
     """value = prod(p**e) * cofactor, primes strictly increasing, exponents >= 1.
     The cofactor is 1, or, when factoring stopped at a time limit, a composite
     prime to every listed p."""

@@ -12,10 +12,10 @@ toward +inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .abelian import AbelianFieldSpec
 
@@ -24,8 +24,7 @@ _TARGET_REL_WIDTH = Fraction(1, 2**100)
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """H with provenance: exact rational values of the returned (upper) and
     the lower interval endpoint, the inputs, and how it was rounded."""
 
@@ -125,6 +124,12 @@ def _power(x: int, n: int, bits: int, up: bool) -> tuple[int, int]:
     return q, e
 
 
+@lru_cache(maxsize=None)
+def _half_ln2(prec: int) -> tuple[int, int]:
+    """(lo, hi) around 2^prec * atanh(1/3) = 2^prec * ln 2 / 2."""
+    return _atanh(1, 3, prec)
+
+
 def _interval(abs_disc: int, m: int, fact: int, prec: int) -> list[Fraction]:
     """[lo, hi] around H(abs_disc, m) from prec-bit integer arithmetic, each
     endpoint a dyadic rational of prec + 8 significant bits; fact = (m-1)!."""
@@ -135,14 +140,16 @@ def _interval(abs_disc: int, m: int, fact: int, prec: int) -> list[Fraction]:
     # [t, t + 1] would keep the interval ~1/|D| wide at every precision.
     shift = max(0, abs_disc.bit_length() - bits)
     t = abs_disc >> shift
-    ln2 = _atanh(1, 3, prec)  # around 2^prec * atanh(1/3) = 2^prec * ln 2 / 2
-    ends = []
-    for up, root, top in ((False, r, t), (True, r + 1, t + (shift > 0))):
+    logs = []  # (shift + k, atanh bounds) for t, then t + 1 unless t = |D| is exact
+    for top in (t, t + 1) if shift else (t,):
         # ln(top * 2^shift) = (shift + k) ln 2 + 2 atanh((top - 2^k)/(top + 2^k)),
         # with 2^k <= top < 2^(k+1)
         k = top.bit_length() - 1
-        ln = 2 * (_atanh(top - (1 << k), top + (1 << k), prec)[up]
-                  + (shift + k) * ln2[up])  # 2^prec * ln|D|, floored (or raised)
+        logs.append((shift + k, _atanh(top - (1 << k), top + (1 << k), prec)))
+    ln2 = _half_ln2(prec)
+    ends = []
+    for up, root, (j, series) in ((False, r, logs[0]), (True, r + 1, logs[-1])):
+        ln = 2 * (series[up] + j * ln2[up])  # 2^prec * ln|D|, floored (or raised)
         q, e = _power(ln, m - 1, bits, up)
         # H = 2^(m-1) * root * q * 2^(e - prec*m) / (m-1)!
         num = root * q

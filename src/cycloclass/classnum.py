@@ -39,8 +39,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     PrimeFactorization,
@@ -492,8 +492,7 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
 # Assembly.
 
 
-@dataclass(frozen=True)
-class OrbitNorm:
+class OrbitNorm(NamedTuple):
     order: int
     size: int
     rep_exponents: tuple[int, ...]
@@ -504,8 +503,7 @@ class OrbitNorm:
         return f"order={self.order} size={self.size} rep={self.rep_exponents}"
 
 
-@dataclass(frozen=True)
-class RelativeClassNumber:
+class RelativeClassNumber(NamedTuple):
     modulus: int  # normalized conductor
     value: int
     factorization: PrimeFactorization

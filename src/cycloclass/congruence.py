@@ -23,7 +23,7 @@ the decisive congruence or gate comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, multiplicative_order
 from .bounds import class_number_bound
@@ -42,37 +42,43 @@ def encode_int(v: int) -> int | str:
     return v if v.bit_length() <= _INLINE_INT_BITS else hex(v)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Verdict(NamedTuple):
+    status: str
+    witness: dict
+
+
+class Verdict(_Verdict):
     """Outcome of one theorem application: status plus a replayable witness."""
 
-    status: str
-    witness: dict = field(compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.status not in (CONSISTENT, VIOLATION, INCONCLUSIVE):
-            raise ValueError(f"unknown status {self.status!r}")
+    def __new__(cls, status: str, witness: dict):
+        if status not in (CONSISTENT, VIOLATION, INCONCLUSIVE):
+            raise ValueError(f"unknown status {status!r}")
+        return tuple.__new__(cls, (status, witness))
 
 
-@dataclass(frozen=True)
-class RankHypothesis:
+class _RankHypothesis(NamedTuple):
+    p: int
+    v_p: int
+    r_p: int | None
+
+
+class RankHypothesis(_RankHypothesis):
     """A prime p dividing a class number with multiplicity v_p; r_p is the
     p-rank of the class group when known, else every rank 1..v_p is
     admissible."""
 
-    p: int
-    v_p: int
-    r_p: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"p = {self.p} is not a prime")
-        if self.v_p < 1:
-            raise ValueError(f"v_p must be >= 1, got {self.v_p}")
-        if self.r_p is not None and not 1 <= self.r_p <= self.v_p:
-            raise ValueError(
-                f"known rank r_p = {self.r_p} outside 1..v_p = {self.v_p}"
-            )
+    def __new__(cls, p: int, v_p: int, r_p: int | None = None):
+        if p < 2:
+            raise ValueError(f"p = {p} is not a prime")
+        if v_p < 1:
+            raise ValueError(f"v_p must be >= 1, got {v_p}")
+        if r_p is not None and not 1 <= r_p <= v_p:
+            raise ValueError(f"known rank r_p = {r_p} outside 1..v_p = {v_p}")
+        return tuple.__new__(cls, (p, v_p, r_p))
 
     @property
     def admissible_ranks(self) -> tuple[int, ...]:

@@ -40,9 +40,9 @@ fails an audit, a VIOLATION always does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
 from importlib import resources
+from typing import NamedTuple
 
 from .arith import (
     PrimeFactorization,
@@ -104,8 +104,7 @@ def format_factors(factors: Factors) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
 
 
-@dataclass(frozen=True)
-class SubfieldClassNumber:
+class SubfieldClassNumber(NamedTuple):
     """Known class-number data of a quadratic subfield: either the exact
     factored value or a set of known prime divisors."""
 
@@ -122,15 +121,13 @@ class SubfieldClassNumber:
         return None  # divisor lists are partial knowledge
 
 
-@dataclass(frozen=True)
-class DescentData:
+class DescentData(NamedTuple):
     n: int
     abs_disc: int
     degree: int
 
 
-@dataclass(frozen=True)
-class ClassNumberRecord:
+class ClassNumberRecord(NamedTuple):
     kind: str
     modulus: int | None = None  # u (cyclotomic) or l (real-cyclotomic)
     degree: int | None = None  # abelian only
@@ -408,8 +405,7 @@ def builtin_paper_dataset() -> tuple[ClassNumberRecord, ...]:
 # --- audit -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     record_index: int  # 1-based position in the input
     label: str
     h_kind: str  # "h-", "h+", "h"
@@ -442,8 +438,7 @@ class AuditEntry:
         )
 
 
-@dataclass(frozen=True)
-class _Context:
+class _Context(NamedTuple):
     h_kind: str
     factors: Factors
     N: int
@@ -537,8 +532,7 @@ def _theorem2_verdict(rec: ClassNumberRecord, ctx: _Context, hyp: RankHypothesis
     )
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     records: tuple[ClassNumberRecord, ...]
     entries: tuple[AuditEntry, ...]
     probable_prime_policy: str

@@ -310,9 +310,9 @@ def test_conductor_builds_one_field_spec_per_orbit(monkeypatch):
     built = []
 
     class Counting(AbelianFieldSpec):
-        def __post_init__(self):
-            built.append(self.modulus)
-            super().__post_init__()
+        def __new__(cls, modulus, rows):
+            built.append(modulus)
+            return super().__new__(cls, modulus, rows)
 
     monkeypatch.setattr(abelian, "AbelianFieldSpec", Counting)
     odd = [c for c in characters(1009) if c.is_odd]

@@ -1,6 +1,8 @@
 """Certified geometric class-number bound: exactness, interval width, and an
 independent Decimal-arithmetic oracle."""
 
+import contextlib
+import io
 import math
 import random
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, Context, Decimal, getcontext
@@ -8,8 +10,16 @@ from fractions import Fraction
 
 import pytest
 
+from cycloclass import bounds, cli
 from cycloclass.abelian import AbelianFieldSpec, cyclotomic_field_spec
-from cycloclass.bounds import _decimal_ceiling, class_number_bound, field_bound
+from cycloclass.bounds import (
+    _atanh,
+    _decimal_ceiling,
+    _power,
+    _round,
+    class_number_bound,
+    field_bound,
+)
 
 REL_WIDTH = Fraction(1, 2**100)
 
@@ -184,3 +194,55 @@ def test_printed_bound_of_a_large_dyadic_matches_full_conversion():
     for q in qs:
         for x in (Fraction(q << 20000), Fraction(q, 1 << 20000)):
             assert Fraction(_decimal_ceiling(x, 10)) == _converted_ceiling(x, 10), q
+
+
+def _interval_oracle(abs_disc: int, m: int, fact: int, prec: int) -> list[Fraction]:
+    """bounds._interval as it was before ln 2 was cached per precision and an
+    exact |D| shared one series between the endpoints."""
+    bits = prec + 8
+    r = math.isqrt(abs_disc << 2 * prec)
+    shift = max(0, abs_disc.bit_length() - bits)
+    t = abs_disc >> shift
+    ln2 = _atanh(1, 3, prec)
+    ends = []
+    for up, root, top in ((False, r, t), (True, r + 1, t + (shift > 0))):
+        k = top.bit_length() - 1
+        ln = 2 * (_atanh(top - (1 << k), top + (1 << k), prec)[up] + (shift + k) * ln2[up])
+        q, e = _power(ln, m - 1, bits, up)
+        num = root * q
+        s = max(0, bits + fact.bit_length() - num.bit_length())
+        num <<= s
+        q, s2 = _round(-(-num // fact) if up else num // fact, bits, up)
+        e += m - 1 - prec * m - s + s2
+        ends.append(Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e))
+    return ends
+
+
+def test_interval_matches_the_uncached_oracle(monkeypatch):
+    # every interval that `subfields 480`, `subfields 571` and `verify-paper`
+    # evaluate (121 + 57, of which 93 + 27 have an exact |D|), then random ones
+    seen = []
+    interval = bounds._interval
+
+    def record(*args):
+        seen.append(args)
+        return interval(*args)
+
+    monkeypatch.setattr(bounds, "_interval", record)
+    class_number_bound.cache_clear()
+    for argv in (["subfields", "480"], ["subfields", "571"], ["verify-paper"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    class_number_bound.cache_clear()
+    assert len(seen) == 178
+    assert sum(a.bit_length() <= prec + 8 for a, _, _, prec in seen) == 120
+    rng = random.Random(23)
+    for _ in range(300):
+        prec, m = rng.choice((128, 256, 512)), rng.randint(1, 40)
+        abs_disc = rng.randrange(2, 1 << rng.randint(2, 1200))
+        seen.append((abs_disc, m, math.factorial(m - 1), prec))
+    for prec in (128, 256):
+        # t + 1 a power of two: the upper top has one more bit
+        seen.append((((1 << prec + 8) - 1) << 5 | 7, 3, 2, prec))
+    for args in seen:
+        assert interval(*args) == _interval_oracle(*args), args

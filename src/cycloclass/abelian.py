@@ -16,8 +16,8 @@ characters(u) builds them generator by generator: each generator has a table
 of o_i/gcd(e, o_i) and of the parity of e against -1 over its exponents e, and
 a character's order and parity combine one entry per generator.  Character
 values read one walk of the units per modulus, _UnitData.units, built on the
-first b1_chi or values() (never for subfields or the audit) and shared by
-every character mod u; each character adds only its exponents k.
+first b1_chi (never for subfields or the audit) and shared by every character
+mod u; a unit's position in the walk gives its exponents against the g_i.
 
 _subgroups and _hnf return their rows as a _Rows, a tuple that records the
 orders o_i it is the HNF basis for.  That basis is unique (Cohen, GTM 138,
@@ -113,7 +113,8 @@ class _UnitData:
     @cached_property
     def units(self) -> tuple[int, ...]:
         """Every unit r = prod g_i^t_i mod u, the t_i run like an odometer
-        (last digit fastest); built on the first b1_chi or values()."""
+        (last digit fastest), so r's position, split into digits, is the t_i;
+        built on the first b1_chi."""
         u, walk = self.modulus, [1]
 
         def mul(a: int, b: int) -> int:
@@ -174,18 +175,6 @@ class DirichletCharacter(_Character):
     @property
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def values(self):
-        """An iterator of (r, k) over every unit r mod u, with chi(r) = e(k/d),
-        d the order of chi: r runs through _UnitData.units, r = prod g_i^t_i,
-        and k = sum t_i e_i d/o_i mod d (o_i | e_i d, so each weight is an int)."""
-        d, data = self.order, _unit_data(self.modulus)
-        ks = [0]
-        for o, e in zip(data.orders, self.exponents):
-            w = e * d // o
-            steps = [t * w % d for t in range(o)]
-            ks = [(k + s) % d for k in ks for s in steps]
-        return zip(data.units, ks)
 
 
 def characters(u: int) -> list[DirichletCharacter]:

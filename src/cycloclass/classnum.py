@@ -18,13 +18,13 @@ of H, each value a sum of Gauss periods. For H the whole group that is one
 integer. Otherwise the integer T = N(B_{1,chi}) * D = Res(Phi_e, beta) * g^phi
 * D / f^phi is found modulo primes p = 1 (mod e) below 2^62, where the m coset
 values are one cyclic correlation per prime, and the residues are
-CRT-combined past a Parseval bound. The denominator D comes from
-Stickelberger's theorem: for a prime c not dividing u, (c - chi(c)^-1)
+CRT-combined past a Parseval bound. Only this route needs the denominator
+D, from Stickelberger's theorem: for a prime c not dividing u, (c - chi(c)^-1)
 B_{1,chi} is integral, so D_c = N(c - chi(c)) = Phi_k(c)^(phi(d)/phi(k)), k
 the order of chi(c), clears the norm, with Phi_k(c) = prod (c^f - 1)^mu(k/f)
 from the binomial product, and D is the gcd of D_c over the two smallest such
-auxiliary primes, chi(c) read off c's position in the walk of b1_chi. The
-norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
+auxiliary primes, chi(c) read off c's position in the unit walk
+abelian._UnitData.units. The norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
 
 relative_class_number runs under arith.within(time_limit), checked before
 every pass of a reduction by Phi_d, every product of the descent and of the
@@ -118,15 +118,11 @@ def _poly_rem(num: list[int], d: int) -> list[int]:
     return [a - b for a, b in zip(num, q)]
 
 
-def b1_chi(
-    chi: DirichletCharacter, chi_at: dict[int, int | None] | None = None
-) -> tuple[tuple[int, ...], int]:
+def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
     """B_{1,chi} = (1/f) sum_{a=1}^{f} chi*(a) a, chi* the primitive character
     of conductor f inducing chi, as (c, f) with B_{1,chi} = (1/f) sum c_i zeta^i:
     the phi(d) integer coefficients on the power basis of Q(zeta_d), d = order
-    of chi, and the conductor. Each key r of `chi_at` gets as its value the
-    exponent k of chi(r) = e(k/d), read off r's position in the unit walk;
-    raises ValueError for a key that is not a unit in (0, u).
+    of chi, and the conductor.
 
     The sum runs over _UnitData.units mod f, r = prod g_i^t_i with the last
     digit fastest, where chi(r) = e(sum t_i w_i / d), w_i = e_i d/o_i. chi(g_i)
@@ -141,16 +137,6 @@ def b1_chi(
     d, f, u = chi.order, chi.conductor, chi.modulus
     data = _unit_data(u)
     weights = [e * d // o for o, e in zip(data.orders, chi.exponents)]
-    for r in chi_at or ():
-        try:
-            pos = data.units.index(r)
-        except ValueError:
-            raise ValueError(f"chi_at key {r!r} is not a unit in (0, {u})") from None
-        k = 0
-        for o, w in zip(reversed(data.orders), reversed(weights)):
-            pos, t = divmod(pos, o)
-            k += t * w
-        chi_at[r] = k % d
     # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
     blocks = {0: data.units_mod(f)}  # partial exponent k0 -> walk over the digits left
     *head, (o, e, w) = zip(data.orders, chi.exponents, weights)
@@ -358,7 +344,10 @@ def _descend(A: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
 # times its timings above q = 17 (below, under 5% of its chain). On the
 # tabulated conductors the rule takes H = (Z/2q)^* for every last prime, up
 # to q = 89; at u = 1163 it takes |H| = 2 for q = 83, and at u = 10007
-# |H| = 41.
+# |H| = 41. The rule assumes a fresh process: it charges every CRT prime as
+# drawn cold, though _ROOT_POOLS keeps the primes of each order for the life
+# of the process, so once the pool of 2q is warm the whole group can be
+# slower than the CRT the rule passed over (CHANGES.md).
 _SLOT_S = 1.3e-6
 _KARATSUBA_S = 3.0e-11
 _POWER_S = 3.2e-7
@@ -442,6 +431,18 @@ def _coset_norm_mod(a0: int, A: list[int], q: int, p: int, omega: int) -> int:
     return acc
 
 
+def _chi_exponent(chi: DirichletCharacter, r: int) -> int:
+    """k with chi(r) = e(k/d), d the order of chi, for a unit r in (0, u):
+    r's position in _UnitData.units, split into the digits t_i (last digit
+    fastest), gives k = sum t_i e_i d/o_i mod d."""
+    d, data = chi.order, _unit_data(chi.modulus)
+    pos, k = data.units.index(r), 0
+    for o, e in zip(reversed(data.orders), reversed(chi.exponents)):
+        pos, t = divmod(pos, o)
+        k += t * (e * d // o)
+    return k % d
+
+
 def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi.
     Raises TimeLimitExceeded when the time limit passes, checked before every
@@ -454,10 +455,7 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     if phi != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
     # chi(-1) = -1 makes d even, as _descend needs.
-    primes = (c for c in itertools.count(2) if u % c and is_prime(c))
-    aux = list(itertools.islice(primes, 2))
-    chi_at = dict.fromkeys(c % u for c in aux)
-    c, f = b1_chi(chi, chi_at)
+    c, f = b1_chi(chi)
     # N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i), c0 = c/g.
     g = math.gcd(*c)
     c0 = tuple(x // g for x in c)
@@ -470,8 +468,11 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     a0, A = _coset_values(beta, e // 2, rule_bits, f"order-{d} norm: descent reached order {e}")
     if len(A) == 1:  # H is the whole group: Res(Phi_e, beta) = a0 - A_0
         return Fraction((a0 - A[0]) * g_phi, f_phi) * Fraction(-1, 2) ** phi
-    # T = N(B_{1,chi}) * D, an integer, found by CRT.
-    D = _stickelberger_denominator(d, [(a, chi_at[a % u]) for a in aux])
+    # T = N(B_{1,chi}) * D, an integer, found by CRT; D from the two smallest
+    # primes not dividing u.
+    primes = (a for a in itertools.count(2) if u % a and is_prime(a))
+    aux = [(a, _chi_exponent(chi, a % u)) for a in itertools.islice(primes, 2)]
+    D = _stickelberger_denominator(d, aux)
     scale = g_phi * D
     bits = max(1, res_bits + scale.bit_length() - f_phi.bit_length() + 1)
     x, mod = 0, 1

@@ -6,7 +6,7 @@ cyclotomic_polynomial gives the dense coefficients of Phi_d, which the package
 itself never builds. CyclotomicNumber is exact arithmetic in Q(zeta_d) on the
 power basis, with x^k mod Phi_d taken from the rows of _power_rows; oracle_b1
 sums roots of unity in it, reading chi(a) from char_value, a discrete-log table of (Z/u)^* built
-here rather than from the cached unit walk of DirichletCharacter.values;
+here rather than from the cached unit walk _UnitData.units;
 odometer_values steps through the generators one unit at a time, the order
 that walk must keep. per_unit_b1_chi is b1_chi summed one unit of that walk
 at a time, where b1_chi sums residue classes of it by slices.
@@ -242,21 +242,15 @@ def oracle_b1(chi: DirichletCharacter) -> CyclotomicNumber:
 
 
 
-def per_unit_b1_chi(
-    chi: DirichletCharacter, chi_at: dict[int, int | None] | None = None
-) -> tuple[tuple[int, ...], int]:
+def per_unit_b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
     """b1_chi one unit at a time: (c, f) with B_{1,chi} = (1/f) sum c_i zeta^i,
-    from every (r, k) of chi.values() adding r mod f to the coefficient of
-    zeta^k, then folded by x^(d/2) + 1 and reduced by Phi_d as b1_chi does.
-    Each key r of chi_at that the walk meets gets k; other keys stay as
-    they are."""
+    from every (r, k) of odometer_values(chi) adding r mod f to the
+    coefficient of zeta^k, then folded by x^(d/2) + 1 and reduced by Phi_d as
+    b1_chi does."""
     d, f, u = chi.order, chi.conductor, chi.modulus
     acc = [0] * d
-    chi_at = {} if chi_at is None else chi_at
-    for r, k in chi.values():
+    for r, k in odometer_values(chi):
         acc[k] += r % f
-        if r in chi_at:
-            chi_at[r] = k
     if d % 2 == 0:
         acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
     c = _poly_rem(acc, d)

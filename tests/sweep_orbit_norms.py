@@ -1,14 +1,14 @@
 """Equality sweep: every odd-orbit norm of every conductor 3 <= u <= N with
 u != 2 (mod 4), by cycloclass.classnum.orbit_norm (transform route) against
 norm_oracle.oracle_orbit_norm (Euclidean resultants), each orbit's b1_chi
-against norm_oracle.oracle_b1 (sum of roots of unity), and the exponents b1_chi
-writes to chi_at at orbit_norm's two auxiliary primes against
-norm_oracle.char_value (discrete-log table). Not collected by pytest.
+against norm_oracle.oracle_b1 (sum of roots of unity), and the exponents that
+cycloclass.classnum._chi_exponent reads at orbit_norm's two auxiliary primes
+against norm_oracle.char_value (discrete-log table). Not collected by pytest.
 
     PYTHONPATH=src:tests python tests/sweep_orbit_norms.py 1000
 
 Prints each mismatch, then the number of norms compared, the number of
-mismatches of each kind (norm, b1_chi, chi_at) and both norm routes' total times; exits 1 on any
+mismatches of each kind (norm, b1_chi, exponent) and both norm routes' total times; exits 1 on any
 mismatch. Phi_d is built before the timed calls, so the first conductor with a
 given orbit order does not charge it to oracle_orbit_norm; the x^k mod Phi_d rows
 that oracle_b1 needs are dropped after each conductor, which keeps memory flat.
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from cycloclass.abelian import characters, galois_orbits
 from cycloclass.arith import is_prime
-from cycloclass.classnum import b1_chi, orbit_norm
+from cycloclass.classnum import _chi_exponent, b1_chi, orbit_norm
 from norm_oracle import (
     _power_rows,
     char_value,
@@ -35,7 +35,7 @@ from norm_oracle import (
 
 def main(argv: list[str]) -> int:
     n = int(argv[1]) if len(argv) > 1 else 1000
-    count = mismatches = b1_mismatches = at_mismatches = 0
+    count = mismatches = b1_mismatches = exp_mismatches = 0
     new_s = oracle_s = 0.0
     for u in range(3, n + 1):
         if u % 4 == 2:
@@ -57,21 +57,20 @@ def main(argv: list[str]) -> int:
             if new != old:
                 mismatches += 1
                 print(f"MISMATCH u={u} order={ob.order} rep={chi.exponents}")
-            chi_at = dict.fromkeys(a % u for a in aux)
-            c, f = b1_chi(chi, chi_at)
+            c, f = b1_chi(chi)
             if tuple(Fraction(x, f) for x in c) != oracle_b1(chi).coeffs:
                 b1_mismatches += 1
                 print(f"B1 MISMATCH u={u} order={ob.order} rep={chi.exponents}")
-            if any(chi_at[a % u] != char_value(chi, a) for a in aux):
-                at_mismatches += 1
-                print(f"CHI_AT MISMATCH u={u} order={ob.order} rep={chi.exponents}")
+            if any(_chi_exponent(chi, a % u) != char_value(chi, a) for a in aux):
+                exp_mismatches += 1
+                print(f"EXPONENT MISMATCH u={u} order={ob.order} rep={chi.exponents}")
         _power_rows.cache_clear()
     print(
         f"u <= {n}: {count} odd-orbit norms, {mismatches} mismatches, "
-        f"{b1_mismatches} b1_chi mismatches, {at_mismatches} chi_at mismatches; "
+        f"{b1_mismatches} b1_chi mismatches, {exp_mismatches} exponent mismatches; "
         f"orbit_norm {new_s:.1f} s, oracle_orbit_norm {oracle_s:.1f} s"
     )
-    return 1 if mismatches or b1_mismatches or at_mismatches else 0
+    return 1 if mismatches or b1_mismatches or exp_mismatches else 0
 
 
 if __name__ == "__main__":

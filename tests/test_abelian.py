@@ -32,9 +32,10 @@ from cycloclass.abelian import (
     subfields,
     two_power_subfield,
 )
-from cycloclass.classnum import orbit_norm
+from cycloclass.classnum import b1_chi, orbit_norm
 from cycloclass.cli import EXIT_USAGE, main
 import cycloclass.abelian as abelian
+import cycloclass.classnum as classnum
 from norm_oracle import char_power, char_value, dlog_table, odometer_values
 from subgroup_oracle import (
     _all_subgroups,
@@ -126,7 +127,9 @@ def test_character_counts_and_parity_split():
 def test_character_values_mod5():
     # (Z/5)^* = <2>; the quadratic character is 1 on {1,4}, -1 on {2,3}.
     quad = next(ch for ch in characters(5) if ch.order == 2)
-    assert dict(quad.values()) == {1: 0, 2: 1, 4: 0, 3: 1}
+    assert _unit_data(5).units == (1, 2, 4, 3)
+    assert dict(odometer_values(quad)) == {1: 0, 2: 1, 4: 0, 3: 1}
+    assert [char_value(quad, r) for r in (1, 2, 3, 4)] == [0, 1, 1, 0]
     assert char_value(quad, 5) is None
     # 5 = 1 mod 4: the quadratic character mod 5 is even
     assert quad.conductor == 5 and not quad.is_odd
@@ -147,12 +150,12 @@ def test_char_value_function_and_nonunits():
     chi = characters(12)[1]
     assert char_value(chi, 2) is None
     assert char_value(chi, 12 + 5) == char_value(chi, 5)
-    # a = prod g_i^k_i gives chi(a) = e(sum e_i k_i / o_i): the walk's k is
-    # that sum mod 1, in units of 1/order.
+    # a = prod g_i^k_i gives chi(a) = e(sum e_i k_i / o_i): the odometer's k
+    # is that sum mod 1, in units of 1/order.
     for u in (16, 63, 80):
         orders, table = _unit_data(u).orders, dlog_table(u)
         for chi in characters(u):
-            for a, v in chi.values():
+            for a, v in odometer_values(chi):
                 assert isinstance(v, int) and 0 <= v < chi.order
                 want = sum(Fraction(e * k, o) for e, k, o in zip(chi.exponents, table[a], orders))
                 assert Fraction(v, chi.order) == want % 1
@@ -161,29 +164,30 @@ def test_char_value_function_and_nonunits():
 
 def test_character_values_walk_every_unit_once():
     for u in MODULI + [9907, 99991]:
-        k = len(_unit_data(u).orders)
-        residues = [r for r, _ in DirichletCharacter(u, (1,) * k).values()]
+        residues = _unit_data(u).units
         assert len(set(residues)) == len(residues) == euler_phi(u), u
         assert all(0 < r < u and math.gcd(r, u) == 1 for r in residues), u
 
 
 def test_character_values_follow_the_odometer():
-    # the cached walk gives the pairs of the one-unit-at-a-time odometer, in
-    # its order, for every character
+    # the cached walk holds the units of the one-unit-at-a-time odometer, in
+    # its order, which b1_chi's slices and classnum._chi_exponent read
     for u in MODULI + [480, 572, 1680]:
-        for chi in characters(u):
-            assert list(chi.values()) == list(odometer_values(chi)), chi
+        walk = [r for r, _ in odometer_values(characters(u)[-1])]
+        assert list(_unit_data(u).units) == walk, u
 
 
 def test_characters_of_one_modulus_share_one_walk(monkeypatch):
-    monkeypatch.setattr(abelian, "_unit_data", lru_cache(maxsize=None)(abelian._UnitData))
+    unit_data = lru_cache(maxsize=None)(abelian._UnitData)
+    monkeypatch.setattr(abelian, "_unit_data", unit_data)
+    monkeypatch.setattr(classnum, "_unit_data", unit_data)
     a, b = characters(1009)[1:3]
-    data = abelian._unit_data(1009)
+    data = unit_data(1009)
     assert "units" not in vars(data)
-    walk = [r for r, _ in a.values()]
+    b1_chi(a)
     units = vars(data)["units"]
-    assert list(units) == walk
-    assert [r for r, _ in b.values()] == walk
+    assert list(units) == [r for r, _ in odometer_values(a)]
+    b1_chi(b)
     assert vars(data)["units"] is units
 
 
@@ -198,13 +202,14 @@ def test_unit_walk_is_built_only_for_character_values(monkeypatch, capsys):
         return built[u]
 
     monkeypatch.setattr(abelian, "_unit_data", unit_data)
+    monkeypatch.setattr(classnum, "_unit_data", unit_data)
     subfields(480)
     characters(480)
     assert main(["verify-paper"]) == 0
     capsys.readouterr()
     assert {480, 9907} <= set(built)
     assert all("units" not in vars(data) for data in built.values())
-    list(characters(480)[1].values())
+    b1_chi(characters(480)[1])
     assert "units" in vars(built[480])
 
 

@@ -20,6 +20,7 @@ from cycloclass.arith import euler_phi, factorize, is_prime, within
 from cycloclass.classnum import (
     IntegralityError,
     TimeLimitExceeded,
+    _chi_exponent,
     _conjugate_product,
     _coset_norm_mod,
     _coset_values,
@@ -111,7 +112,7 @@ def _b1_fractions(chi):
 
 def test_b1_chi_matches_oracle():
     # integer coefficients over the conductor vs the sum of roots of unity,
-    # and the exponents of chi at the units asked for vs the discrete-log table
+    # and the exponents _chi_exponent reads vs the discrete-log table
     chars = [ch for u in range(3, 61) if u % 4 != 2 for ch in characters(u)]
     # the orbits of orders 105 and 210 mod 211, by representative: Phi_105 and
     # Phi_210(x) = Phi_105(-x) have the coefficients -2 and 2 at x^7
@@ -119,34 +120,55 @@ def test_b1_chi_matches_oracle():
     for ch in chars:
         if not ch.is_trivial:
             u = ch.modulus
-            chi_at = dict.fromkeys(r % u for r in (1, 2, 3, 5, u - 1) if math.gcd(r, u) == 1)
-            c, f = b1_chi(ch, chi_at)
+            c, f = b1_chi(ch)
             assert f == ch.conductor, (u, ch.exponents)
             want = oracle_b1(ch).coeffs
             assert tuple(Fraction(x, f) for x in c) == want, (u, ch.exponents)
-            assert chi_at == {r: char_value(ch, r) for r in chi_at}, (u, ch.exponents)
+            for r in {r % u for r in (1, 2, 3, 5, u - 1) if math.gcd(r, u) == 1}:
+                assert _chi_exponent(ch, r) == char_value(ch, r), (u, ch.exponents, r)
 
 
 def test_b1_chi_matches_the_per_unit_sum():
-    # the slice sums against one unit at a time, in (c, f) and in the exponents
-    # written to chi_at, for every nontrivial character (imprimitive included)
+    # the slice sums against one unit at a time, and the exponents
+    # _chi_exponent reads at orbit_norm's auxiliary primes, at 1 and at -1
+    # against the discrete-log table, for every nontrivial character
+    # (imprimitive included)
     for u in [u for u in range(3, 201) if u % 4 != 2] + [572, 1680, 4620]:
         primes = (c for c in itertools.count(2) if u % c and is_prime(c))
         keys = {c % u for c in itertools.islice(primes, 2)} | {1, u - 1}
         for chi in characters(u)[1:]:
-            got, want = dict.fromkeys(keys), dict.fromkeys(keys)
-            assert b1_chi(chi, got) == per_unit_b1_chi(chi, want), (u, chi.exponents)
-            assert got == want, (u, chi.exponents)
+            assert b1_chi(chi) == per_unit_b1_chi(chi), (u, chi.exponents)
+            for r in keys:
+                assert _chi_exponent(chi, r) == char_value(chi, r), (u, chi.exponents, r)
 
 
-def test_b1_chi_rejects_a_key_that_is_not_a_unit():
-    chi = characters(12)[1]
-    for key in (0, 2, 6, 12, 13, -1):
-        with pytest.raises(ValueError, match=re.escape(f"chi_at key {key} is not a unit in (0, 12)")):
-            b1_chi(chi, {5: None, key: None})
-    at = {5: None, 11: None}
-    b1_chi(chi, at)
-    assert None not in at.values()
+def test_only_the_crt_route_reads_chi_at_the_auxiliary_primes(monkeypatch):
+    # the exact routes (descent to e = 2, and H the whole group) need no
+    # Stickelberger denominator, so they never read chi at a unit
+    def refuse(chi, r):
+        raise AssertionError(f"_chi_exponent read on an exact route: {chi}, {r}")
+
+    monkeypatch.setattr(classnum, "_chi_exponent", refuse)
+    # the 16 tabulated prime-power conductors and 572
+    for u in (59, 71, 79, 83, 103, 107, 121, 127, 131, 139, 151, 163, 167, 179, 191, 199, 572):
+        relative_class_number(u)
+    for u in (401, 1009):
+        for ob in galois_orbits([ch for ch in characters(u) if ch.is_odd]):
+            orbit_norm(ob)
+    # the order-262 orbit of 263 is a CRT at q = 131: two reads, one per
+    # auxiliary prime, each equal to the discrete-log table's exponent
+    reads = []
+
+    def record(chi, r):
+        k = _chi_exponent(chi, r)
+        reads.append((chi, r, k))
+        return k
+
+    monkeypatch.setattr(classnum, "_chi_exponent", record)
+    (ob,) = [ob for ob in galois_orbits(characters(263)) if ob.order == 262]
+    assert orbit_norm(ob) == oracle_orbit_norm(ob)
+    assert [r for _, r, _ in reads] == [2, 3]
+    assert all(k == char_value(chi, r) for chi, r, k in reads)
 
 
 def test_b1_galois_equivariance():

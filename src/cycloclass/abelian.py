@@ -224,15 +224,13 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[CharacterOrbit]:
             continue
         chi = pool[exps]
         d, orders = chi.order, _unit_data(chi.modulus).orders
-        powers = []
-        for k in range(1, d + 1):
-            if math.gcd(k, d) != 1:
-                continue
-            power = tuple(k * e % o for e, o in zip(exps, orders))
-            if power not in remaining:
-                raise ValueError(f"input not Galois-closed: power {k} of {exps} is missing")
-            remaining.remove(power)
-            powers.append(power)
+        ks = [k for k in range(1, d + 1) if math.gcd(k, d) == 1]
+        # One row of k * e mod o per generator, read across: the power chi^k.
+        powers = list(zip(*[[k * e % o for k in ks] for e, o in zip(exps, orders)]))
+        if not remaining.issuperset(powers):
+            k = next(k for k, power in zip(ks, powers) if power not in remaining)
+            raise ValueError(f"input not Galois-closed: power {k} of {exps} is missing")
+        remaining.difference_update(powers)
         members = tuple(pool[e] for e in sorted(powers))
         orbits.append(CharacterOrbit(members, d, chi.conductor, chi.is_odd))
     orbits.sort(key=lambda ob: (ob.order, ob.conductor, ob.members[0].exponents))

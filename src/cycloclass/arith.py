@@ -1,19 +1,22 @@
 """Exact integer arithmetic: primality, factorization, phi, multiplicative order.
 
-Everything here is deterministic for inputs below the proven Miller-Rabin
-witness bound (~3.3e24); beyond that, primality falls back to randomized
-Miller-Rabin with many rounds and callers can ask whether a given prime
-was only probabilistically certified.
+is_prime is a proof below MR_PROVEN_LIMIT = psi_13 (~3.3e24): Miller-Rabin
+with the first t prime bases for n < psi_t, the smallest strong pseudoprime to
+all of them, so the number of rounds grows with n up to 13. Beyond that limit,
+primality falls back to 40 more seeded random rounds, and callers can ask
+whether a given prime was only probabilistically certified.
 
 factorize is one splitter with three stages: trial division by the primes
 below 10^4, one Pollard p - 1 stage with smoothness bound 20000, and
 Brent-Pollard rho. Trial division and p - 1 share one list of the primes
-below 20000, sieved on first use, and p - 1 batches their prime powers once.
-The time limit is ambient: within(seconds) sets it, and _check, the
-package's only clock reading, raises once it has passed. Checked once per
-batch of p - 1 or rho steps, it stops the splitter: what it found then comes
-back, with the unsplit rest as a composite cofactor, on the TimeLimitExceeded
-it raises. As an lru_cache, factorize stores nothing for a call that raises.
+below 20000, sieved on first use. Trial division takes the primes in blocks,
+one gcd per block telling whether any of them divides; p - 1 batches their
+prime powers once. The time limit is ambient: within(seconds) sets it, and
+_check, the package's only clock reading, raises once it has passed. Checked
+once per batch of p - 1 or rho steps, it stops the splitter: what it found
+then comes back, with the unsplit rest as a composite cofactor, on the
+TimeLimitExceeded it raises. As an lru_cache, factorize stores nothing for a
+call that raises.
 """
 
 from __future__ import annotations
@@ -29,11 +32,24 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-# Smallest composite that fools the first twelve prime bases is
-# 3_317_044_064_679_887_385_961_981 (Sorenson-Webster), so below that limit
-# Miller-Rabin with these bases is a proof, comfortably covering 2**64.
-_MR_PROVEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_t, the smallest strong pseudoprime to all of the first t prime bases
+# (OEIS A014233; Sorenson-Webster, Math. Comp. 86, 2017, for t = 12, 13), with
+# the least t of each value: below psi_t, Miller-Rabin with the first t bases is
+# a proof. The 13 bases prove every n < psi_13 ~ 3.3e24, well past 2**64.
+_MR_PROVEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (MR_PROVEN_LIMIT, 13),
+)
 _MR_RANDOM_ROUNDS = 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -53,7 +69,8 @@ def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Primality test; a proof for n < MR_PROVEN_LIMIT, else 40-round Miller-Rabin."""
+    """Primality test; a proof for n < MR_PROVEN_LIMIT, with the first t prime
+    bases for n < psi_t, else 13 bases and 40 seeded random Miller-Rabin rounds."""
     if n < 0:
         raise ValueError(f"is_prime expects n >= 0, got {n}")
     if n < 2:
@@ -64,7 +81,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_PROVEN_BASES:
+    t = next((t for psi, t in _MR_TIERS if n < psi), len(_MR_PROVEN_BASES))
+    for a in _MR_PROVEN_BASES[:t]:
         if _mr_witness(a, d, s, n):
             return False
     if n < MR_PROVEN_LIMIT:
@@ -85,6 +103,7 @@ def probable_prime_only(n: int) -> bool:
 _TRIAL_BOUND = 10_000  # trial division clears every prime factor below this
 _PM1_BOUND = 20_000  # smoothness bound of the p - 1 stage
 _PM1_BATCH = 64  # prime powers per p - 1 batch
+_TRIAL_BLOCK = 64  # primes per trial-division block
 
 
 class TimeLimitExceeded(Exception):
@@ -142,8 +161,41 @@ def _pm1_batches() -> tuple[tuple[tuple[int, ...], int], ...]:
         while q * p < _PM1_BOUND:
             q *= p
         powers.append(q)
-    batches = (tuple(powers[i:i + _PM1_BATCH]) for i in range(0, len(powers), _PM1_BATCH))
-    return tuple((batch, math.prod(batch)) for batch in batches)
+    return _with_products(powers, _PM1_BATCH)
+
+
+@lru_cache(maxsize=None)
+def _trial_blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The primes below _TRIAL_BOUND in blocks of _TRIAL_BLOCK, each with its
+    product; built on first use."""
+    return _with_products([p for p in _small_primes() if p < _TRIAL_BOUND], _TRIAL_BLOCK)
+
+
+def _with_products(items: list[int], size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """items in consecutive chunks of `size`, each with its product."""
+    chunks = (tuple(items[i:i + size]) for i in range(0, len(items), size))
+    return tuple((chunk, math.prod(chunk)) for chunk in chunks)
+
+
+def _trial_divide(m: int, found: dict[int, int]) -> int:
+    """Divide the primes below _TRIAL_BOUND out of m, counting them in found,
+    and return the rest. The scan stops at the first p with p * p > m, where
+    the rest is 1 or a prime. A block whose last prime's square m reaches
+    costs one gcd, and is skipped when prime to m."""
+    for block, product in _trial_blocks():
+        if m >= block[-1] ** 2 and math.gcd(m, product) == 1:
+            continue
+        for p in block:
+            if p * p > m:
+                return m
+            if m % p == 0:
+                m //= p
+                e = 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                found[p] = e
+    return m
 
 
 def _pollard_pm1(n: int) -> int | None:
@@ -293,14 +345,8 @@ def factorize(n: int) -> PrimeFactorization:
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    m = n
     found: dict[int, int] = {}
-    for p in _small_primes():
-        if p >= _TRIAL_BOUND or p * p > m:
-            break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
+    m = _trial_divide(n, found)
     pending, unsplit, stage = [m] if m > 1 else [], [], ""
     while pending:
         # Smallest piece first, so that a time-out leaves only the hardest

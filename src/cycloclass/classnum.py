@@ -26,12 +26,16 @@ from the binomial product, and D is the gcd of D_c over the two smallest such
 auxiliary primes, chi(c) read off c's position in the unit walk
 abelian._UnitData.units. The norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
 
-relative_class_number runs under arith.within(time_limit), checked before
-every pass of a reduction by Phi_d, every product of the descent and of the
-last step, every CRT prime and in the factoring of h^-. Out of time in the
-norms, TimeLimitExceeded says how far they got; out of time in the factoring,
-the exact value comes back, its unsplit rest a composite cofactor, and
-RelativeClassNumber.note says so.
+relative_class_number factors h^- through its pieces, Q*w and the numerator
+of each orbit norm: every prime of h^- divides one of them, and the
+denominators only cancel. Each piece goes through the cached arith.factorize,
+smallest first, and the primes found are divided out of h^- exactly. It runs
+under arith.within(time_limit), checked before every pass of a reduction by
+Phi_d, every product of the descent and of the last step, every CRT prime and
+in the factoring of the pieces. Out of time in the norms, TimeLimitExceeded
+says how far they got; out of time in the factoring, the exact value comes
+back, its unsplit rest a composite cofactor, and RelativeClassNumber.note says
+so.
 """
 
 from __future__ import annotations
@@ -514,11 +518,42 @@ class RelativeClassNumber(NamedTuple):
     note: str = ""  # why the factorization has a cofactor; empty when complete
 
 
+def _factor_from_pieces(h: int, pieces: list[int]) -> PrimeFactorization:
+    """The factorization of h from the factorizations of pieces whose product
+    every prime of h divides, smallest piece first, so that a time-out leaves
+    only the hardest unsplit. Each prime found is divided out of h exactly.
+
+    Out of time in one piece, the others still run, each stopping at its first
+    check; then raises TimeLimitExceeded naming the first stage that stopped,
+    with h's factorization as `partial`, its unsplit rest the cofactor.
+    """
+    exponents: dict[int, int] = {}
+    rest, stage = h, ""
+    for piece in sorted(pieces):
+        try:
+            primes = factorize(piece).primes()
+        except TimeLimitExceeded as exc:
+            primes = exc.partial.primes()
+            stage = stage or str(exc).partition(" stopped on ")[0]
+        for p in primes:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            if e:
+                exponents[p] = e
+    fact = PrimeFactorization.assemble(h, exponents, rest)
+    if fact.cofactor > 1:
+        raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact)
+    return fact
+
+
 def relative_class_number(u: int, time_limit: float | None = None) -> RelativeClassNumber:
     """h^-(u) with its factorization and per-orbit norms; exact throughout.
 
-    u is normalized first (u = 2 mod 4 names the same field as u/2). Raises
-    ValueError for a time_limit that is negative, infinite or NaN,
+    u is normalized first (u = 2 mod 4 names the same field as u/2). h^- is
+    factored from Q*w and the numerators of the orbit norms, never as a whole.
+    Raises ValueError for a time_limit that is negative, infinite or NaN,
     IntegralityError if the rational product is not a positive integer, and
     TimeLimitExceeded when `time_limit` seconds pass in the orbit norms. When
     they pass while factoring, the value is still exact: its factorization
@@ -552,7 +587,7 @@ def relative_class_number(u: int, time_limit: float | None = None) -> RelativeCl
             raise IntegralityError(f"h^-({u}) is not a positive integer", h)
         note = ""
         try:
-            fact = factorize(int(h))
+            fact = _factor_from_pieces(int(h), [q * w] + [n.norm.numerator for n in norms])
         except TimeLimitExceeded as exc:
             fact = exc.partial
             note = f"time limit {time_limit}s exceeded in factorization ({exc})"

@@ -338,7 +338,7 @@ def test_galois_orbit_count_for_prime_modulus():
 def test_galois_orbits_reject_non_closed_input():
     chars = characters(7)
     some = [ch for ch in chars if ch.order == 6][:1] + [ch for ch in chars if ch.is_trivial]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^input not Galois-closed: power 5 of \(\d,\) is missing$"):
         galois_orbits(some)
     with pytest.raises(ValueError):
         galois_orbits(characters(5) + characters(8))

@@ -21,7 +21,12 @@ from cycloclass.arith import (
     _pm1_batches,
     _pollard_pm1,
     _pollard_rho,
+    _MR_PROVEN_BASES,
+    _MR_TIERS,
+    _mr_witness,
     _small_primes,
+    _trial_blocks,
+    _trial_divide,
     euler_phi,
     factorize,
     is_prime,
@@ -66,6 +71,25 @@ def test_is_prime_large_known_values():
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert is_prime(2**89 - 1)  # Mersenne prime, above the proven witness limit
     assert is_prime(5123189985484229035947419)  # 83-bit prime, above proven limit
+
+
+def test_proven_tiers_are_strong_pseudoprimes():
+    # psi_t of each tier (OEIS A014233) passes Miller-Rabin for all of the
+    # first t prime bases, so t bases prove nothing at psi_t, and is_prime
+    # still rejects it: with t + 1 bases, or random rounds at psi_13
+    assert [psi for psi, _ in _MR_TIERS] == sorted({psi for psi, _ in _MR_TIERS})
+    assert _MR_TIERS[-1] == (MR_PROVEN_LIMIT, len(_MR_PROVEN_BASES))
+    for psi, t in _MR_TIERS:
+        d, s = psi - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        assert not any(_mr_witness(a, d, s, psi) for a in _MR_PROVEN_BASES[:t] if psi % a), psi
+        assert not is_prime(psi), psi
+    # psi_12 = 399165290221 * 798330580441 fools the first twelve bases, and
+    # psi_13 the first thirteen
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3317044064679887385961981)
 
 
 def test_probable_prime_only_flag():
@@ -129,6 +153,36 @@ def test_small_primes_sieve_bypasses_is_prime_cache():
     assert is_prime.cache_info() == before
     flags = _sieve(20_000)
     assert primes == tuple(n for n in range(20_000) if flags[n])
+
+
+def _trial_divide_per_prime(m: int, found: dict[int, int]) -> int:
+    """Oracle: one prime below 10^4 at a time, stopping once p * p > m."""
+    for p in _small_primes():
+        if p >= 10_000 or p * p > m:
+            break
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+    return m
+
+
+def test_trial_division_by_blocks_matches_per_prime_loop():
+    blocks = _trial_blocks()
+    assert [p for block, _ in blocks for p in block] == [p for p in _small_primes() if p < 10_000]
+    assert all(product == math.prod(block) for block, product in blocks)
+    assert _trial_blocks() is blocks
+    # the primes closest to 10^4, first and last of their blocks, squared and
+    # times a prime above the bound and a large prime
+    near = [p for p in _small_primes() if p < 10_000][-70:]
+    edges = [block[i] for block, _ in blocks for i in (0, -1)]
+    large = (10007, 2**61 - 1, 2**89 - 1)
+    cases = list(range(1, 100_001))
+    cases += [p * q for p in near for q in near + edges]
+    cases += [p**2 * q * r for p in near[::7] for q in edges[::5] for r in large]
+    for n in cases:
+        by_blocks, per_prime = {}, {}
+        assert _trial_divide(n, by_blocks) == _trial_divide_per_prime(n, per_prime), n
+        assert by_blocks == per_prime, n
 
 
 def test_pm1_stage_splits_orbit_norm_of_199():

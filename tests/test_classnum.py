@@ -541,6 +541,30 @@ def test_hminus_factorization_verifies():
         assert math.prod(p**e for p, e in r.factorization.factors) == r.value
 
 
+def test_hminus_factored_from_its_pieces(monkeypatch):
+    # the factorization from Q*w and the orbit-norm numerators equals that of
+    # h^- as a whole; at the table conductors the pieces are factored last,
+    # smallest first, and h^-, which is none of them, is never factored
+    table = (59, 71, 79, 83, 103, 107, 121, 127, 131, 139, 151, 163, 167, 179, 191, 199, 572)
+    factored = []
+
+    def recording_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(classnum, "factorize", recording_factorize)
+    for u in table:
+        factored.clear()
+        r = relative_class_number(u)
+        pieces = [r.q_factor * r.roots_of_unity] + [n.norm.numerator for n in r.orbit_norms]
+        assert factored[-len(pieces):] == sorted(pieces), u
+        assert r.value not in factored, u
+    results = [relative_class_number(u) for u in (*range(1, 200), *table)]
+    monkeypatch.undo()
+    for r in results:
+        assert r.factorization == factorize(r.value), r.modulus
+
+
 def test_hminus_orbit_norms_multiply_to_value():
     r = relative_class_number(59)
     prod = Fraction(r.q_factor * r.roots_of_unity)
@@ -617,16 +641,22 @@ def test_orbit_norm_deadline_checked_once_per_crt_prime(monkeypatch):
 
 def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):
     # one clock, stopped at 0 while the orbit norms run; after them,
-    # relative_class_number factors u = 401 (for Q) and then h^-, and from the
-    # first of these on the clock reads past any limit: the norms finish, and
-    # factoring h^- stops at its first check
+    # relative_class_number factors u = 401 (for Q) and then the pieces of
+    # h^-, and from the first of these on the clock reads past any limit: the
+    # norms finish, and each piece that needs more than trial division stops
+    # at its first check
     now = [0.0]
     monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    raised = []
 
     def factorize_and_jump_the_clock_at_u(n):
         if n == 401:
             now[0] = math.inf
-        return factorize(n)
+        try:
+            return factorize(n)
+        except TimeLimitExceeded:
+            raised.append(n)
+            raise
 
     monkeypatch.setattr(classnum, "factorize", factorize_and_jump_the_clock_at_u)
     before = factorize.cache_info()
@@ -635,17 +665,20 @@ def test_hminus_401_time_limit_in_factoring_returns_exact_value(monkeypatch):
     fact = r.factorization
     fact.verify()
     assert fact.cofactor > 1 and not is_prime(fact.cofactor)
-    assert fact.factors == ((41, 2), (401, 1))
+    assert fact.factors == ((41, 2), (401, 1), (64849, 1), (476056112401, 1))
     # the exact value recorded by the benchmark's hminus-norms workload
     assert len(str(r.value)) == 104
     assert hashlib.sha256(str(r.value).encode()).hexdigest() == (
         "7e04bc620637d61c3f3f847d7f847d8958e9c62db3fc2485feacb7ebc5ea6488"
     )
     assert r.note == (
-        f"time limit 2s exceeded in factorization (Pollard p - 1 stopped on {fact.terms()[-1]})"
+        "time limit 2s exceeded in factorization (Pollard p - 1 stopped on "
+        f"{fact.terms()[-1]})"
     )
-    # h^- itself was a cache miss that stored no entry
-    assert after.currsize - before.currsize == after.misses - before.misses - 1
+    assert fact.terms()[-1] == "C82"
+    # each piece that raised was a cache miss that stored no entry
+    assert raised
+    assert after.currsize - before.currsize == after.misses - before.misses - len(raised)
 
 
 def test_timed_calls_reuse_factorize_cache():

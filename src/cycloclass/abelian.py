@@ -14,10 +14,13 @@ read on first use: once per Galois orbit.  DirichletCharacter objects are
 built only where character values are needed (B_1 and Galois orbits).
 characters(u) builds them generator by generator: each generator has a table
 of o_i/gcd(e, o_i) and of the parity of e against -1 over its exponents e, and
-a character's order and parity combine one entry per generator.  Character
-values read one walk of the units per modulus, _UnitData.units, built on the
-first b1_chi (never for subfields or the audit) and shared by every character
-mod u; a unit's position in the walk gives its exponents against the g_i.
+a character's order and parity combine one entry per generator.  A
+character's primitive character chi* mod its conductor f is read from its
+exponents alone (DirichletCharacter.primitive), and B_1 sums chi* over one
+walk of the units mod f, _UnitData.units, built on the first b1_chi of
+conductor f (never for subfields or the audit) and shared by every character
+of that conductor, whatever its modulus; a unit's position in the walk gives
+its exponents against the g_i.
 
 _subgroups and _hnf return their rows as a _Rows, a tuple that records the
 orders o_i it is the HNF basis for.  That basis is unique (Cohen, GTM 138,
@@ -108,13 +111,12 @@ class _UnitData:
         self.orders = tuple(o for _, o, _ in units)
         self.minus_one = tuple(m for _, _, m in units)
         self.components = tuple(comps)
-        self._reduced: dict[int, tuple[int, ...]] = {}
 
     @cached_property
     def units(self) -> tuple[int, ...]:
         """Every unit r = prod g_i^t_i mod u, the t_i run like an odometer
         (last digit fastest), so r's position, split into digits, is the t_i;
-        built on the first b1_chi."""
+        built on the first b1_chi of a character of conductor u."""
         u, walk = self.modulus, [1]
 
         def mul(a: int, b: int) -> int:
@@ -124,15 +126,6 @@ class _UnitData:
             powers = list(itertools.accumulate(itertools.repeat(g, o - 1), mul, initial=1))
             walk = [r * x % u for r in walk for x in powers]
         return tuple(walk)
-
-    def units_mod(self, f: int) -> tuple[int, ...]:
-        """`units` with each r reduced mod f, f | u: the walk that B_1 of a
-        character of conductor f sums; built once per f."""
-        walk = self._reduced.get(f)
-        if walk is None:
-            walk = self.units if f == self.modulus else tuple(r % f for r in self.units)
-            self._reduced[f] = walk
-        return walk
 
 
 @lru_cache(maxsize=None)
@@ -171,6 +164,18 @@ class DirichletCharacter(_Character):
     @cached_property
     def conductor(self) -> int:
         return AbelianFieldSpec(self.modulus, (self.exponents,)).conductor
+
+    @cached_property
+    def primitive(self) -> DirichletCharacter:
+        """chi* mod f, f the conductor, from the exponents alone: at p | f, u's
+        generators reduced mod f are f's (_primitive_root_mod_pk, _crt_lift;
+        -1 = 3 mod 4 when f_2 = 4 under 2^e, e >= 3, and chi(5) = 1), so chi*'s
+        exponent is e_i o_i'/o_i, exact as f_chi = f; its values are chi's."""
+        data, low = _unit_data(self.modulus), _unit_data(self.conductor)
+        at = {p: idx for p, idx, _ in data.components}
+        exps = (self.exponents[i] * low.orders[j] // data.orders[i]
+                for p, idx, _ in low.components for i, j in zip(at[p], idx))
+        return tuple.__new__(DirichletCharacter, (low.modulus, tuple(exps), self.order, self.is_odd))
 
     @property
     def is_trivial(self) -> bool:
@@ -308,8 +313,13 @@ def cyclic_subfield_spec(u: int, n: int) -> AbelianFieldSpec:
     return AbelianFieldSpec(u, ((m // n,),))
 
 
-# subfields() refuses lattices with more subgroups than this
+# subfields() and descent_subfield() refuse lattices with more subgroups than this
 _MAX_SUBGROUPS = 100_000
+
+
+class LatticeTooLarge(ValueError):
+    """The subgroup lattice of (Z/u)^* has more than _MAX_SUBGROUPS members;
+    raised before any subgroup is listed."""
 
 
 class _Rows(tuple):
@@ -331,6 +341,7 @@ def _gaussian(n: int, k: int, p: int) -> int:
     return num // math.prod(p**j - 1 for j in range(1, k + 1))
 
 
+@lru_cache(maxsize=None)
 def _count_subgroups(orders: tuple[int, ...]) -> int:
     """The number of subgroups of prod Z/o_i, without listing them: the
     product over p of the count for the Sylow p-subgroup, of type lam (the
@@ -345,6 +356,9 @@ def _count_subgroups(orders: tuple[int, ...]) -> int:
             lam.setdefault(p, []).append(e)
     total = 1
     for p, es in lam.items():
+        if len(es) == 1:  # a cyclic p-group of order p^e has e + 1 subgroups
+            total *= es[0] + 1
+            continue
         f = {0: 1}
         for i in range(max(es), 0, -1):
             n = sum(e >= i for e in es)
@@ -457,31 +471,39 @@ def _level_sizes(data: _UnitData, rows: tuple[tuple[int, ...], ...]):
 def subfields(u: int) -> tuple[AbelianFieldSpec, ...]:
     """All subfields of Q(zeta_u) (as field specs), sorted by degree then |disc|.
 
-    Raises ValueError, before listing any, when the subgroup lattice has
-    more than _MAX_SUBGROUPS members.
+    Raises LatticeTooLarge, before listing any, when the subgroup lattice
+    has more than _MAX_SUBGROUPS members.
     """
     u = normalize_conductor(u)
+    specs = [AbelianFieldSpec(u, rows) for rows in _subgroups(_searchable_orders(u))]
+    return tuple(sorted(specs, key=AbelianFieldSpec._sort_key))
+
+
+def _searchable_orders(u: int) -> tuple[int, ...]:
+    """The orders o_i of (Z/u)^*, or LatticeTooLarge when its subgroup
+    lattice has more than _MAX_SUBGROUPS members."""
     orders = _unit_data(u).orders
     count = _count_subgroups(orders)
     if count > _MAX_SUBGROUPS:
-        raise ValueError(
+        raise LatticeTooLarge(
             f"Q(zeta_{u}) has {count} subfields, more than {_MAX_SUBGROUPS}; refusing to list them"
         )
-    specs = [AbelianFieldSpec(u, rows) for rows in _subgroups(orders)]
-    return tuple(sorted(specs, key=AbelianFieldSpec._sort_key))
+    return orders
 
 
 @lru_cache(maxsize=None)
 def descent_subfield(K: AbelianFieldSpec, n: int) -> AbelianFieldSpec:
     """The degree-N/n subfield F of K (index-n character subgroup) minimizing
-    |disc(F)|; ties broken by conductor, then by HNF rows."""
+    |disc(F)|; ties broken by conductor, then by HNF rows.  Raises
+    LatticeTooLarge, as subfields does, before searching a lattice of more
+    than _MAX_SUBGROUPS members."""
     if not is_prime(n) or n == 2:
         raise ValueError(f"descent degree must be an odd prime, got {n}")
     if K.degree % n != 0:
         raise ValueError(f"{n} does not divide the degree {K.degree}")
     specs = [
         AbelianFieldSpec(K.modulus, rows)
-        for rows in _subgroups(_unit_data(K.modulus).orders, K.degree // n)
+        for rows in _subgroups(_searchable_orders(K.modulus), K.degree // n)
         if all(_in_span(row, K.rows, 0) for row in rows)
     ]
     return min(specs, key=AbelianFieldSpec._sort_key)

@@ -20,6 +20,9 @@ from typing import NamedTuple
 from .abelian import AbelianFieldSpec
 
 _TARGET_REL_WIDTH = Fraction(1, 2**100)
+# (m - 1)! and the interval grow faster than m; no field built here has degree
+# above phi(100 000) = 40 000
+_MAX_DEGREE = 100_000
 # integer products and powers in this context are exact, or raise Inexact
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
@@ -166,10 +169,12 @@ def class_number_bound(abs_disc: int, m: int) -> BoundResult:
     """H(|D|, m), certified upward; exact in the degenerate/perfect-square cases.
 
     Rejects abs_disc = 1 with m >= 2: the formula gives 0 there, and the only
-    field with |D| = 1 is Q itself (m = 1).
+    field with |D| = 1 is Q itself (m = 1), and m above _MAX_DEGREE.
     """
     if abs_disc < 1 or m < 1:
         raise ValueError(f"need abs_disc >= 1 and m >= 1, got ({abs_disc}, {m})")
+    if m > _MAX_DEGREE:
+        raise ValueError(f"m = {m} exceeds the largest degree, {_MAX_DEGREE}")
     if abs_disc == 1:
         if m == 1:
             return _exact_result(1, 1, 1, "H(1,1) = 1 exactly ((log 1)^0 taken as 1)")

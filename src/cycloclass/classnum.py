@@ -128,21 +128,21 @@ def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
     the phi(d) integer coefficients on the power basis of Q(zeta_d), d = order
     of chi, and the conductor.
 
-    The sum runs over _UnitData.units mod f, r = prod g_i^t_i with the last
-    digit fastest, where chi(r) = e(sum t_i w_i / d), w_i = e_i d/o_i. chi(g_i)
-    has order d_i = o_i/gcd(e_i, o_i), so t_i matters only mod d_i. Generator
-    by generator from the first, the sub-walks of one digit value t_i are
-    added elementwise into one per class of t_i mod d_i, and sub-walks that
-    reach the same partial exponent k0 merge. What is left are blocks of the
-    last generator, one per k0, and each residue class j mod d_n of a block
-    is one slice sum, added to the coefficient of k0 + j w_n."""
+    The sum runs over _unit_data(f).units with chi* = chi.primitive, r =
+    prod g_i^t_i with the last digit fastest, where chi*(r) = e(sum t_i w_i/d),
+    w_i = e_i d/o_i. chi*(g_i) has order d_i = o_i/gcd(e_i, o_i), so t_i
+    matters only mod d_i. Generator by generator from the first, the sub-walks
+    of one digit value t_i are added elementwise into one per class of t_i mod
+    d_i, and sub-walks that reach the same partial exponent k0 merge. What is
+    left are blocks of the last generator, one per k0, and each residue class j
+    mod d_n of a block is one slice sum, added to the coefficient of k0 + j w_n."""
     if chi.is_trivial:
         raise ValueError("B_{1,chi} is defined here only for nontrivial chi")
-    d, f, u = chi.order, chi.conductor, chi.modulus
-    data = _unit_data(u)
+    chi = chi.primitive
+    d, f = chi.order, chi.modulus
+    data = _unit_data(f)
     weights = [e * d // o for o, e in zip(data.orders, chi.exponents)]
-    # chi(r) = chi*(r mod f), and r mod u hits each unit mod f phi(u)/phi(f) times
-    blocks = {0: data.units_mod(f)}  # partial exponent k0 -> walk over the digits left
+    blocks = {0: data.units}  # partial exponent k0 -> walk over the digits left
     *head, (o, e, w) = zip(data.orders, chi.exponents, weights)
     for oi, ei, wi in head:
         di, merged = oi // math.gcd(ei, oi), {}
@@ -162,9 +162,7 @@ def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
             acc[(k0 + j * w) % d] += sum(walk[j::dn])
     if d % 2 == 0:  # Phi_d divides x^(d/2) + 1
         acc = [a - b for a, b in zip(acc[: d // 2], acc[d // 2:])]
-    c = _poly_rem(acc, d)
-    m = euler_phi(u) // euler_phi(f)
-    return tuple(x // m for x in c), f
+    return tuple(_poly_rem(acc, d)), f
 
 
 # ---------------------------------------------------------------------------

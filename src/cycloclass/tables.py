@@ -56,6 +56,7 @@ from .arith import (
 from .abelian import (
     _MAX_CONDUCTOR,
     AbelianFieldSpec,
+    LatticeTooLarge,
     cyclic_subfield_spec,
     cyclotomic_field_spec,
     descent_subfield,
@@ -63,6 +64,7 @@ from .abelian import (
     real_cyclotomic_field_spec,
     two_power_subfield,
 )
+from .bounds import _MAX_DEGREE
 from .congruence import (
     CONSISTENT,
     INCONCLUSIVE,
@@ -234,10 +236,12 @@ def _parse_field(v, where: str) -> dict:
     else:
         if "degree" not in v:
             raise _fail(where, "field.degree is required for kind 'abelian'")
-        out["degree"] = _expect_int(v["degree"], where, "field.degree", 2)
-        fact = _factor_briefly(out["degree"])
+        n = out["degree"] = _expect_int(v["degree"], where, "field.degree", 2)
+        fact = _factor_briefly(n)
         if fact.cofactor > 1:
             raise _fail(where, f"field.degree = {fact} does not split within 1 s")
+        if n > _MAX_DEGREE:
+            raise _fail(where, f"field.degree = {n} exceeds the largest degree, {_MAX_DEGREE}")
         if "conductor" in v:
             out["conductor"] = _expect_int(v["conductor"], where, "field.conductor", 3)
         if "abs_disc" in v:
@@ -390,6 +394,8 @@ def parse_records(text: str) -> tuple[ClassNumberRecord, ...]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise _fail(where, f"invalid JSON ({exc.msg} at column {exc.colno})") from None
+        except (ValueError, RecursionError) as exc:  # past the digit limit, or nested too deep
+            raise _fail(where, f"unreadable JSON ({str(exc).partition(';')[0]})") from None
         records.append(_record_from_obj(obj, where))
     return tuple(records)
 
@@ -518,18 +524,15 @@ def _theorem2_verdict(rec: ClassNumberRecord, ctx: _Context, hyp: RankHypothesis
     explicit = next((d for d in rec.descents if d.n == n), None)
     if explicit is not None:
         return theorem2_audit(hyp, n, F_abs_disc=explicit.abs_disc, F_degree=explicit.degree)
+    reason = "descent subfield not derivable from the record data"
     if ctx.K is not None:
-        F = descent_subfield(ctx.K, n)
-        return theorem2_audit(hyp, n, F_abs_disc=F.abs_discriminant, F_degree=F.degree)
-    return Verdict(
-        INCONCLUSIVE,
-        {
-            "theorem": "theorem2",
-            "p": hyp.p,
-            "n": n,
-            "reason": "descent subfield not derivable from the record data",
-        },
-    )
+        try:
+            F = descent_subfield(ctx.K, n)
+        except LatticeTooLarge as exc:
+            reason = f"descent subfield not searched: {exc}"
+        else:
+            return theorem2_audit(hyp, n, F_abs_disc=F.abs_discriminant, F_degree=F.degree)
+    return Verdict(INCONCLUSIVE, {"theorem": "theorem2", "p": hyp.p, "n": n, "reason": reason})
 
 
 class AuditReport(NamedTuple):

@@ -15,6 +15,7 @@ from cycloclass.arith import euler_phi, factorize, multiplicative_order
 from cycloclass.abelian import (
     AbelianFieldSpec,
     DirichletCharacter,
+    LatticeTooLarge,
     _count_subgroups,
     _hnf,
     _level_sizes,
@@ -209,8 +210,12 @@ def test_unit_walk_is_built_only_for_character_values(monkeypatch, capsys):
     capsys.readouterr()
     assert {480, 9907} <= set(built)
     assert all("units" not in vars(data) for data in built.values())
-    b1_chi(characters(480)[1])
-    assert "units" in vars(built[480])
+    # B_1 of a character of conductor 5 walks (Z/5)^*, not (Z/480)^*
+    chi = characters(480)[1]
+    assert chi.conductor == 5
+    b1_chi(chi)
+    assert "units" in vars(built[5])
+    assert "units" not in vars(built[480])
 
 
 def test_primitive_root_is_the_smallest():
@@ -290,6 +295,30 @@ def test_primitive_character_iff_conductor_equals_modulus():
     for u in (5, 7, 11, 13):
         for chi in characters(u):
             assert chi.conductor == (1 if chi.is_trivial else u)
+
+
+def test_primitive_character_agrees_with_the_lift():
+    # chi*(a) = chi(b) for every unit a mod f and a unit b = a (mod f) mod u,
+    # against the discrete-log tables of both moduli; 2-adic conductors 4
+    # and 8 under 2^e, e = 3..7, are among the cases
+    two_adic = set()
+    for u in MODULI + [572, 1680, 4620]:
+        lifts = {}
+        for chi in characters(u)[1:]:
+            f, star = chi.conductor, chi.primitive
+            assert (star.modulus, star.conductor, star.order) == (f, f, chi.order), (u, chi.exponents)
+            # the order and parity carried over equal those the constructor reads
+            assert DirichletCharacter(f, star.exponents) == star, (u, chi.exponents)
+            if f == u:
+                assert star == chi
+            if f not in lifts:
+                lifts[f] = {}
+                for a in (a for a in range(1, f) if math.gcd(a, f) == 1):
+                    lifts[f][a] = next(b for b in range(a, a + u, f) if math.gcd(b, u) == 1)
+            for a, b in lifts[f].items():
+                assert char_value(star, a) == char_value(chi, b), (u, chi.exponents, a)
+            two_adic.add(((f & -f).bit_length() - 1, (u & -u).bit_length() - 1))
+    assert {(j, e) for j in (2, 3) for e in range(3, 8)} <= two_adic
 
 
 def test_galois_orbits_partition_and_invariants():
@@ -426,6 +455,21 @@ def test_subfields_refuses_before_listing(monkeypatch, capsys):
     assert main(["subfields", "65520"]) == EXIT_USAGE
     assert time.perf_counter() - t0 < 0.5
     assert "948024" in capsys.readouterr().err
+
+
+def test_descent_subfield_refuses_before_searching(monkeypatch):
+    # the same count as subfields refuses the lattice of 65520, and only
+    # this refusal is a LatticeTooLarge
+    monkeypatch.setattr(abelian, "_subgroups", None)
+    t0 = time.perf_counter()
+    with pytest.raises(LatticeTooLarge, match="948024 subfields"):
+        descent_subfield(cyclotomic_field_spec(65520), 3)
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(LatticeTooLarge):
+        subfields(65520)
+    with pytest.raises(ValueError) as info:
+        descent_subfield(cyclotomic_field_spec(65520), 2)
+    assert not isinstance(info.value, LatticeTooLarge)
 
 
 def test_enumerated_rows_are_fixed_points_of_hnf():

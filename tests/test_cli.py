@@ -15,7 +15,7 @@ import pytest
 import cycloclass
 from cycloclass import cli
 from cycloclass.arith import PrimeFactorization
-from cycloclass.bounds import BoundResult
+from cycloclass.bounds import BoundResult, class_number_bound
 from cycloclass.classnum import OrbitNorm, RelativeClassNumber
 from cycloclass.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
@@ -175,6 +175,18 @@ def test_bound_degenerate_rejected(capsys):
     assert rc == EXIT_USAGE and "degenerate" in err
 
 
+def test_bound_refuses_degree_above_limit(capsys):
+    # (m - 1)! alone takes seconds at m = 2 * 10^6; the refusal comes first
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "bound", "--disc", "5", "--m", "2000000")
+    assert time.perf_counter() - t0 < 1
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "m = 2000000 exceeds the largest degree, 100000" in err
+    assert class_number_bound(5, 100_000).degree == 100_000
+    with pytest.raises(ValueError, match="largest degree"):
+        class_number_bound(5, 100_001)
+
+
 def test_subfields_59(capsys):
     rc, out, _ = run(capsys, "subfields", "59")
     assert rc == EXIT_OK
@@ -254,6 +266,39 @@ def test_audit_malformed_file_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "audit", str(f))
     assert rc == EXIT_USAGE
     assert "line 1" in err
+
+
+def test_audit_unreadable_json_exits_2(tmp_path, capsys):
+    # json.loads refuses a 5000-digit integer with a plain ValueError
+    f = tmp_path / "recs.jsonl"
+    field = '{"kind": "abelian", "degree": 3, "abs_disc": ' + "1" * 5000 + "}"
+    f.write_text('{"field": ' + field + ', "h": [[3, 1]], "source": "probe"}\n')
+    rc, out, err = run(capsys, "audit", str(f))
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "line 1: unreadable JSON" in err and "5000 digits" in err
+    # and a RecursionError on arrays nested past the recursion limit
+    f.write_text("\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    rc, out, err = run(capsys, "audit", str(f))
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "line 2: unreadable JSON (maximum recursion depth exceeded" in err
+
+
+def test_audit_refuses_descent_search_of_oversized_lattice(tmp_path, capsys):
+    # (Z/65520)^* has 948024 subgroups, which subfields also refuses to list:
+    # the theorem2 verdict is INCONCLUSIVE and names the refused search
+    f = tmp_path / "recs.jsonl"
+    rec = {"field": {"kind": "cyclotomic", "u": 65520}, "h_minus": [[3, 1]], "source": "probe"}
+    f.write_text(json.dumps(rec) + "\n")
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "audit", str(f), "--format", "structured")
+    assert time.perf_counter() - t0 < 5
+    assert rc == EXIT_OK
+    (v,) = [o for o in map(json.loads, out.splitlines()) if o.get("theorem") == "theorem2(n=3)"]
+    assert v["status"] == "INCONCLUSIVE"
+    assert v["witness"]["reason"] == (
+        "descent subfield not searched: Q(zeta_65520) has 948024 subfields, "
+        "more than 100000; refusing to list them"
+    )
 
 
 def test_audit_missing_file_exits_2(tmp_path, capsys):

@@ -107,6 +107,23 @@ def test_parse_rejects_degree_that_does_not_split():
         parse_records(_line(bad))
 
 
+def test_parse_rejects_degree_above_limit():
+    # a descent of degree 10^6 needs a field of degree n * 10^6, refused
+    # before its bound is evaluated
+    (rec,) = parse_records(_line({"field": {"kind": "abelian", "degree": 100_000}, "h": [[3, 1]],
+                                  "source": "x"}))
+    assert rec.degree == 100_000
+    bad = {
+        "field": {"kind": "abelian", "degree": 3_000_000},
+        "h": [[3, 1]],
+        "descents": [{"n": 3, "abs_disc": 5, "degree": 1_000_000}],
+        "source": "x",
+    }
+    with pytest.raises(TableFormatError,
+                       match="line 1: field.degree = 3000000 exceeds the largest degree, 100000"):
+        parse_records(_line(bad))
+
+
 def test_parse_kind_h_key_compatibility():
     bad = {"field": {"kind": "abelian", "degree": 3}, "h_minus": [], "source": "x"}
     with pytest.raises(TableFormatError, match="not meaningful"):

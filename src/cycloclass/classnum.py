@@ -19,12 +19,14 @@ integer. Otherwise the integer T = N(B_{1,chi}) * D = Res(Phi_e, beta) * g^phi
 * D / f^phi is found modulo primes p = 1 (mod e) below 2^62, where the m coset
 values are one cyclic correlation per prime, and the residues are
 CRT-combined past a Parseval bound. Only this route needs the denominator
-D, from Stickelberger's theorem: for a prime c not dividing u, (c - chi(c)^-1)
-B_{1,chi} is integral, so D_c = N(c - chi(c)) = Phi_k(c)^(phi(d)/phi(k)), k
-the order of chi(c), clears the norm, with Phi_k(c) = prod (c^f - 1)^mu(k/f)
-from the binomial product, and D is the gcd of D_c over the two smallest such
-auxiliary primes, chi(c) read off c's position in the unit walk
-abelian._UnitData.units. The norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
+D, from Stickelberger's theorem for the primitive chi*: for a prime c not
+dividing f, (c - chi*(c)^-1) B_{1,chi} is integral, so D_c = N(c - chi*(c)) =
+Phi_k(c)^(phi(d)/phi(k)), k the order of chi*(c), clears the norm, with
+Phi_k(c) = prod (c^j - 1)^mu(k/j) from the binomial product, and D is the gcd
+of D_c over the two smallest such auxiliary primes, chi*(c) read off the
+position of c mod f in the unit walk abelian._UnitData.units of (Z/f)^*, the
+walk b1_chi takes. A norm thus depends on chi* alone, not on the modulus u.
+The norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
 
 relative_class_number factors h^- through its pieces, Q*w and the numerator
 of each orbit norm: every prime of h^- divides one of them, and the
@@ -170,24 +172,15 @@ def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
 # Res(Phi_e, beta), exactly or modulo primes p = 1 (mod e), where Phi_e
 # splits, CRT-combined.
 
-_ROOT_POOLS: dict[int, list[tuple[int, int]]] = {}
-
-
 def _norm_primes(d: int):
     """Yield (q, omega) for the primes q = m*d + 1 < 2^62, descending, with
-    omega of exact order d mod q; one pool per d, grown lazily."""
-    pool = _ROOT_POOLS.setdefault(d, [])
-    i = 0
+    omega of exact order d mod q."""
+    q = ((1 << 62) - 2) // d * d + 1
     while True:
-        if i == len(pool):
-            q = pool[-1][0] - d if pool else ((1 << 62) - 2) // d * d + 1
-            while not is_prime(q):
-                q -= d
+        if is_prime(q):
             roots = (pow(g, (q - 1) // d, q) for g in range(2, q))
-            omega = next(w for w in roots if _has_order(w, d, q))
-            pool.append((q, omega))
-        yield pool[i]
-        i += 1
+            yield q, next(w for w in roots if _has_order(w, d, q))
+        q -= d
 
 
 def _norm_bound_bits(A: tuple[int, ...], d: int) -> int:
@@ -201,16 +194,17 @@ def _norm_bound_bits(A: tuple[int, ...], d: int) -> int:
 
 def _stickelberger_denominator(d: int, aux: list[tuple[int, int]]) -> int:
     """D > 0 with D * N(B_{1,chi}) an integer, chi of order d: the gcd of
-    N(c - chi(c)) = Phi_e(c)^(phi(d)/phi(e)) over the pairs (c, k) of aux, c
-    prime to u and chi(c) = e(k/d) of order e = d/gcd(k, d) (Stickelberger;
+    N(c - chi*(c)) = Phi_e(c)^(phi(d)/phi(e)) over the pairs (c, k) of aux,
+    c prime to the conductor of chi, chi* the primitive character inducing
+    chi and chi*(c) = e(k/d) of order e = d/gcd(k, d) (Stickelberger;
     Washington, Introduction to Cyclotomic Fields, 6.2). Phi_e(c) is the exact
-    quotient prod (c^f - 1)^mu(e/f) over the binomials of e."""
+    quotient prod (c^j - 1)^mu(e/j) over the binomials of e."""
     D, phi = 0, euler_phi(d)
     for c, k in aux:
         e = d // math.gcd(k, d)
         terms = _binomials(e)
-        num = math.prod(c**f - 1 for f, mu in terms if mu == 1)
-        den = math.prod(c**f - 1 for f, mu in terms if mu == -1)
+        num = math.prod(c**j - 1 for j, mu in terms if mu == 1)
+        den = math.prod(c**j - 1 for j, mu in terms if mu == -1)
         D = math.gcd(D, (num // den) ** (phi // euler_phi(e)))
     return D
 
@@ -346,10 +340,9 @@ def _descend(A: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
 # times its timings above q = 17 (below, under 5% of its chain). On the
 # tabulated conductors the rule takes H = (Z/2q)^* for every last prime, up
 # to q = 89; at u = 1163 it takes |H| = 2 for q = 83, and at u = 10007
-# |H| = 41. The rule assumes a fresh process: it charges every CRT prime as
-# drawn cold, though _ROOT_POOLS keeps the primes of each order for the life
-# of the process, so once the pool of 2q is warm the whole group can be
-# slower than the CRT the rule passed over (CHANGES.md).
+# |H| = 41. Every CRT prime is charged as drawn cold; is_prime caches its
+# answers, so a later draw of the primes of 2q in the same process costs
+# less than _COLD_PRIME_S.
 _SLOT_S = 1.3e-6
 _KARATSUBA_S = 3.0e-11
 _POWER_S = 3.2e-7
@@ -434,9 +427,9 @@ def _coset_norm_mod(a0: int, A: list[int], q: int, p: int, omega: int) -> int:
 
 
 def _chi_exponent(chi: DirichletCharacter, r: int) -> int:
-    """k with chi(r) = e(k/d), d the order of chi, for a unit r in (0, u):
-    r's position in _UnitData.units, split into the digits t_i (last digit
-    fastest), gives k = sum t_i e_i d/o_i mod d."""
+    """k with chi(r) = e(k/d), d the order of chi, for a unit r in (0, m), m
+    chi's modulus: r's position in _unit_data(m).units, split into the digits
+    t_i (last digit fastest), gives k = sum t_i e_i d/o_i mod d."""
     d, data = chi.order, _unit_data(chi.modulus)
     pos, k = data.units.index(r), 0
     for o, e in zip(reversed(data.orders), reversed(chi.exponents)):
@@ -452,7 +445,7 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     if not orbit.is_odd:
         raise ValueError("orbit norm is defined here for odd-character orbits only")
     chi = orbit.members[0]
-    u, d = chi.modulus, chi.order
+    d = chi.order
     phi = euler_phi(d)
     if phi != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
@@ -471,9 +464,9 @@ def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     if len(A) == 1:  # H is the whole group: Res(Phi_e, beta) = a0 - A_0
         return Fraction((a0 - A[0]) * g_phi, f_phi) * Fraction(-1, 2) ** phi
     # T = N(B_{1,chi}) * D, an integer, found by CRT; D from the two smallest
-    # primes not dividing u.
-    primes = (a for a in itertools.count(2) if u % a and is_prime(a))
-    aux = [(a, _chi_exponent(chi, a % u)) for a in itertools.islice(primes, 2)]
+    # primes not dividing f, chi*(c) read on the walk mod f that b1_chi built.
+    primes = (a for a in itertools.count(2) if f % a and is_prime(a))
+    aux = [(a, _chi_exponent(chi.primitive, a % f)) for a in itertools.islice(primes, 2)]
     D = _stickelberger_denominator(d, aux)
     scale = g_phi * D
     bits = max(1, res_bits + scale.bit_length() - f_phi.bit_length() + 1)

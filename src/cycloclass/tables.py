@@ -166,6 +166,19 @@ def _fail(where: str, msg: str) -> TableFormatError:
     return TableFormatError(f"{where}: {msg}")
 
 
+# A listed prime above this is refused before is_prime, which cannot be
+# stopped: it takes ~0.2 s at 1024 bits and ~2 s at 2203 bits (2-core
+# x86-64, CPython 3.11).
+_MAX_PRIME = 1 << 1024
+
+
+def _check_prime_size(p: int, where: str, what: str) -> None:
+    if p > _MAX_PRIME:
+        raise _fail(
+            where, f"{what} of {p.bit_length()} bits exceeds the largest listed prime, 2^1024"
+        )
+
+
 def _factor_briefly(n: int) -> PrimeFactorization:
     """n factored for up to 1 s: on time-out, the unsplit rest is the cofactor."""
     try:
@@ -188,6 +201,7 @@ def _listed_prime(v, last: int, where: str, key: str) -> int:
     p = _expect_int(v, where, f"{key}: prime", 2)
     if p <= last:
         raise _fail(where, f"{key}: primes must be strictly increasing, {p} after {last}")
+    _check_prime_size(p, where, f"{key}: a prime")
     if not is_prime(p):
         raise _fail(where, f"{key}: {p} = {_factor_briefly(p)} is not prime")
     return p
@@ -237,9 +251,6 @@ def _parse_field(v, where: str) -> dict:
         if "degree" not in v:
             raise _fail(where, "field.degree is required for kind 'abelian'")
         n = out["degree"] = _expect_int(v["degree"], where, "field.degree", 2)
-        fact = _factor_briefly(n)
-        if fact.cofactor > 1:
-            raise _fail(where, f"field.degree = {fact} does not split within 1 s")
         if n > _MAX_DEGREE:
             raise _fail(where, f"field.degree = {n} exceeds the largest degree, {_MAX_DEGREE}")
         if "conductor" in v:
@@ -294,14 +305,16 @@ def _parse_descents(v, where: str, kind: str, degree: int | None) -> tuple[Desce
         if not isinstance(item, dict) or set(item) != {"n", "abs_disc", "degree"}:
             raise _fail(where, "each descents entry needs exactly the keys {n, abs_disc, degree}")
         n = _expect_int(item["n"], where, "descents.n", 3)
-        if n % 2 == 0 or not is_prime(n):
+        # an n above the degree, which the degree cap bounds, fails the
+        # degree check below without a primality test
+        if n % 2 == 0 or (n <= degree and not is_prime(n)):
             raise _fail(where, f"descents.n = {n} is not an odd prime")
         if n in seen:
             raise _fail(where, f"duplicate descents entry for n = {n}")
         seen.add(n)
         d = _expect_int(item["abs_disc"], where, "descents.abs_disc", 1)
         g = _expect_int(item["degree"], where, "descents.degree", 1)
-        if degree is not None and g * n != degree:
+        if g * n != degree:
             raise _fail(
                 where,
                 f"descents entry for n = {n}: its degree {g} times n must "
@@ -343,6 +356,7 @@ def _record_from_obj(obj, where: str) -> ClassNumberRecord:
                 p = int(key)
             except ValueError:
                 raise _fail(where, f"p_ranks key {key!r} is not an integer") from None
+            _check_prime_size(p, where, "p_ranks key")
             if p < 2 or not is_prime(p):
                 raise _fail(where, f"p_ranks key {p} is not prime")
             r = _expect_int(r, where, f"p_ranks[{p}]", 1)

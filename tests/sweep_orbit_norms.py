@@ -2,8 +2,9 @@
 u != 2 (mod 4), by cycloclass.classnum.orbit_norm (transform route) against
 norm_oracle.oracle_orbit_norm (Euclidean resultants), each orbit's b1_chi
 against norm_oracle.oracle_b1 (sum of roots of unity), and the exponents that
-cycloclass.classnum._chi_exponent reads at orbit_norm's two auxiliary primes
-against norm_oracle.char_value (discrete-log table). Not collected by pytest.
+cycloclass.classnum._chi_exponent reads of the primitive character chi* mod f
+at orbit_norm's two auxiliary primes, the smallest not dividing f, against
+norm_oracle.char_value (discrete-log table). Not collected by pytest.
 
     PYTHONPATH=src:tests python tests/sweep_orbit_norms.py 1000
 
@@ -40,9 +41,6 @@ def main(argv: list[str]) -> int:
     for u in range(3, n + 1):
         if u % 4 == 2:
             continue
-        # orbit_norm's auxiliary primes: the two smallest primes not dividing u
-        primes = (c for c in itertools.count(2) if u % c and is_prime(c))
-        aux = list(itertools.islice(primes, 2))
         for ob in galois_orbits([ch for ch in characters(u) if ch.is_odd]):
             chi = ob.members[0]
             cyclotomic_polynomial(ob.order)
@@ -61,7 +59,11 @@ def main(argv: list[str]) -> int:
             if tuple(Fraction(x, f) for x in c) != oracle_b1(chi).coeffs:
                 b1_mismatches += 1
                 print(f"B1 MISMATCH u={u} order={ob.order} rep={chi.exponents}")
-            if any(_chi_exponent(chi, a % u) != char_value(chi, a) for a in aux):
+            # orbit_norm's auxiliary primes: the two smallest not dividing f
+            prim = chi.primitive
+            primes = (a for a in itertools.count(2) if f % a and is_prime(a))
+            aux = itertools.islice(primes, 2)
+            if any(_chi_exponent(prim, a % f) != char_value(prim, a) for a in aux):
                 exp_mismatches += 1
                 print(f"EXPONENT MISMATCH u={u} order={ob.order} rep={chi.exponents}")
         _power_rows.cache_clear()

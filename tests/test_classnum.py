@@ -129,18 +129,19 @@ def test_b1_chi_matches_oracle():
 
 
 def test_b1_chi_matches_the_per_unit_sum():
-    # the slice sums against one unit at a time, and the exponents
-    # _chi_exponent reads at orbit_norm's auxiliary primes, at 1 and at -1
-    # against the discrete-log table, for every nontrivial character
-    # (imprimitive included), and the odd-orbit representatives of 27720
+    # the slice sums against one unit at a time, for every nontrivial
+    # character (imprimitive included) and the odd-orbit representatives of
+    # 27720; and the exponents _chi_exponent reads of chi* mod f at
+    # orbit_norm's auxiliary primes, the two smallest not dividing f, and at
+    # 1 and -1, against the discrete-log table
     reps = [ob.members[0] for ob in galois_orbits([ch for ch in characters(27720) if ch.is_odd])]
     for u in [u for u in range(3, 201) if u % 4 != 2] + [572, 1680, 4620, 27720]:
-        primes = (c for c in itertools.count(2) if u % c and is_prime(c))
-        keys = {c % u for c in itertools.islice(primes, 2)} | {1, u - 1}
         for chi in reps if u == 27720 else characters(u)[1:]:
             assert b1_chi(chi) == per_unit_b1_chi(chi), (u, chi.exponents)
-            for r in keys:
-                assert _chi_exponent(chi, r) == char_value(chi, r), (u, chi.exponents, r)
+            prim, f = chi.primitive, chi.conductor
+            primes = (c for c in itertools.count(2) if f % c and is_prime(c))
+            for r in {c % f for c in itertools.islice(primes, 2)} | {1, f - 1}:
+                assert _chi_exponent(prim, r) == char_value(prim, r), (u, chi.exponents, r)
 
 
 def test_only_the_crt_route_reads_chi_at_the_auxiliary_primes(monkeypatch):
@@ -156,8 +157,9 @@ def test_only_the_crt_route_reads_chi_at_the_auxiliary_primes(monkeypatch):
     for u in (401, 1009):
         for ob in galois_orbits([ch for ch in characters(u) if ch.is_odd]):
             orbit_norm(ob)
-    # the order-262 orbit of 263 is a CRT at q = 131: two reads, one per
-    # auxiliary prime, each equal to the discrete-log table's exponent
+    # the order-262 orbit of 263 is a CRT at q = 131: two reads of the
+    # primitive character, one per auxiliary prime, each equal to the
+    # discrete-log table's exponent
     reads = []
 
     def record(chi, r):
@@ -167,9 +169,30 @@ def test_only_the_crt_route_reads_chi_at_the_auxiliary_primes(monkeypatch):
 
     monkeypatch.setattr(classnum, "_chi_exponent", record)
     (ob,) = [ob for ob in galois_orbits(characters(263)) if ob.order == 262]
-    assert orbit_norm(ob) == oracle_orbit_norm(ob)
-    assert [r for _, r, _ in reads] == [2, 3]
+    norm = orbit_norm(ob)
+    assert norm == oracle_orbit_norm(ob)
+    assert [(chi.modulus, r) for chi, r, _ in reads] == [(263, 2), (263, 3)]
     assert all(k == char_value(chi, r) for chi, r, k in reads)
+    # the order-262 orbit mod 1052 = 4 * 263 of conductor 263 reads chi* at
+    # the primes not dividing 263, on the walk mod 263: its norm is the one
+    # mod 263, and the walk of (Z/1052)^* is never built
+    reads.clear()
+    vars(_unit_data(1052)).pop("units", None)
+    (ob,) = [ob for ob in galois_orbits(characters(1052))
+             if ob.order == 262 and ob.members[0].conductor == 263]
+    assert orbit_norm(ob) == norm
+    assert [(chi.modulus, r) for chi, r, _ in reads] == [(263, 2), (263, 3)]
+    assert "units" not in vars(_unit_data(1052))
+
+
+def test_norm_primes_generators_agree():
+    # each generator walks the same primes down from 2^62 on its own: a
+    # second one, drawn while the first is part-way, starts from the top
+    first = _norm_primes(262)
+    head = list(itertools.islice(first, 3))
+    assert list(itertools.islice(_norm_primes(262), 5)) == head + list(itertools.islice(first, 2))
+    assert all(q % 262 == 1 and q < 2**62 for q, _ in head)
+    assert [q for q, _ in head] == sorted((q for q, _ in head), reverse=True)
 
 
 def test_b1_galois_equivariance():

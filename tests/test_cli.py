@@ -268,6 +268,30 @@ def test_audit_malformed_file_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_audit_refuses_large_primes_before_testing_them(tmp_path, capsys):
+    # is_prime of 2^2203 - 1 alone takes seconds and cannot be stopped: the
+    # 2^1024 limit on listed primes, and the degree check on descents.n,
+    # refuse each of these before any primality test
+    m4423, m2203 = 2**4423 - 1, 2**2203 - 1
+    field = {"kind": "cyclotomic", "u": 59}
+    records = [
+        ({"field": field, "h_minus": [[m4423, 1]]}, "h_minus: a prime of 4423 bits exceeds"),
+        ({"field": field, "h_minus": [[3, 1]], "p_ranks": {str(m4423): 1}},
+         "p_ranks key of 4423 bits exceeds"),
+        ({"field": {"kind": "abelian", "degree": 3}, "h": [[3, 1]],
+          "descents": [{"n": m2203, "abs_disc": 5, "degree": 1}]},
+         "its degree 1 times n must equal the field degree 3"),
+    ]
+    f = tmp_path / "recs.jsonl"
+    for rec, message in records:
+        f.write_text(json.dumps(dict(rec, source="probe")) + "\n")
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "audit", str(f))
+        assert time.perf_counter() - t0 < 1
+        assert (rc, out) == (EXIT_USAGE, "")
+        assert "line 1: " in err and message in err
+
+
 def test_audit_unreadable_json_exits_2(tmp_path, capsys):
     # json.loads refuses a 5000-digit integer with a plain ValueError
     f = tmp_path / "recs.jsonl"

@@ -2,6 +2,7 @@
 and audit orchestration."""
 
 import json
+import time
 
 import pytest
 
@@ -99,12 +100,15 @@ def test_parse_rejects_modulus_above_limit():
 
 
 def test_parse_rejects_degree_that_does_not_split():
-    # The degree is a semiprime that rho needs ~10^10 steps for: parsing gives
-    # up after a second instead of leaving the audit to hang on it.
+    # The degree is a semiprime that rho needs ~10^10 steps for: the degree
+    # cap refuses it before anything tries to factor it.
     degree = 10000000000000000051 * 30000000000000000041
     bad = {"field": {"kind": "abelian", "degree": degree}, "h": [[3, 1]], "source": "x"}
-    with pytest.raises(TableFormatError, match="field.degree = C39 does not split"):
+    t0 = time.perf_counter()
+    with pytest.raises(TableFormatError,
+                       match=f"field.degree = {degree} exceeds the largest degree, 100000"):
         parse_records(_line(bad))
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_parse_rejects_degree_above_limit():
@@ -200,6 +204,49 @@ def test_parse_descents_validation():
     bad = dict(good, descents=[{"n": 9, "abs_disc": 9081, "degree": 2}])
     with pytest.raises(TableFormatError, match="odd prime"):
         parse_records(_line(bad))
+
+
+_ABELIAN = {"field": {"kind": "abelian", "degree": 9}, "h": [[3, 1]], "source": "x"}
+_DESCENT = {"n": 3, "abs_disc": 5, "degree": 3}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1], "each line must be a JSON object"),
+        (dict(GOOD, field=[]), "field must be an object"),
+        (dict(GOOD, field={"kind": "quartic"}),
+         "field.kind must be one of ('cyclotomic', 'real-cyclotomic', 'abelian'), got 'quartic'"),
+        (dict(GOOD, field={"kind": "cyclotomic"}), "field.u is required for kind 'cyclotomic'"),
+        (dict(GOOD, field={"kind": "cyclotomic", "u": "59"}),
+         "field.u must be an integer, got '59'"),
+        ({"field": {"kind": "real-cyclotomic", "l": 3}, "h_plus": [], "source": "x"},
+         "field.l = 3 gives a degenerate real subfield"),
+        (dict(_ABELIAN, field={"kind": "abelian"}),
+         "field.degree is required for kind 'abelian'"),
+        (dict(GOOD, h_minus=3), "h_minus must be a list of [prime, exponent] pairs"),
+        (dict(GOOD, p_ranks=[3]), "p_ranks must be an object mapping primes to ranks"),
+        (dict(GOOD, p_ranks={"x": 1}), "p_ranks key 'x' is not an integer"),
+        (dict(GOOD, subfield_h={}), "subfield_h must be a list of objects"),
+        (dict(GOOD, subfield_h=[3]), "subfield_h entries must be objects, got 3"),
+        (dict(GOOD, subfield_h=[{"disc": -59, "h_divisors": 3}]),
+         "subfield_h.h_divisors must be a list of primes"),
+        (dict(GOOD, subfield_h=[{"disc": 1, "h": []}]),
+         "subfield_h.disc must be an integer with |disc| >= 3, got 1"),
+        (dict(_ABELIAN, descents={}), "descents must be a list of objects"),
+        (dict(_ABELIAN, descents=[{"n": 3}]),
+         "each descents entry needs exactly the keys {n, abs_disc, degree}"),
+        (dict(_ABELIAN, descents=[_DESCENT, _DESCENT]), "duplicate descents entry for n = 3"),
+        (dict(GOOD, h_minus=[[(1 << 1024) + 1, 1]]),
+         "h_minus: a prime of 1025 bits exceeds the largest listed prime, 2^1024"),
+        (dict(GOOD, p_ranks={str((1 << 1024) + 1): 1}),
+         "p_ranks key of 1025 bits exceeds the largest listed prime, 2^1024"),
+    ],
+)
+def test_parse_diagnostics(obj, message):
+    with pytest.raises(TableFormatError) as info:
+        parse_records("\n" + _line(obj))
+    assert str(info.value) == f"line 2: {message}"
 
 
 def test_builtin_dataset_shape():
@@ -334,6 +381,61 @@ def test_audit_does_not_reconstruct_field_above_conductor_limit():
     (e,) = [e for e in report.entries if e.theorem == "theorem2(n=3)"]
     assert e.verdict.status == INCONCLUSIVE
     assert "not derivable" in e.verdict.witness["reason"]
+
+
+def test_audit_cyclotomic_h_derives_descent_from_the_field():
+    # an h key on a cyclotomic record is audited in its own context, on
+    # Q(zeta_59): the descent subfield of degree 2 is Q(sqrt(-59))
+    text = _line({"field": {"kind": "cyclotomic", "u": 59}, "h": [[233, 1]], "source": "x"})
+    e = next(e for e in audit_records(parse_records(text)).entries if e.theorem == "theorem2(n=29)")
+    assert e.h_kind == "h" and e.verdict.status == CONSISTENT
+    assert (e.verdict.witness["F_abs_disc"], e.verdict.witness["F_degree"]) == (59, 2)
+
+
+def test_audit_drops_field_whose_stated_disc_contradicts_it():
+    # the sextic subfield of Q(zeta_13) has |disc| = 13^5: stated so, the
+    # descent subfield Q(sqrt(13)) is derived; stated otherwise, it is not
+    def theorem2(abs_disc):
+        field = {"kind": "abelian", "degree": 6, "conductor": 13, "abs_disc": abs_disc}
+        text = _line({"field": field, "h": [[7, 1]], "source": "x"})
+        (e,) = [e for e in audit_records(parse_records(text)).entries
+                if e.theorem == "theorem2(n=3)"]
+        return e.verdict.witness
+
+    assert theorem2(13**5)["F_abs_disc"] == 13
+    assert theorem2(13**5 + 1)["reason"] == "descent subfield not derivable from the record data"
+
+
+def test_audit_two_part_matched_on_quartic_subfield():
+    # the 2-power subfield of Q(zeta_13) is quartic, |disc| = 13^3: 5 has no
+    # odd witness at N = 12, and the entry of that |disc| decides the branch
+    text = _line(
+        {
+            "field": {"kind": "cyclotomic", "u": 13},
+            "h_minus": [[5, 1]],
+            "subfield_h": [{"disc": 2197, "h": [[5, 1]]}],
+            "source": "x",
+        }
+    )
+    e = next(e for e in audit_records(parse_records(text)).entries if e.theorem == "theorem1")
+    assert e.verdict.status == CONSISTENT and e.verdict.witness["branch"] == "two-part"
+    assert e.verdict.witness["matched_by"] == "|disc| = 2197 of the 2-power subfield"
+
+
+def test_audit_ignores_rank_above_the_context_exponent():
+    # p_ranks is per record: rank 2 fits 3^2 | h but not 3 || h-, so the h-
+    # context audits 3 with no known rank
+    text = _line(
+        {
+            "field": {"kind": "cyclotomic", "u": 59},
+            "h_minus": [[3, 1]],
+            "h": [[3, 2]],
+            "p_ranks": {"3": 2},
+            "source": "x",
+        }
+    )
+    ranks = {(e.h_kind, e.known_rank) for e in audit_records(parse_records(text)).entries}
+    assert ranks == {("h-", None), ("h", 2)}
 
 
 def test_audit_two_part_known_false_violates():

@@ -227,13 +227,13 @@ def _conjugate(A: list[int], k: int) -> list[int]:
     return out
 
 
-def _mul_negacyclic(A: list[int], B: list[int]) -> list[int]:
-    """A * B mod x^n + 1 for signed coefficient lists of length n: one
-    big-integer product of W-byte slots (Kronecker substitution). Each slot is
-    biased by H = 2^(8W - 1) so that it is unsigned; packing and unpacking are
-    linear bytes joins and slices."""
-    n = len(A)
-    bits = max(map(abs, A)).bit_length() + max(map(abs, B)).bit_length() + n.bit_length()
+def _kronecker(A: list[int], B: list[int]) -> list[int]:
+    """A * B for signed coefficient lists of any lengths, all len(A) + len(B)
+    - 1 coefficients: one big-integer product of W-byte slots (Kronecker
+    substitution). Each slot is biased by H = 2^(8W - 1) so that it is
+    unsigned; packing and unpacking are linear bytes joins and slices."""
+    terms = min(len(A), len(B))  # most products in one coefficient
+    bits = max(map(abs, A)).bit_length() + max(map(abs, B)).bit_length() + terms.bit_length()
     W = bits // 8 + 1  # every product coefficient is below 2^bits <= H
     H = 1 << (8 * W - 1)
     slot = H.to_bytes(W, "little")
@@ -242,10 +242,17 @@ def _mul_negacyclic(A: list[int], B: list[int]) -> list[int]:
         biased = b"".join((c + H).to_bytes(W, "little") for c in P)
         return int.from_bytes(biased, "little") - int.from_bytes(slot * len(P), "little")
 
-    m = 2 * n - 1
+    m = len(A) + len(B) - 1
     prod = pack(A) * pack(B) + int.from_bytes(slot * m, "little")
     raw = prod.to_bytes(m * W, "little")
-    c = [int.from_bytes(raw[t:t + W], "little") - H for t in range(0, m * W, W)]
+    return [int.from_bytes(raw[t:t + W], "little") - H for t in range(0, m * W, W)]
+
+
+def _mul_negacyclic(A: list[int], B: list[int]) -> list[int]:
+    """A * B mod x^n + 1 for signed coefficient lists of length n: the
+    product from _kronecker, folded by x^n = -1."""
+    n = len(A)
+    c = _kronecker(A, B)
     return [x - y for x, y in zip(c, c[n:] + [0])]
 
 
@@ -405,24 +412,19 @@ def _coset_norm_mod(a0: int, A: list[int], q: int, p: int, omega: int) -> int:
     """prod_{t < m} (a0 + sum_s A_s eta_{s+t}) mod p, m = len(A) dividing
     q - 1, with omega of order 2q mod p. zeta = -omega has order q; one pass
     over its powers, in the order of the walk g^i, sums the Gauss periods, and
-    the m sums over s are one cyclic correlation, done as a single big-integer
-    product of W-byte slots (Kronecker substitution): the coefficient of
-    z^(m-1+t) in (sum_s A_s z^(m-1-s)) * (sum_{k < 2m-1} eta_{k mod m} z^k).
-    A slot holds at most m products below p^2."""
+    the m sums over s are one cyclic correlation, read off the product from
+    _kronecker: the coefficient of z^(m-1+t) in
+    (sum_s A_s z^(m-1-s)) * (sum_{k < 2m-1} eta_{k mod m} z^k)."""
     m, zeta = len(A), p - omega
     pw = [1] * q
     for j in range(1, q):
         pw[j] = pw[j - 1] * zeta % p
     vals = [pw[j] for j in _unit_data(q).units]
     eta = [sum(vals[s::m]) % p for s in range(m)]
-    W = (2 * p.bit_length() + m.bit_length() + 7) // 8
-    a = b"".join((x % p).to_bytes(W, "little") for x in reversed(A))
-    b = b"".join(x.to_bytes(W, "little") for x in eta + eta[:-1])
-    conv = int.from_bytes(a, "little") * int.from_bytes(b, "little")
-    conv = conv.to_bytes(len(a) + len(b), "little")
+    conv = _kronecker([x % p for x in reversed(A)], eta + eta[:-1])
     acc, a0 = 1, a0 % p
-    for t in range(m - 1, 2 * m - 1):
-        acc = acc * (a0 + int.from_bytes(conv[t * W:(t + 1) * W], "little")) % p
+    for c in conv[m - 1 : 2 * m - 1]:
+        acc = acc * (a0 + c) % p
     return acc
 
 

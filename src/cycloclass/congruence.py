@@ -18,7 +18,10 @@ dividing h(K) with p-rank r:
   theorem is silent.
 
 Each audit returns a Verdict whose witness dict contains enough to replay
-the decisive congruence or gate comparison.
+the decisive congruence or gate comparison.  One helper, _rank_verdict,
+decides the rank congruence for the gcd corollary and the bounded descent;
+the descent theorem reads its witness directly, since its fallback is the
+two-part branch and not a VIOLATION.
 """
 
 from __future__ import annotations
@@ -118,25 +121,29 @@ def _odd_prime_witness(hyp: RankHypothesis, odd_primes: tuple[int, ...]) -> dict
     return None
 
 
+def _rank_verdict(
+    hyp: RankHypothesis, odd_primes: tuple[int, ...], base: dict, reason: str
+) -> Verdict:
+    """The rank congruence at the odd primes decides: CONSISTENT with the
+    witness of _odd_prime_witness, else VIOLATION with the admissible ranks
+    and `reason`."""
+    hit = _odd_prime_witness(hyp, odd_primes)
+    if hit is not None:
+        return Verdict(CONSISTENT, base | hit)
+    return Verdict(
+        VIOLATION, base | {"admissible_ranks": list(hyp.admissible_ranks), "reason": reason}
+    )
+
+
 def corollary1_verdict(N: int, hyp: RankHypothesis) -> Verdict:
     """GCD corollary for odd degree N > 1: some admissible rank r and odd
     prime n | N must satisfy the congruence; otherwise the record is
     inconsistent with the theorem."""
     if N <= 1 or N % 2 == 0:
         raise ValueError(f"degree N = {N} is not an odd integer > 1")
-    odd_primes = factorize(N).primes()
     base = {"theorem": "corollary1", "p": hyp.p, "N": N}
-    hit = _odd_prime_witness(hyp, odd_primes)
-    if hit is not None:
-        return Verdict(CONSISTENT, base | hit)
-    return Verdict(
-        VIOLATION,
-        base
-        | {
-            "admissible_ranks": list(hyp.admissible_ranks),
-            "reason": "gcd(p(p^r - 1), N) = 1 for every admissible rank r",
-        },
-    )
+    reason = "gcd(p(p^r - 1), N) = 1 for every admissible rank r"
+    return _rank_verdict(hyp, factorize(N).primes(), base, reason)
 
 
 def theorem1_audit(N: int, hyp: RankHypothesis, p_divides_hL: bool | None = None) -> Verdict:
@@ -208,14 +215,5 @@ def theorem2_audit(hyp: RankHypothesis, n: int, *, F_abs_disc: int, F_degree: in
             INCONCLUSIVE,
             base | {"reason": "p <= H_F; the bounded descent theorem is silent"},
         )
-    hit = _odd_prime_witness(hyp, (n,))
-    if hit is not None:
-        return Verdict(CONSISTENT, base | hit)
-    return Verdict(
-        VIOLATION,
-        base
-        | {
-            "admissible_ranks": list(hyp.admissible_ranks),
-            "reason": "p > H_F yet no admissible rank satisfies the congruence",
-        },
-    )
+    reason = "p > H_F yet no admissible rank satisfies the congruence"
+    return _rank_verdict(hyp, (n,), base, reason)

@@ -47,6 +47,7 @@ from typing import NamedTuple
 from .arith import (
     PrimeFactorization,
     TimeLimitExceeded,
+    _decimal,
     euler_phi,
     factorize,
     is_prime,
@@ -66,6 +67,7 @@ from .abelian import (
 )
 from .bounds import _MAX_DEGREE
 from .congruence import (
+    _INLINE_INT_BITS,
     CONSISTENT,
     INCONCLUSIVE,
     VIOLATION,
@@ -166,6 +168,14 @@ def _fail(where: str, msg: str) -> TableFormatError:
     return TableFormatError(f"{where}: {msg}")
 
 
+def _show(v: int) -> str:
+    """v as a diagnostic echoes it: in full below 2^256, the witness bound,
+    and above it by its number of digits only."""
+    if v.bit_length() <= _INLINE_INT_BITS:
+        return str(v)
+    return f"{'-' if v < 0 else ''}<{len(_decimal(abs(v)))}-digit integer>"
+
+
 # A listed prime above this is refused before is_prime, which cannot be
 # stopped: it takes ~0.2 s at 1024 bits and ~2 s at 2203 bits (2-core
 # x86-64, CPython 3.11).
@@ -192,7 +202,7 @@ def _expect_int(v, where: str, what: str, minimum: int = 1) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise _fail(where, f"{what} must be an integer, got {v!r}")
     if v < minimum:
-        raise _fail(where, f"{what} must be >= {minimum}, got {v}")
+        raise _fail(where, f"{what} must be >= {minimum}, got {_show(v)}")
     return v
 
 
@@ -200,10 +210,14 @@ def _listed_prime(v, last: int, where: str, key: str) -> int:
     """A prime of a list whose previous prime is last (1 before the first)."""
     p = _expect_int(v, where, f"{key}: prime", 2)
     if p <= last:
-        raise _fail(where, f"{key}: primes must be strictly increasing, {p} after {last}")
+        raise _fail(
+            where, f"{key}: primes must be strictly increasing, {_show(p)} after {_show(last)}"
+        )
     _check_prime_size(p, where, f"{key}: a prime")
     if not is_prime(p):
-        raise _fail(where, f"{key}: {p} = {_factor_briefly(p)} is not prime")
+        # a factorization of p above the bound would echo its wide factors
+        shown = _show(p) if p.bit_length() > _INLINE_INT_BITS else f"{p} = {_factor_briefly(p)}"
+        raise _fail(where, f"{key}: {shown} is not prime")
     return p
 
 
@@ -237,7 +251,9 @@ def _parse_field(v, where: str) -> dict:
             raise _fail(where, f"field.{mkey} is required for kind {kind!r}")
         m = _expect_int(v[mkey], where, f"field.{mkey}", 3)
         if m > _MAX_CONDUCTOR:
-            raise _fail(where, f"field.{mkey} = {m} exceeds the largest modulus, {_MAX_CONDUCTOR}")
+            raise _fail(
+                where, f"field.{mkey} = {_show(m)} exceeds the largest modulus, {_MAX_CONDUCTOR}"
+            )
         if m % 4 == 2:
             raise _fail(
                 where,
@@ -252,7 +268,9 @@ def _parse_field(v, where: str) -> dict:
             raise _fail(where, "field.degree is required for kind 'abelian'")
         n = out["degree"] = _expect_int(v["degree"], where, "field.degree", 2)
         if n > _MAX_DEGREE:
-            raise _fail(where, f"field.degree = {n} exceeds the largest degree, {_MAX_DEGREE}")
+            raise _fail(
+                where, f"field.degree = {_show(n)} exceeds the largest degree, {_MAX_DEGREE}"
+            )
         if "conductor" in v:
             out["conductor"] = _expect_int(v["conductor"], where, "field.conductor", 3)
         if "abs_disc" in v:
@@ -308,16 +326,16 @@ def _parse_descents(v, where: str, kind: str, degree: int | None) -> tuple[Desce
         # an n above the degree, which the degree cap bounds, fails the
         # degree check below without a primality test
         if n % 2 == 0 or (n <= degree and not is_prime(n)):
-            raise _fail(where, f"descents.n = {n} is not an odd prime")
+            raise _fail(where, f"descents.n = {_show(n)} is not an odd prime")
         if n in seen:
-            raise _fail(where, f"duplicate descents entry for n = {n}")
+            raise _fail(where, f"duplicate descents entry for n = {_show(n)}")
         seen.add(n)
         d = _expect_int(item["abs_disc"], where, "descents.abs_disc", 1)
         g = _expect_int(item["degree"], where, "descents.degree", 1)
         if g * n != degree:
             raise _fail(
                 where,
-                f"descents entry for n = {n}: its degree {g} times n must "
+                f"descents entry for n = {_show(n)}: its degree {_show(g)} times n must "
                 f"equal the field degree {degree}",
             )
         out.append(DescentData(n, d, g))
@@ -358,15 +376,17 @@ def _record_from_obj(obj, where: str) -> ClassNumberRecord:
                 raise _fail(where, f"p_ranks key {key!r} is not an integer") from None
             _check_prime_size(p, where, "p_ranks key")
             if p < 2 or not is_prime(p):
-                raise _fail(where, f"p_ranks key {p} is not prime")
-            r = _expect_int(r, where, f"p_ranks[{p}]", 1)
+                raise _fail(where, f"p_ranks key {_show(p)} is not prime")
+            r = _expect_int(r, where, f"p_ranks[{_show(p)}]", 1)
             caps = [e for fs in factors.values() for q, e in fs if q == p]
             if not caps:
-                raise _fail(where, f"p_ranks lists {p}, which divides none of the stated class numbers")
+                raise _fail(
+                    where, f"p_ranks lists {_show(p)}, which divides none of the stated class numbers"
+                )
             if r > max(caps):
                 raise _fail(
                     where,
-                    f"p_ranks[{p}] = {r} exceeds the stated multiplicity {max(caps)}",
+                    f"p_ranks[{_show(p)}] = {_show(r)} exceeds the stated multiplicity {max(caps)}",
                 )
             pairs.append((p, r))
         p_ranks = tuple(sorted(pairs))

@@ -371,6 +371,9 @@ def test_galois_orbits_reject_non_closed_input():
         galois_orbits(some)
     with pytest.raises(ValueError):
         galois_orbits(characters(5) + characters(8))
+    chi = characters(7)[1]
+    with pytest.raises(ValueError, match="^duplicate characters in input$"):
+        galois_orbits(characters(7) + [chi])
 
 
 def test_field_spec_basic():
@@ -676,3 +679,5 @@ def test_quadratic_signed_discriminant():
     for u, expect in ((8, [-8, -4, 8]), (12, [-4, -3, 12]), (24, [-24, -8, -4, -3, 8, 12, 24])):
         quads = [F for F in subfields(u) if F.degree == 2]
         assert sorted(map(quadratic_signed_discriminant, quads)) == expect, u
+    with pytest.raises(ValueError, match="^need a quadratic field, got degree 4$"):
+        quadratic_signed_discriminant(cyclotomic_field_spec(5))

@@ -25,6 +25,7 @@ from cycloclass.classnum import (
     _coset_norm_mod,
     _coset_values,
     _descend,
+    _kronecker,
     _norm_bound_bits,
     _norm_primes,
     _poly_rem,
@@ -96,6 +97,12 @@ def test_b1_quadratic_character_values():
     chi4 = next(ch for ch in characters(4) if ch.is_odd)
     (c0,), f = b1_chi(chi4)
     assert Fraction(c0, f) == Fraction(-1, 2)
+
+
+def test_b1_chi_refuses_the_trivial_character():
+    trivial = next(ch for ch in characters(7) if ch.is_trivial)
+    with pytest.raises(ValueError, match="only for nontrivial chi"):
+        b1_chi(trivial)
 
 
 def test_b1_even_nontrivial_characters_vanish():
@@ -394,6 +401,28 @@ def test_exact_descents_use_no_crt_prime(monkeypatch):
     assert hashlib.sha256(str(norm).encode()).hexdigest() == (
         "58ef6fd30a1a74c3c937902dcf55c1c26717d4c496ba4a065843e9416be9677d"
     )
+
+
+def test_kronecker_matches_the_schoolbook_product():
+    # signed lists of unequal lengths, all-zero and one-coefficient lists, and
+    # lists at the extremes of their width, where each slot is fullest
+    def schoolbook(A, B):
+        out = [0] * (len(A) + len(B) - 1)
+        for i, a in enumerate(A):
+            for j, b in enumerate(B):
+                out[i + j] += a * b
+        return out
+
+    rng = random.Random(28)
+    cases = [([0], [0]), ([5], [-3]), ([0, 0, 0], [0] * 5), ([0, 0], [7, -1, 2]),
+             ([-1], [2, 0, -9, 4]), ([2**64 - 1] * 9, [-(2**64 - 1)] * 4),
+             ([-(2**7 - 1)] * 33, [-(2**7 - 1)] * 33)]
+    for la, lb, bits in ((1, 9, 70), (13, 2, 9), (30, 17, 200), (64, 64, 8), (3, 100, 1)):
+        cases.append(([rng.randrange(-2**bits, 2**bits) for _ in range(la)],
+                      [rng.randrange(-2**bits, 2**bits) for _ in range(lb)]))
+    for A, B in cases:
+        assert _kronecker(A, B) == schoolbook(A, B), (len(A), len(B))
+        assert _kronecker(B, A) == schoolbook(A, B), (len(B), len(A))
 
 
 def test_descent_of_order_4096_is_linear_in_its_packing(monkeypatch):

@@ -63,8 +63,14 @@ def test_out_of_range_modulus_refused_up_front(capsys):
         rc, out, err = run(capsys, command, "1000003")
         assert rc == EXIT_USAGE and not out
         assert err == "error: modulus 1000003 exceeds the largest modulus, 100000\n"
-    rc, out, err = run(capsys, "subfields", "1")
-    assert (rc, out, err) == (EXIT_USAGE, "", "error: modulus must be >= 3, got 1\n")
+
+
+def test_hminus_verbose_notes_probable_primes(capsys):
+    rc, out, _ = run(capsys, "hminus", "167", "--verbose")
+    assert rc == EXIT_OK
+    assert out.splitlines()[-1] == (
+        "  note: 5123189985484229035947419 is a probable prime (beyond deterministic range)"
+    )
 
 
 def test_hminus_time_limit(capsys):
@@ -198,6 +204,18 @@ def test_subfields_59(capsys):
     assert rows[3][2] == "~10^100"
 
 
+def test_subfields_of_q(capsys):
+    # Q(zeta_1) = Q(zeta_2) = Q, as hminus 1 and hminus 2 read them
+    for u in ("1", "2"):
+        rc, out, err = run(capsys, "subfields", u)
+        assert (rc, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            "subfields of Q(zeta_1)",
+            " degree  conductor                    |disc|  H_F",
+            "      1          1                         1  1.000000000 (exact)",
+        ]
+
+
 def test_subfields_discriminant_beyond_str_limit(capsys):
     # |disc Q(zeta_2003)| = 2003^2001 has more digits than str() converts.
     rc, out, _ = run(capsys, "subfields", "2003")
@@ -290,6 +308,38 @@ def test_audit_refuses_large_primes_before_testing_them(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1
         assert (rc, out) == (EXIT_USAGE, "")
         assert "line 1: " in err and message in err
+
+
+def test_audit_diagnostics_abbreviate_wide_integers(tmp_path, capsys):
+    # an echoed integer above 2^256 is printed as its number of digits
+    m607, m521, m2203 = 2**607 - 1, 2**521 - 1, 2**2203 - 1
+    cyclotomic = {"kind": "cyclotomic", "u": 59}
+    records = [
+        ({"field": {"kind": "cyclotomic", "u": 10**3000}, "h_minus": [[3, 1]]},
+         "field.u = <3001-digit integer> exceeds the largest modulus, 100000"),
+        ({"field": {"kind": "abelian", "degree": 10**3000}, "h": [[3, 1]]},
+         "field.degree = <3001-digit integer> exceeds the largest degree, 100000"),
+        ({"field": {"kind": "abelian", "degree": 3}, "h": [[3, 1]],
+          "descents": [{"n": m2203, "abs_disc": 5, "degree": 1}]},
+         "descents entry for n = <664-digit integer>: its degree 1 times n must "
+         "equal the field degree 3"),
+        ({"field": cyclotomic, "h_minus": [[m607, 1], [m521, 1]]},
+         "h_minus: primes must be strictly increasing, <157-digit integer> after "
+         "<183-digit integer>"),
+        ({"field": cyclotomic, "h_minus": [[3, 1]], "p_ranks": {str(3 * m607): 1}},
+         "p_ranks key <184-digit integer> is not prime"),
+        ({"field": cyclotomic, "h_minus": [[3, 1]], "p_ranks": {str(m607): 1}},
+         "p_ranks lists <183-digit integer>, which divides none of the stated class numbers"),
+    ]
+    f = tmp_path / "recs.jsonl"
+    for rec, message in records:
+        f.write_text(json.dumps(dict(rec, source="probe")) + "\n")
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "audit", str(f))
+        assert time.perf_counter() - t0 < 1
+        assert (rc, out) == (EXIT_USAGE, "")
+        assert err == f"error: {f}: line 1: {message}\n"
+        assert len(err) - len(str(f)) < 200
 
 
 def test_audit_unreadable_json_exits_2(tmp_path, capsys):

@@ -352,6 +352,24 @@ def test_audit_two_part_asserted_from_quadratic_subfield():
     assert e.verdict.status == INCONCLUSIVE
 
 
+def test_audit_two_part_unmatched_subfield_data_is_not_recorded():
+    # subfield_h names Q(sqrt(-7)), which is no subfield of Q(zeta_59): the
+    # branch stays open, with no subfield data in its witness
+    text = _line(dict(GOOD, h_minus=[[3, 1]], subfield_h=[{"disc": -7, "h": [[3, 1]]}]))
+    e = next(e for e in audit_records(parse_records(text)).entries if e.theorem == "theorem1")
+    assert e.verdict.status == INCONCLUSIVE and e.verdict.witness["branch"] == "two-part"
+    assert e.verdict.witness["reason"] == "p | h(L) for the 2-power-degree subfield is not recorded"
+    assert "subfield_disc" not in e.verdict.witness
+
+
+def test_audit_skips_contexts_of_degree_one():
+    # Q(zeta_3)^+ = Q: its stated h+ is audited by no theorem
+    text = _line({"field": {"kind": "cyclotomic", "u": 3}, "h_plus": [[3, 1]], "source": "x"})
+    report = audit_records(parse_records(text))
+    assert report.entries == () and report.exit_ok
+    assert "[1] Q(zeta_3): h+ = 3\n    (no primes to audit)\n" in report.to_text()
+
+
 def test_audit_two_part_conductor_fallback_for_unrealizable_field():
     # degree 10, conductor 9081 = 3^2 * 1009: 10 does not divide phi, so the
     # field cannot be reconstructed; the quadratic match falls back to |disc|

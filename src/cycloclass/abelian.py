@@ -74,11 +74,12 @@ class _UnitData:
     them, and per p | u a component (p, generator indices, levels).  Each g_i
     has exact order o_i mod its prime power and is 1 mod the rest of u, so the
     g_i span the units.  For j < e, levels[j] holds the m_i with
-    v_p(f_chi) <= j exactly when chi's exponents there are 0 mod m_i."""
+    v_p(f_chi) <= j exactly when chi's exponents there are 0 mod m_i.  For
+    u = 1, Q(zeta_1) = Q, the group is trivial: no generators."""
 
     def __init__(self, u: int):
-        if u < 3:
-            raise ValueError(f"modulus must be >= 3, got {u}")
+        if u < 1:
+            raise ValueError(f"modulus must be >= 1, got {u}")
         if u > _MAX_CONDUCTOR:
             raise ValueError(f"modulus {u} exceeds the largest modulus, {_MAX_CONDUCTOR}")
         if u % 4 == 2:
@@ -293,10 +294,11 @@ def cyclotomic_field_spec(u: int) -> AbelianFieldSpec:
 def real_cyclotomic_field_spec(u: int) -> AbelianFieldSpec:
     """The maximal real subfield Q(zeta_u)^+: the even characters mod u,
     generated by e_i where -1 has exponent 0 and by e_s + e_i where it has
-    exponent o_i/2 (s the first such i, so 2e_s is among them)."""
+    exponent o_i/2 (s the first such i, so 2e_s is among them). For u <= 2,
+    -1 = 1 and Q(zeta_u)^+ = Q(zeta_u) = Q."""
     u = normalize_conductor(u)
     m = _unit_data(u).minus_one
-    s = next(i for i, k in enumerate(m) if k)
+    s = next((i for i, k in enumerate(m) if k), None)
     gens = [[(j == i) + (j == s) * (k > 0) for j in range(len(m))] for i, k in enumerate(m)]
     return AbelianFieldSpec(u, gens)
 

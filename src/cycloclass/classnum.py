@@ -10,7 +10,9 @@ Then N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i) and c0 = c/g.
 Res(Phi_d, c0) descends the cyclotomic tower: the norm of c0 from Q(zeta_e)
 down to Q(zeta_{e/p}) has the same resultant against Phi_{e/p}, and is an
 exact product of conjugates mod x^(e/2) + 1, first while p^2 | e, then for
-each odd p of the squarefree rest but the largest, q. At e = 2 the resultant
+each odd p of the squarefree rest but the largest, q. For p = 2 that product
+is Graeffe's root-squaring step, E(y)^2 - y O(y)^2 with y = x^2 for
+c0 = E(x^2) + x O(x^2), two squarings of packed integers. At e = 2 the resultant
 is the one coefficient left. At e = 2q the last step takes the exact product
 gamma of the conjugates over a subgroup H of (Z/2q)^*, chosen by a cost rule,
 and Res(Phi_2q, beta) is the product of gamma over one root of unity per coset
@@ -227,25 +229,34 @@ def _conjugate(A: list[int], k: int) -> list[int]:
     return out
 
 
+def _pack(P: list[int], W: int) -> int:
+    """sum_i P_i 2^(8Wi) for signed P_i below 2^(8W - 1) in size: each slot
+    biased by 2^(8W - 1) so that it is unsigned, joined as bytes, and the
+    bias taken off the whole."""
+    H = 1 << (8 * W - 1)
+    biased = b"".join((c + H).to_bytes(W, "little") for c in P)
+    bias = int.from_bytes(H.to_bytes(W, "little") * len(P), "little")
+    return int.from_bytes(biased, "little") - bias
+
+
+def _unpack(V: int, W: int, count: int) -> list[int]:
+    """The `count` signed W-byte slots of V = sum_i c_i 2^(8Wi), each c_i
+    below 2^(8W - 1) in size: the inverse of _pack, by slices of the bytes
+    of V with every slot biased."""
+    H = 1 << (8 * W - 1)
+    bias = int.from_bytes(H.to_bytes(W, "little") * count, "little")
+    raw = (V + bias).to_bytes(count * W, "little")
+    return [int.from_bytes(raw[t:t + W], "little") - H for t in range(0, count * W, W)]
+
+
 def _kronecker(A: list[int], B: list[int]) -> list[int]:
     """A * B for signed coefficient lists of any lengths, all len(A) + len(B)
-    - 1 coefficients: one big-integer product of W-byte slots (Kronecker
-    substitution). Each slot is biased by H = 2^(8W - 1) so that it is
-    unsigned; packing and unpacking are linear bytes joins and slices."""
+    - 1 coefficients: one big-integer product of _pack's W-byte slots
+    (Kronecker substitution), read back by _unpack."""
     terms = min(len(A), len(B))  # most products in one coefficient
     bits = max(map(abs, A)).bit_length() + max(map(abs, B)).bit_length() + terms.bit_length()
-    W = bits // 8 + 1  # every product coefficient is below 2^bits <= H
-    H = 1 << (8 * W - 1)
-    slot = H.to_bytes(W, "little")
-
-    def pack(P: list[int]) -> int:
-        biased = b"".join((c + H).to_bytes(W, "little") for c in P)
-        return int.from_bytes(biased, "little") - int.from_bytes(slot * len(P), "little")
-
-    m = len(A) + len(B) - 1
-    prod = pack(A) * pack(B) + int.from_bytes(slot * m, "little")
-    raw = prod.to_bytes(m * W, "little")
-    return [int.from_bytes(raw[t:t + W], "little") - H for t in range(0, m * W, W)]
+    W = bits // 8 + 1  # every product coefficient is below 2^bits <= 2^(8W - 1)
+    return _unpack(_pack(A, W) * _pack(B, W), W, len(A) + len(B) - 1)
 
 
 def _mul_negacyclic(A: list[int], B: list[int]) -> list[int]:
@@ -254,6 +265,27 @@ def _mul_negacyclic(A: list[int], B: list[int]) -> list[int]:
     n = len(A)
     c = _kronecker(A, B)
     return [x - y for x, y in zip(c, c[n:] + [0])]
+
+
+def _graeffe(A: list[int]) -> list[int]:
+    """The norm of A mod x^n + 1, n = len(A) even, to Z[y]/(y^h + 1), y = x^2
+    and h = n/2: A(x) A(-x) = E(y)^2 - y O(y)^2 for A(x) = E(x^2) + x O(x^2),
+    Graeffe's root-squaring step (sigma_{1+n}: x -> -x). E = A[0::2] and
+    O = A[1::2] are packed once each into W-byte slots, the two squares and
+    the shift by one slot combine on the integers into V = L + 2^(8Wh) T, L
+    the low h slots and T the high ones, and the fold by y^h = -1 is L - T on
+    the integers: |L| < 2^(8Wh - 1), so T is V / 2^(8Wh) rounded to nearest,
+    exactly. Only the h coefficients of L - T are unpacked.
+    Slot bound: every coefficient, before the fold and after it, is a sum of
+    at most 2h products of two coefficients of A, each below 2^(2b), b the
+    bits of A's largest, so it is below 4h 2^(2b) in size, and slots with
+    8W - 1 >= 2b + (4h).bit_length() hold it."""
+    h = len(A) // 2
+    W = (2 * max(map(abs, A)).bit_length() + (4 * h).bit_length()) // 8 + 1
+    even, odd = _pack(A[0::2], W), _pack(A[1::2], W)
+    V, shift = even * even - (odd * odd << 8 * W), 8 * W * h
+    T = (V + (1 << (shift - 1))) >> shift
+    return _unpack(V - (T << shift) - T, W, h)
 
 
 def _conjugate_product(A: list[int], g: int, order: int, stage: str) -> list[int]:
@@ -275,20 +307,26 @@ def _conjugate_product(A: list[int], g: int, order: int, stage: str) -> list[int
 
 def _relative_norm(A: tuple[int, ...], e: int, p: int, stage: str) -> tuple[int, ...]:
     """The norm of A from Q(zeta_e) down to Q(zeta_m), m = e/p, e and m even,
-    at half length on both sides: the product of the conjugates sigma_k,
-    k = 1 (mod m), a cyclic group, from _conjugate_product. It is read off
-    with no reduction by Phi_e:
+    at half length on both sides, after one check of the time limit (raising
+    with `stage`) per product. For p = 2, which goes out only while 4 | e,
+    it is _graeffe's. For odd p it is the product of the conjugates sigma_k,
+    k = 1 (mod m), a cyclic group, from _conjugate_product, read off with no
+    reduction by Phi_e:
     - p^2 | e: k = 1 + jm, and the conjugates of x^i with p not dividing i sum
       to 0, so the norm is the sum of a_i zeta_m^(i/p) over p | i.
     - p not dividing m: zeta_e^i = zeta_p^b zeta_m^t, b = i m^-1 mod p and
       t = i p^-1 mod m; on the basis 1, zeta_p^2, ..., zeta_p^(p-1) over
       Q(zeta_m) the norm is C_0 - C_1, C_b the sum of a_i zeta_m^t with that b."""
     m, n = e // p, e // 2
+    A = list(A) + [0] * (n - len(A))
+    if p == 2:
+        _check(stage)
+        return tuple(_graeffe(A))
     if m % p == 0:
         g, order = 1 + m, p
     else:
         g, order = _crt_lift(_primitive_root_mod_pk(p, 1), p, e), p - 1
-    prod = _conjugate_product(list(A) + [0] * (n - len(A)), g, order, stage)
+    prod = _conjugate_product(A, g, order, stage)
     if m % p == 0:
         return tuple(prod[::p])
     h, to_m, to_p = m // 2, pow(p, -1, m), pow(m, -1, p)

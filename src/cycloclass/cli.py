@@ -83,15 +83,14 @@ def cmd_bound(args) -> int:
 def cmd_subfields(args) -> int:
     u = normalize_conductor(args.u)
     try:
-        fields = subfields(u) if u > 2 else ()
+        fields = subfields(u)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = [(F.degree, F.conductor, F.abs_discriminant, field_bound(F)) for F in fields]
     print(f"subfields of Q(zeta_{u})")
     print(f"{'degree':>7}  {'conductor':>9}  {'|disc|':>24}  H_F")
-    # Q(zeta_1) = Q(zeta_2) = Q, whose one subfield is Q itself
-    for degree, conductor, disc, bound in rows or [(1, 1, 1, class_number_bound(1, 1))]:
+    for degree, conductor, disc, bound in rows:
         disc_s = str(disc) if disc < 10**24 else f"~10^{Decimal(disc).adjusted()}"
         print(f"{degree:>7}  {conductor:>9}  {disc_s:>24}  {bound.display()}")
     return EXIT_OK

@@ -9,7 +9,7 @@ norm_oracle.char_value (discrete-log table). Not collected by pytest.
 
     PYTHONPATH=src:tests python tests/sweep_orbit_norms.py 1000
     PYTHONPATH=src:tests python tests/sweep_orbit_norms.py --no-oracle 1000 \\
-        1052 1163 1437 2039 4007 10007
+        1052 1163 1437 2039 4007 10007 12289 40961 65537
 
 Prints each mismatch, then the number of norms compared, the number of
 mismatches of each kind (norm, b1_chi, exponent) and both norm routes' total

@@ -99,9 +99,20 @@ def test_normalize_conductor():
 
 
 def test_unit_group_rejects_bad_moduli():
-    for u in (0, 1, 2, 6, 10, 14):
+    for u in (0, 2, 6, 10, 14):
         with pytest.raises(ValueError):
             _unit_data(u)
+
+
+def test_q_is_q_zeta_1():
+    # Q(zeta_1) = Q(zeta_2) = Q: (Z/1)^* is the trivial group, whose one
+    # subgroup gives Q's one subfield, and Q(zeta_1)^+ = Q
+    data = _unit_data(1)
+    assert (data.generators, data.orders, data.minus_one) == ((), (), ())
+    for u in (1, 2):
+        (F,) = subfields(u)
+        assert (F.degree, F.conductor, F.abs_discriminant) == (1, 1, 1)
+        assert real_cyclotomic_field_spec(u) == cyclotomic_field_spec(u) == F
 
 
 def test_unit_group_structure():

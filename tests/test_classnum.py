@@ -23,9 +23,12 @@ from cycloclass.classnum import (
     _chi_exponent,
     _conjugate_product,
     _coset_norm_mod,
+    _conjugate,
     _coset_values,
     _descend,
+    _graeffe,
     _kronecker,
+    _mul_negacyclic,
     _norm_bound_bits,
     _norm_primes,
     _poly_rem,
@@ -423,6 +426,65 @@ def test_kronecker_matches_the_schoolbook_product():
     for A, B in cases:
         assert _kronecker(A, B) == schoolbook(A, B), (len(A), len(B))
         assert _kronecker(B, A) == schoolbook(A, B), (len(B), len(A))
+
+
+def test_graeffe_matches_the_conjugate_product():
+    # the p = 2 step against the route it replaces, A * sigma_{1+n}(A) mod
+    # x^n + 1 read at the even powers, on seeded signed lists of even lengths
+    # 2-512 with coefficients up to 2^300, so that wide slots are covered, and
+    # on all-zero, one-nonzero and negative-only lists. The extremal lists,
+    # E = A[0::2] changing sign halfway and O = A[1::2] constant, put about
+    # 2h (2^b - 1)^2 in the constant coefficient, h = n/2; over b = 296-303
+    # some of them fill the top byte of a slot, where slots two bits narrower
+    # than the bound overflow
+    def conjugate_route(A):
+        return _mul_negacyclic(A, _conjugate(A, 1 + len(A)))[::2]
+
+    def extremal(n, b):
+        h, a = n // 2, 2**b - 1
+        A = [a] * n
+        A[0::2] = [a] + [a if 2 * j < h else -a for j in range(1, h)]
+        return A
+
+    rng = random.Random(29)
+    cases = []
+    for n in (2, 4, 6, 10, 16, 34, 128, 512):
+        for bits in (1, 9, 64, 300):
+            cases.append([rng.randrange(-2**bits, 2**bits) for _ in range(n)])
+        one = [0] * n
+        one[rng.randrange(n)] = rng.choice((1, -1)) * rng.randrange(1, 2**300)
+        cases += [[0] * n, one, [-rng.randrange(1, 2**300) for _ in range(n)]]
+        cases += [extremal(n, b) for b in range(296, 304)]
+    for A in cases:
+        assert _graeffe(A) == conjugate_route(A), (len(A), max(map(abs, A)).bit_length())
+    # at length 2, x^2 = -1: (a0 + a1 x)(a0 - a1 x) = a0^2 + a1^2
+    for a0, a1 in ((0, 0), (3, -4), (-7, 0), (0, 5), (-(2**300), 2**299 + 1)):
+        assert _graeffe([a0, a1]) == [a0 * a0 + a1 * a1], (a0, a1)
+
+
+def test_descent_checks_the_time_limit_before_every_graeffe_step(monkeypatch):
+    # a clock reading 0, 1, 2, ...: within reads 0, the check before the first
+    # p = 2 step (order 4096 to 2048) reads 1 and the one before the second
+    # reads 2, so a limit of 1.5 lets the first step through and stops the
+    # descent at order 2048
+    rng = random.Random(2048)
+    alpha = tuple(rng.randrange(-2**20, 2**20) for _ in range(2048))
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(arith, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(TimeLimitExceeded, match=r"^order-4096 norm: descent reached order 2048$"):
+        with within(1.5):
+            _descend(alpha, 4096)
+    assert next(ticks) == 3
+
+
+def test_orbit_norm_matches_oracle_down_long_two_power_towers():
+    # every odd orbit of u = 257 (order 256 = 2^8: seven Graeffe steps down
+    # to order 2) and of u = 769 (orders 256 and 768 = 2^8 * 3: seven steps
+    # down to order 2, or to order 6 and the last step at q = 3) against the
+    # Euclidean resultants
+    for u in (257, 769):
+        for ob in galois_orbits([ch for ch in characters(u) if ch.is_odd]):
+            assert orbit_norm(ob) == oracle_orbit_norm(ob), (u, ob.order)
 
 
 def test_descent_of_order_4096_is_linear_in_its_packing(monkeypatch):

@@ -22,12 +22,11 @@ conductor f (never for subfields or the audit) and shared by every character
 of that conductor, whatever its modulus; a unit's position in the walk gives
 its exponents against the g_i.
 
-_subgroups and _hnf return their rows as a _Rows, a tuple that records the
-orders o_i it is the HNF basis for.  That basis is unique (Cohen, GTM 138,
-2.4), so reducing such rows again returns them unchanged: AbelianFieldSpec
-trusts a _Rows whose orders are its modulus's and reduces every other input.
-The size of the lattice is counted from the o_i (Birkhoff) before subfields
-lists it.
+AbelianFieldSpec(u, rows) reduces its rows by _hnf.  The HNF basis is
+unique (Cohen, GTM 138, 2.4), so the rows _subgroups lists for u's orders
+o_i would come back unchanged: subfields and descent_subfield build their
+specs from them by _field_spec, which trusts its rows.  The size of the
+lattice is counted from the o_i (Birkhoff) before subfields lists it.
 """
 
 from __future__ import annotations
@@ -255,33 +254,36 @@ class AbelianFieldSpec(_FieldSpec):
     """An abelian field presented by its group X of Dirichlet characters mod u.
 
     Built from any exponent tuples generating X; `rows` holds the canonical
-    HNF rows (as _subgroups yields them).  Rows that _subgroups or _hnf
-    returned for these orders are already canonical and are not reduced
-    again; any other input is.  Degree n = |X| = prod o_i/d_i.  At
-    each level of each prime p, with s the size of X's image mod the level's
-    m_i, n - n/s characters have v_p(f_chi) above that level: so |disc| = prod
-    f_chi (conductor-discriminant) gains p^(n - n/s), and the conductor (lcm
-    of the f_chi) gains p when s > 1.  Every s is a column gcd of the rows or,
-    at levels 0-1 of 2^e (e >= 3), one gcd of 2x2 minors (_level_sizes).
+    HNF rows (as _subgroups yields them), reduced by _hnf from the input.
+    Degree n = |X| = prod o_i/d_i.  At each level of each prime p, with s the
+    size of X's image mod the level's m_i, n - n/s characters have v_p(f_chi)
+    above that level: so |disc| = prod f_chi (conductor-discriminant) gains
+    p^(n - n/s), and the conductor (lcm of the f_chi) gains p when s > 1.
+    Every s is a column gcd of the rows or, at levels 0-1 of 2^e (e >= 3), one
+    gcd of 2x2 minors (_level_sizes).
     """
 
     __slots__ = ()
 
     def __new__(cls, modulus: int, rows: tuple[tuple[int, ...], ...]):
-        data = _unit_data(modulus)
-        if not (isinstance(rows, _Rows) and rows.orders == data.orders):
-            rows = _hnf(rows, data.orders)
-        n, cond, disc = _order(rows, data.orders), 1, 1
-        for p, sizes in _level_sizes(data, rows):
-            cond *= p ** sum(s > 1 for s in sizes)
-            disc *= p ** sum(n - n // s for s in sizes)
-        return tuple.__new__(cls, (modulus, rows, n, cond, disc))
+        return _field_spec(modulus, _hnf(rows, _unit_data(modulus).orders))
 
     def __getnewargs__(self):
         return self[:2]
 
     def _sort_key(self):
         return (self.degree, self.abs_discriminant, self.conductor, self.rows)
+
+
+def _field_spec(modulus: int, rows: tuple[tuple[int, ...], ...]) -> AbelianFieldSpec:
+    """The spec of the canonical HNF rows `rows` for modulus's orders, taken
+    as they are."""
+    data = _unit_data(modulus)
+    n, cond, disc = _order(rows, data.orders), 1, 1
+    for p, sizes in _level_sizes(data, rows):
+        cond *= p ** sum(s > 1 for s in sizes)
+        disc *= p ** sum(n - n // s for s in sizes)
+    return tuple.__new__(AbelianFieldSpec, (modulus, rows, n, cond, disc))
 
 
 def cyclotomic_field_spec(u: int) -> AbelianFieldSpec:
@@ -322,18 +324,6 @@ _MAX_SUBGROUPS = 100_000
 class LatticeTooLarge(ValueError):
     """The subgroup lattice of (Z/u)^* has more than _MAX_SUBGROUPS members;
     raised before any subgroup is listed."""
-
-
-class _Rows(tuple):
-    """HNF rows, canonical for the orders o_i in `orders`."""
-
-    orders: tuple[int, ...]
-
-
-def _rows(rows, orders: tuple[int, ...]) -> _Rows:
-    out = _Rows(rows)
-    out.orders = orders
-    return out
 
 
 def _gaussian(n: int, k: int, p: int) -> int:
@@ -404,7 +394,7 @@ def _subgroups(orders: tuple[int, ...], order: int | None = None):
     def extend(i: int, below: list[tuple[int, ...]], size: int):
         if i < 0:
             if order is None or size == order:
-                yield _rows(below, orders)
+                yield tuple(below)
             return
         o = orders[i]
         for d in divisors[i]:
@@ -419,7 +409,7 @@ def _subgroups(orders: tuple[int, ...], order: int | None = None):
     yield from extend(len(orders) - 1, [], 1)
 
 
-def _hnf(gens, orders: tuple[int, ...]) -> _Rows:
+def _hnf(gens, orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The rows _subgroups yields for the subgroup generated by the exponent
     tuples gens: Euclid down each column, starting from o_i e_i, then each
     tail reduced by the pivots below it."""
@@ -440,7 +430,7 @@ def _hnf(gens, orders: tuple[int, ...]) -> _Rows:
         for j in range(i + 1, k):
             q = row[j] // rows[j][j]
             row[:] = [a - q * b for a, b in zip(row, rows[j])]
-    return _rows(map(tuple, rows), orders)
+    return tuple(map(tuple, rows))
 
 
 def _order(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> int:
@@ -477,7 +467,7 @@ def subfields(u: int) -> tuple[AbelianFieldSpec, ...]:
     has more than _MAX_SUBGROUPS members.
     """
     u = normalize_conductor(u)
-    specs = [AbelianFieldSpec(u, rows) for rows in _subgroups(_searchable_orders(u))]
+    specs = [_field_spec(u, rows) for rows in _subgroups(_searchable_orders(u))]
     return tuple(sorted(specs, key=AbelianFieldSpec._sort_key))
 
 
@@ -504,7 +494,7 @@ def descent_subfield(K: AbelianFieldSpec, n: int) -> AbelianFieldSpec:
     if K.degree % n != 0:
         raise ValueError(f"{n} does not divide the degree {K.degree}")
     specs = [
-        AbelianFieldSpec(K.modulus, rows)
+        _field_spec(K.modulus, rows)
         for rows in _subgroups(_searchable_orders(K.modulus), K.degree // n)
         if all(_in_span(row, K.rows, 0) for row in rows)
     ]

@@ -108,11 +108,13 @@ _TRIAL_BLOCK = 64  # primes per trial-division block
 
 class TimeLimitExceeded(Exception):
     """A time limit passed mid-computation. When factoring stopped, `partial`
-    is the factorization found by then, with the unsplit rest as its cofactor."""
+    is the factorization found by then, with the unsplit rest as its cofactor,
+    and `stage` names the stage that ran out of time."""
 
-    def __init__(self, message: str, partial: PrimeFactorization | None = None):
+    def __init__(self, message: str, partial: PrimeFactorization | None = None, stage: str = ""):
         super().__init__(message)
         self.partial = partial
+        self.stage = stage
 
 
 # The time.monotonic() reading past which _check raises; inf for no limit.
@@ -340,7 +342,8 @@ def factorize(n: int) -> PrimeFactorization:
     Brent-Pollard rho on each composite piece.
 
     When the time limit passes, raises TimeLimitExceeded naming the stage that
-    stopped, with the primes found so far and the unsplit pieces as `partial`.
+    stopped, also as its `stage`, with the primes found so far and the unsplit
+    pieces as `partial`.
     A raised call leaves nothing in the cache.
     """
     if n < 1:
@@ -365,7 +368,7 @@ def factorize(n: int) -> PrimeFactorization:
         pending += [d, m // d]
     fact = PrimeFactorization.assemble(n, found, math.prod(unsplit))
     if fact.cofactor > 1:
-        raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact)
+        raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact, stage)
     return fact
 
 

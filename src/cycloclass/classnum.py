@@ -17,18 +17,14 @@ is the one coefficient left. At e = 2q the last step takes the exact product
 gamma of the conjugates over a subgroup H of (Z/2q)^*, chosen by a cost rule,
 and Res(Phi_2q, beta) is the product of gamma over one root of unity per coset
 of H, each value a sum of Gauss periods. For H the whole group that is one
-integer. Otherwise the integer T = N(B_{1,chi}) * D = Res(Phi_e, beta) * g^phi
-* D / f^phi is found modulo primes p = 1 (mod e) below 2^62, where the m coset
-values are one cyclic correlation per prime, and the residues are
-CRT-combined past a Parseval bound. Only this route needs the denominator
-D, from Stickelberger's theorem for the primitive chi*: for a prime c not
-dividing f, (c - chi*(c)^-1) B_{1,chi} is integral, so D_c = N(c - chi*(c)) =
-Phi_k(c)^(phi(d)/phi(k)), k the order of chi*(c), clears the norm, with
-Phi_k(c) = prod (c^j - 1)^mu(k/j) from the binomial product, and D is the gcd
-of D_c over the two smallest such auxiliary primes, chi*(c) read off the
-position of c mod f in the unit walk abelian._UnitData.units of (Z/f)^*, the
-walk b1_chi takes. A norm thus depends on chi* alone, not on the modulus u.
-The norm of -B_{1,chi}/2 is N(B_{1,chi}) * (-1/2)^phi.
+integer. Every route yields the integer T = N(B_{1,chi}) * D = Res(Phi_e,
+beta) * g^phi * D / f^phi, D = p for a conductor f = p^k and D = 1 otherwise
+(Carlitz; orbit_norm): the exact routes (e = 2, and H the whole group) by an
+exact division, which checks the theorem, and the others modulo primes
+p = 1 (mod e) below 2^62, where the m coset values are one cyclic
+correlation per prime, the residues CRT-combined past a Parseval bound. A
+norm thus depends on B_{1,chi}'s coefficients and f alone, not on the
+modulus u. The norm of -B_{1,chi}/2 is T/D * (-1/2)^phi.
 
 relative_class_number factors h^- through its pieces, Q*w and the numerator
 of each orbit norm: every prime of h^- divides one of them, and the
@@ -170,7 +166,7 @@ def b1_chi(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
 
 
 # ---------------------------------------------------------------------------
-# Orbit norms: N(B_{1,chi}) times a Stickelberger denominator, from
+# Orbit norms: N(B_{1,chi}) times the conductor's denominator D, from
 # Res(Phi_e, beta), exactly or modulo primes p = 1 (mod e), where Phi_e
 # splits, CRT-combined.
 
@@ -192,23 +188,6 @@ def _norm_bound_bits(A: tuple[int, ...], d: int) -> int:
     phi = euler_phi(d)
     t = -(-((d * sum(c * c for c in A)) ** phi) // phi**phi)
     return (t.bit_length() + 1) // 2
-
-
-def _stickelberger_denominator(d: int, aux: list[tuple[int, int]]) -> int:
-    """D > 0 with D * N(B_{1,chi}) an integer, chi of order d: the gcd of
-    N(c - chi*(c)) = Phi_e(c)^(phi(d)/phi(e)) over the pairs (c, k) of aux,
-    c prime to the conductor of chi, chi* the primitive character inducing
-    chi and chi*(c) = e(k/d) of order e = d/gcd(k, d) (Stickelberger;
-    Washington, Introduction to Cyclotomic Fields, 6.2). Phi_e(c) is the exact
-    quotient prod (c^j - 1)^mu(e/j) over the binomials of e."""
-    D, phi = 0, euler_phi(d)
-    for c, k in aux:
-        e = d // math.gcd(k, d)
-        terms = _binomials(e)
-        num = math.prod(c**j - 1 for j, mu in terms if mu == 1)
-        den = math.prod(c**j - 1 for j, mu in terms if mu == -1)
-        D = math.gcd(D, (num // den) ** (phi // euler_phi(e)))
-    return D
 
 
 # ---------------------------------------------------------------------------
@@ -466,61 +445,61 @@ def _coset_norm_mod(a0: int, A: list[int], q: int, p: int, omega: int) -> int:
     return acc
 
 
-def _chi_exponent(chi: DirichletCharacter, r: int) -> int:
-    """k with chi(r) = e(k/d), d the order of chi, for a unit r in (0, m), m
-    chi's modulus: r's position in _unit_data(m).units, split into the digits
-    t_i (last digit fastest), gives k = sum t_i e_i d/o_i mod d."""
-    d, data = chi.order, _unit_data(chi.modulus)
-    pos, k = data.units.index(r), 0
-    for o, e in zip(reversed(data.orders), reversed(chi.exponents)):
-        pos, t = divmod(pos, o)
-        k += t * (e * d // o)
-    return k % d
-
-
 def orbit_norm(orbit: CharacterOrbit) -> Fraction:
     """Norm from Q(zeta_d) to Q of -B_{1,chi}/2 for one Galois orbit of odd chi.
     Raises TimeLimitExceeded when the time limit passes, checked before every
-    product of the descent and of the last step and before every CRT prime."""
+    product of the descent and of the last step and before every CRT prime,
+    and IntegralityError when an exact route finds N(B_{1,chi}) * D not an
+    integer.
+
+    D depends on the conductor f of chi alone: for chi* primitive of
+    conductor f > 1 and order d, N(B_{1,chi*}) * D is an integer, D = p when
+    f = p^k, p prime, and D = 1 otherwise (Carlitz, Arithmetic properties of
+    generalized Bernoulli numbers, J. reine angew. Math. 202, 1959;
+    Washington, Introduction to Cyclotomic Fields, 4.1). For f = p: p = 1
+    (mod d) splits completely in Q(zeta_d), and at the prime P over p where
+    chi = omega^j, omega the Teichmueller character, chi(a) = a^j (mod P), so
+    p B_{1,chi} = sum_{a<p} chi(a) a = sum_{a<p} a^(1+j) (mod P). That sum is
+    -1 when (p - 1) | (1 + j) and 0 otherwise, so v_P(B_{1,chi}) >= -1, with
+    -1 at most at the one P where chi = omega^-1: v_p(N(B_{1,chi})) >= -1.
+    D is read off the unit data of (Z/f)^* that b1_chi built: p for one
+    component, 1 for more."""
     if not orbit.is_odd:
         raise ValueError("orbit norm is defined here for odd-character orbits only")
-    chi = orbit.members[0]
-    d = chi.order
-    phi = euler_phi(d)
+    d, phi = orbit.order, euler_phi(orbit.order)
     if phi != orbit.size:
         raise AssertionError("orbit size must be phi(order)")
     # chi(-1) = -1 makes d even, as _descend needs.
-    c, f = b1_chi(chi)
-    # N(B_{1,chi}) = Res(Phi_d, c0) * g^phi / f^phi, g = gcd(c_i), c0 = c/g.
+    c, f = b1_chi(orbit.members[0])
+    comps = _unit_data(f).components
+    D = comps[0][0] if len(comps) == 1 else 1
+    # T = N(B_{1,chi}) * D = Res(Phi_d, c0) * g^phi * D / f^phi, g = gcd(c_i),
+    # c0 = c/g.
     g = math.gcd(*c)
-    c0 = tuple(x // g for x in c)
-    beta, e = _descend(c0, d)
-    if e == 2:  # Res(Phi_2, beta) = beta_0
-        return Fraction(beta[0] * g**phi, f**phi) * Fraction(-1, 2) ** phi
-    res_bits, g_phi, f_phi = _norm_bound_bits(beta, e), g**phi, f**phi
-    # The rule is sized by the CRT bound below without D, which adds few bits.
-    rule_bits = max(1, res_bits + g_phi.bit_length() - f_phi.bit_length() + 1)
-    a0, A = _coset_values(beta, e // 2, rule_bits, f"order-{d} norm: descent reached order {e}")
-    if len(A) == 1:  # H is the whole group: Res(Phi_e, beta) = a0 - A_0
-        return Fraction((a0 - A[0]) * g_phi, f_phi) * Fraction(-1, 2) ** phi
-    # T = N(B_{1,chi}) * D, an integer, found by CRT; D from the two smallest
-    # primes not dividing f, chi*(c) read on the walk mod f that b1_chi built.
-    primes = (a for a in itertools.count(2) if f % a and is_prime(a))
-    aux = [(a, _chi_exponent(chi.primitive, a % f)) for a in itertools.islice(primes, 2)]
-    D = _stickelberger_denominator(d, aux)
-    scale = g_phi * D
-    bits = max(1, res_bits + scale.bit_length() - f_phi.bit_length() + 1)
-    x, mod = 0, 1
-    for i, (p, omega) in enumerate(_norm_primes(e)):
-        _check(f"order-{d} norm: {i} CRT primes, {mod.bit_length()} of {bits} bits")
-        r = _coset_norm_mod(a0, A, e // 2, p, omega) * (scale % p) * pow(f, -phi, p) % p
-        # CRT: combine (x mod mod) with (r mod p).
-        t = (r - x) * pow(mod, -1, p) % p
-        x += mod * t
-        mod *= p
-        if mod.bit_length() > bits + 1:
-            break
-    T = x - mod if 2 * x > mod else x
+    beta, e = _descend(tuple(x // g for x in c), d)
+    scale, f_phi = g**phi * D, f**phi
+    bits = max(1, _norm_bound_bits(beta, e) + scale.bit_length() - f_phi.bit_length() + 1)
+    if e == 2:  # Res(Phi_2, beta) = beta_0, as a0 - A_0 for H the whole group
+        a0, A = beta[0], [0]
+    else:
+        a0, A = _coset_values(beta, e // 2, bits, f"order-{d} norm: descent reached order {e}")
+    if len(A) == 1:  # H is the whole group: Res(Phi_e, beta) = a0 - A_0, exactly
+        n = (a0 - A[0]) * scale
+        T, rem = divmod(n, f_phi)
+        if rem:
+            what = f"N(B_1) of order {d} and conductor {f} times {D}"
+            raise IntegralityError(f"{what} is not an integer", Fraction(n, f_phi))
+    else:
+        x, mod = 0, 1
+        for i, (p, omega) in enumerate(_norm_primes(e)):
+            _check(f"order-{d} norm: {i} CRT primes, {mod.bit_length()} of {bits} bits")
+            r = _coset_norm_mod(a0, A, e // 2, p, omega) * (scale % p) * pow(f, -phi, p) % p
+            # CRT: combine (x mod mod) with (r mod p).
+            x += mod * ((r - x) * pow(mod, -1, p) % p)
+            mod *= p
+            if mod.bit_length() > bits + 1:
+                break
+        T = x - mod if 2 * x > mod else x
     return Fraction(T, D) * Fraction(-1, 2) ** phi
 
 
@@ -565,7 +544,7 @@ def _factor_from_pieces(h: int, pieces: list[int]) -> PrimeFactorization:
             primes = factorize(piece).primes()
         except TimeLimitExceeded as exc:
             primes = exc.partial.primes()
-            stage = stage or str(exc).partition(" stopped on ")[0]
+            stage = stage or exc.stage
         for p in primes:
             e = 0
             while rest % p == 0:
@@ -575,7 +554,7 @@ def _factor_from_pieces(h: int, pieces: list[int]) -> PrimeFactorization:
                 exponents[p] = e
     fact = PrimeFactorization.assemble(h, exponents, rest)
     if fact.cofactor > 1:
-        raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact)
+        raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact, stage)
     return fact
 
 

@@ -1,11 +1,11 @@
 """Equality sweep: (degree, conductor, |disc|) of every subgroup of every
-conductor 3 <= u <= N with u != 2 (mod 4), by cycloclass.abelian.AbelianFieldSpec
+conductor 3 <= u <= N with u != 2 (mod 4), by cycloclass.abelian._field_spec
 (level sizes from the column gcds of the HNF rows and, for 2^e with e >= 3,
 one gcd of 2x2 minors) against subgroup_oracle.oracle_field_invariants
 (member by member, local orders), and each enumerated row set against
 cycloclass.abelian._hnf of it as plain tuples, which must return it unchanged
-(AbelianFieldSpec trusts enumerated rows as canonical). Not collected by
-pytest.
+(subfields and descent_subfield take enumerated rows as canonical, through
+_field_spec). Not collected by pytest.
 
     PYTHONPATH=src:tests python tests/sweep_field_specs.py 300
 
@@ -15,7 +15,7 @@ routes' total times; exits 1 on any mismatch or moved row set. The
 oracle lists every member of every subgroup, so its cost grows with the
 lattices and it takes about two thirds of the time: on one core of a 2-core
 x86-64 machine, u <= 300 (6716 subgroups) takes about 1 s and u <= 600
-(21679 subgroups) about 4.5 s, of which AbelianFieldSpec takes about 0.4 s.
+(21679 subgroups) about 4.5 s, of which _field_spec takes about 0.4 s.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 import time
 
-from cycloclass.abelian import AbelianFieldSpec, _hnf, _subgroups, _unit_data
+from cycloclass.abelian import _field_spec, _hnf, _subgroups, _unit_data
 from subgroup_oracle import oracle_field_invariants
 
 
@@ -37,7 +37,7 @@ def main(argv: list[str]) -> int:
         orders = _unit_data(u).orders
         for rows in _subgroups(orders):
             t0 = time.perf_counter()
-            F = AbelianFieldSpec(u, rows)
+            F = _field_spec(u, rows)
             t1 = time.perf_counter()
             expect = oracle_field_invariants(u, rows)
             t2 = time.perf_counter()
@@ -53,7 +53,7 @@ def main(argv: list[str]) -> int:
     print(
         f"u <= {n}: {count} subgroups, {mismatches} mismatches, "
         f"{moved} not fixed points of _hnf; "
-        f"AbelianFieldSpec {spec_s:.1f} s, oracle_field_invariants {oracle_s:.1f} s"
+        f"_field_spec {spec_s:.1f} s, oracle_field_invariants {oracle_s:.1f} s"
     )
     return 1 if mismatches or moved else 0
 

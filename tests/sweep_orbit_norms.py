@@ -2,17 +2,18 @@
 u != 2 (mod 4), then of each conductor listed after N, by
 cycloclass.classnum.orbit_norm (transform route) against
 norm_oracle.oracle_orbit_norm (Euclidean resultants), each orbit's b1_chi
-against norm_oracle.oracle_b1 (sum of roots of unity), and the exponents that
-cycloclass.classnum._chi_exponent reads of the primitive character chi* mod f
-at orbit_norm's two auxiliary primes, the smallest not dividing f, against
-norm_oracle.char_value (discrete-log table). Not collected by pytest.
+against norm_oracle.oracle_b1 (sum of roots of unity), and the denominator of
+each oracle norm of B_{1,chi}, -2 to the orbit size times the norm of
+-B_{1,chi}/2, against the D of the conductor f that orbit_norm takes: it must
+divide D = p for f = p^k and D = 1 otherwise (Carlitz). Not collected by
+pytest.
 
     PYTHONPATH=src:tests python tests/sweep_orbit_norms.py 1000
     PYTHONPATH=src:tests python tests/sweep_orbit_norms.py --no-oracle 1000 \\
         1052 1163 1437 2039 4007 10007 12289 40961 65537
 
 Prints each mismatch, then the number of norms compared, the number of
-mismatches of each kind (norm, b1_chi, exponent) and both norm routes' total
+mismatches of each kind (norm, b1_chi, denominator) and both norm routes' total
 times, and last a line `digest <16 hex>`: the first 16 hex digits of the
 sha256 over one line `u order exponents numerator denominator` per odd orbit,
 in sweep order (exponents those of the orbit's first member, comma-separated).
@@ -34,11 +35,10 @@ import time
 from fractions import Fraction
 
 from cycloclass.abelian import characters, galois_orbits
-from cycloclass.arith import _decimal, is_prime
-from cycloclass.classnum import _chi_exponent, b1_chi, orbit_norm
+from cycloclass.arith import _decimal, euler_phi, factorize
+from cycloclass.classnum import b1_chi, orbit_norm
 from norm_oracle import (
     _power_rows,
-    char_value,
     cyclotomic_polynomial,
     oracle_b1,
     oracle_orbit_norm,
@@ -60,7 +60,7 @@ def main(argv: list[str]) -> int:
                         help="compute the norms and the digest only, comparing nothing")
     args = parser.parse_args(argv[1:])
     oracle = not args.no_oracle
-    count = mismatches = b1_mismatches = exp_mismatches = 0
+    count = mismatches = b1_mismatches = den_mismatches = 0
     new_s = oracle_s = 0.0
     digest = hashlib.sha256()
     for u in itertools.chain(range(3, args.n + 1), args.extra):
@@ -89,25 +89,22 @@ def main(argv: list[str]) -> int:
             if tuple(Fraction(x, f) for x in c) != oracle_b1(chi).coeffs:
                 b1_mismatches += 1
                 print(f"B1 MISMATCH u={u} order={ob.order} rep={chi.exponents}")
-            # orbit_norm's auxiliary primes: the two smallest not dividing f
-            prim = chi.primitive
-            primes = (a for a in itertools.count(2) if f % a and is_prime(a))
-            aux = itertools.islice(primes, 2)
-            if any(_chi_exponent(prim, a % f) != char_value(prim, a) for a in aux):
-                exp_mismatches += 1
-                print(f"EXPONENT MISMATCH u={u} order={ob.order} rep={chi.exponents}")
+            p, *rest = factorize(f).primes()
+            if (1 if rest else p) % (old * (-2) ** euler_phi(ob.order)).denominator:
+                den_mismatches += 1
+                print(f"DENOMINATOR MISMATCH u={u} order={ob.order} rep={chi.exponents}")
         _power_rows.cache_clear()
     swept = f"u <= {args.n}" + "".join(f", {u}" for u in args.extra)
     if oracle:
         print(
             f"{swept}: {count} odd-orbit norms, {mismatches} mismatches, "
-            f"{b1_mismatches} b1_chi mismatches, {exp_mismatches} exponent mismatches; "
+            f"{b1_mismatches} b1_chi mismatches, {den_mismatches} denominator mismatches; "
             f"orbit_norm {new_s:.1f} s, oracle_orbit_norm {oracle_s:.1f} s"
         )
     else:
         print(f"{swept}: {count} odd-orbit norms, not compared; orbit_norm {new_s:.1f} s")
     print(f"digest {digest.hexdigest()[:16]}")
-    return 1 if mismatches or b1_mismatches or exp_mismatches else 0
+    return 1 if mismatches or b1_mismatches or den_mismatches else 0
 
 
 if __name__ == "__main__":

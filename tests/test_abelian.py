@@ -183,7 +183,7 @@ def test_character_values_walk_every_unit_once():
 
 def test_character_values_follow_the_odometer():
     # the cached walk holds the units of the one-unit-at-a-time odometer, in
-    # its order, which b1_chi's slices and classnum._chi_exponent read
+    # its order, which b1_chi's slices read
     for u in MODULI + [480, 572, 1680]:
         walk = [r for r, _ in odometer_values(characters(u)[-1])]
         assert list(_unit_data(u).units) == walk, u

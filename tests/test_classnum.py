@@ -20,7 +20,6 @@ from cycloclass.arith import euler_phi, factorize, is_prime, within
 from cycloclass.classnum import (
     IntegralityError,
     TimeLimitExceeded,
-    _chi_exponent,
     _conjugate_product,
     _coset_norm_mod,
     _conjugate,
@@ -33,7 +32,6 @@ from cycloclass.classnum import (
     _norm_primes,
     _poly_rem,
     _relative_norm,
-    _stickelberger_denominator,
     _subgroup_order,
     b1_chi,
     orbit_norm,
@@ -121,8 +119,7 @@ def _b1_fractions(chi):
 
 
 def test_b1_chi_matches_oracle():
-    # integer coefficients over the conductor vs the sum of roots of unity,
-    # and the exponents _chi_exponent reads vs the discrete-log table
+    # integer coefficients over the conductor vs the sum of roots of unity
     chars = [ch for u in range(3, 61) if u % 4 != 2 for ch in characters(u)]
     # the orbits of orders 105 and 210 mod 211, by representative: Phi_105 and
     # Phi_210(x) = Phi_105(-x) have the coefficients -2 and 2 at x^7
@@ -134,64 +131,29 @@ def test_b1_chi_matches_oracle():
             assert f == ch.conductor, (u, ch.exponents)
             want = oracle_b1(ch).coeffs
             assert tuple(Fraction(x, f) for x in c) == want, (u, ch.exponents)
-            for r in {r % u for r in (1, 2, 3, 5, u - 1) if math.gcd(r, u) == 1}:
-                assert _chi_exponent(ch, r) == char_value(ch, r), (u, ch.exponents, r)
 
 
 def test_b1_chi_matches_the_per_unit_sum():
     # the slice sums against one unit at a time, for every nontrivial
     # character (imprimitive included) and the odd-orbit representatives of
-    # 27720; and the exponents _chi_exponent reads of chi* mod f at
-    # orbit_norm's auxiliary primes, the two smallest not dividing f, and at
-    # 1 and -1, against the discrete-log table
+    # 27720
     reps = [ob.members[0] for ob in galois_orbits([ch for ch in characters(27720) if ch.is_odd])]
     for u in [u for u in range(3, 201) if u % 4 != 2] + [572, 1680, 4620, 27720]:
         for chi in reps if u == 27720 else characters(u)[1:]:
             assert b1_chi(chi) == per_unit_b1_chi(chi), (u, chi.exponents)
-            prim, f = chi.primitive, chi.conductor
-            primes = (c for c in itertools.count(2) if f % c and is_prime(c))
-            for r in {c % f for c in itertools.islice(primes, 2)} | {1, f - 1}:
-                assert _chi_exponent(prim, r) == char_value(prim, r), (u, chi.exponents, r)
 
 
-def test_only_the_crt_route_reads_chi_at_the_auxiliary_primes(monkeypatch):
-    # the exact routes (descent to e = 2, and H the whole group) need no
-    # Stickelberger denominator, so they never read chi at a unit
-    def refuse(chi, r):
-        raise AssertionError(f"_chi_exponent read on an exact route: {chi}, {r}")
-
-    monkeypatch.setattr(classnum, "_chi_exponent", refuse)
-    # the 16 tabulated prime-power conductors and 572
-    for u in (59, 71, 79, 83, 103, 107, 121, 127, 131, 139, 151, 163, 167, 179, 191, 199, 572):
-        relative_class_number(u)
-    for u in (401, 1009):
-        for ob in galois_orbits([ch for ch in characters(u) if ch.is_odd]):
-            orbit_norm(ob)
-    # the order-262 orbit of 263 is a CRT at q = 131: two reads of the
-    # primitive character, one per auxiliary prime, each equal to the
-    # discrete-log table's exponent
-    reads = []
-
-    def record(chi, r):
-        k = _chi_exponent(chi, r)
-        reads.append((chi, r, k))
-        return k
-
-    monkeypatch.setattr(classnum, "_chi_exponent", record)
+def test_imprimitive_orbit_norm_is_its_primitive_norm():
+    # the order-262 orbit mod 1052 = 4 * 263 of conductor 263 (a CRT at
+    # q = 131) has the norm of the one mod 263, and the walk of (Z/1052)^* is
+    # never built
     (ob,) = [ob for ob in galois_orbits(characters(263)) if ob.order == 262]
     norm = orbit_norm(ob)
     assert norm == oracle_orbit_norm(ob)
-    assert [(chi.modulus, r) for chi, r, _ in reads] == [(263, 2), (263, 3)]
-    assert all(k == char_value(chi, r) for chi, r, k in reads)
-    # the order-262 orbit mod 1052 = 4 * 263 of conductor 263 reads chi* at
-    # the primes not dividing 263, on the walk mod 263: its norm is the one
-    # mod 263, and the walk of (Z/1052)^* is never built
-    reads.clear()
     vars(_unit_data(1052)).pop("units", None)
     (ob,) = [ob for ob in galois_orbits(characters(1052))
              if ob.order == 262 and ob.members[0].conductor == 263]
     assert orbit_norm(ob) == norm
-    assert [(chi.modulus, r) for chi, r, _ in reads] == [(263, 2), (263, 3)]
     assert "units" not in vars(_unit_data(1052))
 
 
@@ -249,13 +211,36 @@ def test_orbit_norm_matches_oracle():
             assert (norm_b1 * denom).denominator == 1, (chi.modulus, chi.exponents, c)
 
 
-def test_stickelberger_phi_from_binomials():
-    # Phi_e(c) as the exact quotient of the binomial product equals the dense
-    # Phi_e at c, e = 1 included: with chi(c) = e(1/e), D = Phi_e(c)
-    for e in range(1, 301):
-        for c in (2, 3, 5, 7):
-            want = _poly_eval(cyclotomic_polynomial(e), c)
-            assert _stickelberger_denominator(e, [(c, 1)]) == want, (e, c)
+def test_orbit_norm_denominator_divides_the_conductors():
+    # Carlitz: N(B_1) * D is an integer, D = p for a conductor f = p^k and
+    # D = 1 otherwise, by the oracle over every primitive odd orbit of
+    # conductor f <= 150. D = p is needed: the denominator is p at f = 3, 4,
+    # 5, 7, 9, 25 and 27. It is not p for every omega^-1-type orbit: at the
+    # irregular primes 37, 59, 101, ... that norm is integral.
+    at_p = set()
+    for ob in _odd_orbits_up_to(150):
+        chi, f = ob.members[0], ob.conductor
+        if chi.modulus != f:
+            continue
+        p, *rest = factorize(f).primes()
+        D = 1 if rest else p
+        den = (oracle_orbit_norm(ob) * (-2) ** euler_phi(ob.order)).denominator
+        assert D % den == 0, (f, chi.exponents)
+        if den == p:
+            at_p.add(f)
+    assert {3, 4, 5, 7, 9, 25, 27} <= at_p
+
+
+def test_orbit_norm_checks_the_denominator_on_its_exact_routes(monkeypatch):
+    # B_1 = -1/3 of the conductor-3 orbit, handed over with f = 15: two
+    # primes make D = 1, and N(B_1) * D = -1/15 is not an integer
+    (ob,) = galois_orbits([ch for ch in characters(3) if ch.is_odd])
+    c, f = b1_chi(ob.members[0])
+    assert (c, f) == ((-1,), 3)
+    monkeypatch.setattr(classnum, "b1_chi", lambda chi: (c, 15))
+    with pytest.raises(IntegralityError) as exc:
+        orbit_norm(ob)
+    assert str(exc.value) == "N(B_1) of order 2 and conductor 15 times 1 is not an integer: -1/15"
 
 
 def test_orbit_norm_bound_holds():
@@ -275,7 +260,7 @@ def test_orbit_norm_bound_holds():
 
 
 def test_orbit_norm_crt_bound_of_order_1162(monkeypatch):
-    # the CRT recovers N(B_1) * D, D from Stickelberger's theorem: for the
+    # the CRT recovers N(B_1) * D, D = 1163 from the conductor: for the
     # order-1162 orbit of u = 1163 (1162 = 2 * 7 * 83, so 7 is taken out
     # exactly, and at order 166 the rule takes |H| = 2 for the last prime 83
     # and leaves 41 cosets to the CRT) its bound, read from the time-out

@@ -34,7 +34,7 @@ from .classnum import (
     orbit_norm,
     relative_class_number,
 )
-from .bounds import BoundResult, class_number_bound, field_bound
+from .bounds import BoundResult, class_number_bound
 from .congruence import (
     CONSISTENT,
     INCONCLUSIVE,
@@ -86,7 +86,6 @@ __all__ = [
     "euler_phi",
     "factorize",
     "feasible_ranks",
-    "field_bound",
     "galois_orbits",
     "is_prime",
     "multiplicative_order",

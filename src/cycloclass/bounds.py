@@ -5,7 +5,9 @@ Evaluated in integer arithmetic as an interval [lo, hi] with dyadic rational
 endpoints and returned as the upper endpoint, so the result is always >= the
 true value (overestimating H is safe: it can only turn a theorem application
 into INCONCLUSIVE, never fabricate a violation). Natural logarithm throughout.
-The printed value is the `decimal` quotient of the upper endpoint, rounded
+One pass at _PREC = 128 bits meets the 2^-100 target for every degree up to
+_MAX_DEGREE (class_number_bound gives the budget). The printed value is the
+`decimal` quotient of the upper endpoint at 10 significant digits, rounded
 toward +inf.
 """
 
@@ -17,14 +19,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .abelian import AbelianFieldSpec
-
+_PREC = 128
 _TARGET_REL_WIDTH = Fraction(1, 2**100)
 # (m - 1)! and the interval grow faster than m; no field built here has degree
 # above phi(100 000) = 40 000
 _MAX_DEGREE = 100_000
 # integer products and powers in this context are exact, or raise Inexact
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+# rounds toward +inf to 10 significant digits, at any exponent
+_CEILING = Context(prec=10, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class BoundResult(NamedTuple):
@@ -43,25 +46,18 @@ class BoundResult(NamedTuple):
         """True iff p > H certifiedly (uses the upper endpoint)."""
         return Fraction(p) > self.H_fraction
 
-    def display(self, digits: int = 10) -> str:
-        """H_fraction rounded up to `digits` significant digits, zeros kept,
-        in the layout of `_decimal_ceiling`, marked exact or rounded up."""
+    def display(self) -> str:
+        """H_fraction rounded up to 10 significant digits, zeros kept, in the
+        layout of `_decimal_ceiling`, marked exact or rounded up."""
         marker = " (rounded up)" if self.rounded_up else " (exact)"
-        return f"{_decimal_ceiling(self.H_fraction, digits)}{marker}"
+        return f"{_decimal_ceiling(self.H_fraction)}{marker}"
 
 
-@lru_cache(maxsize=None)
-def _ceiling_context(digits: int) -> Context:
-    """Rounds toward +inf to `digits` significant digits, at any exponent."""
-    return Context(prec=digits, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
-def _decimal_ceiling(x: Fraction, digits: int) -> str:
-    """The least decimal >= x > 0 with `digits` significant digits: the
-    `decimal` quotient rounded toward +inf. With E the exponent of its leading
-    digit it prints in fixed point when min(-(digits // 3), -5) < E < digits
-    (e.g. 62.64031880, 0.001234567890), else as d.ddd...e+E or d.ddd...e-E
-    (e.g. 1.234567890e+19)."""
+def _decimal_ceiling(x: Fraction) -> str:
+    """The least decimal >= x > 0 with 10 significant digits: the `decimal`
+    quotient rounded toward +inf. With E the exponent of its leading digit it
+    prints in fixed point when -5 < E < 10 (e.g. 62.64031880, 0.001234567890),
+    else as d.ddd...e+E or d.ddd...e-E (e.g. 1.234567890e+19)."""
     # x = (a/b) * 2^e with a, b odd: Decimal(int) takes time quadratic in
     # its size, so only the odd parts are converted, and 2^|e| is applied exactly
     a, b = x.numerator, x.denominator
@@ -71,11 +67,10 @@ def _decimal_ceiling(x: Fraction, digits: int) -> str:
         num = _EXACT.multiply(num, _EXACT.power(2, e))
     else:
         den = _EXACT.multiply(den, _EXACT.power(2, -e))
-    ctx = _ceiling_context(digits)
-    q = ctx.divide(num, den)
+    q = _CEILING.divide(num, den)
     E = q.adjusted()
-    s = str(int(q.scaleb(digits - 1 - E, ctx)))
-    if min(-(digits // 3), -5) < E < digits:
+    s = str(int(q.scaleb(9 - E, _CEILING)))
+    if -5 < E < 10:
         if E < 0:
             return "0." + "0" * (-E - 1) + s
         return f"{s[:E + 1]}.{s[E + 1:]}"
@@ -170,6 +165,12 @@ def class_number_bound(abs_disc: int, m: int) -> BoundResult:
 
     Rejects abs_disc = 1 with m >= 2: the formula gives 0 there, and the only
     field with |D| = 1 is Q itself (m = 1), and m above _MAX_DEGREE.
+
+    One _interval pass at _PREC = 128 bits meets the 2^-100 relative width
+    for every m <= _MAX_DEGREE. The bracket on ln|D| is about 2^-120 wide,
+    relative; raising it to the power m - 1 multiplies that width by m - 1, so
+    the interval stays below 2^-103.3 (2^-103.39 at |D| = 5, m = 100 000, the
+    widest measured). An interval that misses the target is an AssertionError.
     """
     if abs_disc < 1 or m < 1:
         raise ValueError(f"need abs_disc >= 1 and m >= 1, got ({abs_disc}, {m})")
@@ -188,24 +189,13 @@ def class_number_bound(abs_disc: int, m: int) -> BoundResult:
             return _exact_result(abs_disc, 1, r, "m=1: H = sqrt(|D|), exact")
         note = "m=1: formula reduces to sqrt(|D|); hypothesis check deferred to user"
 
-    prec = 128
-    fact = math.factorial(m - 1)
-    while True:
-        lo, hi = _interval(abs_disc, m, fact, prec)
-        if lo > 0 and (hi - lo) / lo < _TARGET_REL_WIDTH:
-            break
-        if prec > 1 << 20:
-            raise AssertionError("interval refuses to converge")
-        prec *= 2
+    lo, hi = _interval(abs_disc, m, math.factorial(m - 1), _PREC)
+    if not (lo > 0 and (hi - lo) / lo < _TARGET_REL_WIDTH):
+        raise AssertionError(f"H({abs_disc}, {m}) not bracketed to 2^-100 at {_PREC} bits")
     if hi < 1:
         # A class number is always >= 1; the formula can dip below for small
         # |D| at degrees no actual field attains.
         return _exact_result(
             abs_disc, m, 1, "clamped to 1 (class numbers are >= 1)"
         )
-    return BoundResult(abs_disc, m, hi, lo, prec, True, note)
-
-
-def field_bound(F: AbelianFieldSpec) -> BoundResult:
-    """H_F = class_number_bound(|disc F|, [F:Q])."""
-    return class_number_bound(F.abs_discriminant, F.degree)
+    return BoundResult(abs_disc, m, hi, lo, _PREC, True, note)

@@ -22,7 +22,7 @@ from decimal import Decimal
 
 from .arith import _decimal, probable_prime_only
 from .abelian import normalize_conductor, subfields
-from .bounds import class_number_bound, field_bound
+from .bounds import class_number_bound
 from .classnum import IntegralityError, TimeLimitExceeded, relative_class_number
 from .tables import (
     PROBABLE_PRIME_POLICIES,
@@ -87,12 +87,13 @@ def cmd_subfields(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = [(F.degree, F.conductor, F.abs_discriminant, field_bound(F)) for F in fields]
     print(f"subfields of Q(zeta_{u})")
     print(f"{'degree':>7}  {'conductor':>9}  {'|disc|':>24}  H_F")
-    for degree, conductor, disc, bound in rows:
+    for F in fields:
+        disc = F.abs_discriminant
+        bound = class_number_bound(disc, F.degree).display()
         disc_s = str(disc) if disc < 10**24 else f"~10^{Decimal(disc).adjusted()}"
-        print(f"{degree:>7}  {conductor:>9}  {disc_s:>24}  {bound.display()}")
+        print(f"{F.degree:>7}  {F.conductor:>9}  {disc_s:>24}  {bound}")
     return EXIT_OK
 
 
@@ -111,6 +112,10 @@ def cmd_audit(args) -> int:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         records = parse_records(text)

@@ -35,16 +35,6 @@ CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# ints above this size are encoded as hex strings in witnesses so that
-# reports stay JSON-serializable without tripping CPython's decimal
-# conversion limit on enormous discriminants
-_INLINE_INT_BITS = 256
-
-
-def encode_int(v: int) -> int | str:
-    return v if v.bit_length() <= _INLINE_INT_BITS else hex(v)
-
-
 class _Verdict(NamedTuple):
     status: str
     witness: dict
@@ -206,7 +196,7 @@ def theorem2_audit(hyp: RankHypothesis, n: int, *, F_abs_disc: int, F_degree: in
         "theorem": "theorem2",
         "p": hyp.p,
         "n": n,
-        "F_abs_disc": encode_int(F_abs_disc),
+        "F_abs_disc": F_abs_disc,
         "F_degree": F_degree,
         "H_F": bound.display(),
     }

@@ -67,14 +67,12 @@ from .abelian import (
 )
 from .bounds import _MAX_DEGREE
 from .congruence import (
-    _INLINE_INT_BITS,
     CONSISTENT,
     INCONCLUSIVE,
     VIOLATION,
     RankHypothesis,
     Verdict,
     corollary1_verdict,
-    encode_int,
     theorem1_audit,
     theorem2_audit,
 )
@@ -162,6 +160,16 @@ class ClassNumberRecord(NamedTuple):
             if q == p:
                 return r
         return None
+
+
+# ints above this size are written as hex strings by to_jsonl, so that
+# structured output never trips CPython's decimal conversion limit on an
+# enormous discriminant, and are echoed by their length in diagnostics
+_INLINE_INT_BITS = 256
+
+
+def encode_int(v: int) -> int | str:
+    return v if v.bit_length() <= _INLINE_INT_BITS else hex(v)
 
 
 def _fail(where: str, msg: str) -> TableFormatError:
@@ -483,7 +491,6 @@ class _Context(NamedTuple):
     factors: Factors
     N: int
     K: AbelianFieldSpec | None
-    conjectural: bool
 
 
 def _record_contexts(rec: ClassNumberRecord) -> list[_Context]:
@@ -492,15 +499,13 @@ def _record_contexts(rec: ClassNumberRecord) -> list[_Context]:
     if rec.kind == "cyclotomic":
         N = euler_phi(u)
         if rec.h_minus is not None:
-            out.append(_Context("h-", rec.h_minus, N, cyclotomic_field_spec(u), False))
+            out.append(_Context("h-", rec.h_minus, N, cyclotomic_field_spec(u)))
         if rec.h is not None:
-            out.append(_Context("h", rec.h, N, cyclotomic_field_spec(u), False))
+            out.append(_Context("h", rec.h, N, cyclotomic_field_spec(u)))
         if rec.h_plus is not None:
-            out.append(_Context("h+", rec.h_plus, N // 2, real_cyclotomic_field_spec(u), False))
+            out.append(_Context("h+", rec.h_plus, N // 2, real_cyclotomic_field_spec(u)))
     elif rec.kind == "real-cyclotomic":
-        out.append(
-            _Context("h+", rec.h_plus, euler_phi(u) // 2, real_cyclotomic_field_spec(u), True)
-        )
+        out.append(_Context("h+", rec.h_plus, euler_phi(u) // 2, real_cyclotomic_field_spec(u)))
     else:
         K = None
         f, N = rec.conductor, rec.degree
@@ -508,7 +513,7 @@ def _record_contexts(rec: ClassNumberRecord) -> list[_Context]:
             K = cyclic_subfield_spec(f, N)
             if rec.abs_disc is not None and K.abs_discriminant != rec.abs_disc:
                 K = None  # the stated invariants contradict the reconstruction
-        out.append(_Context("h", rec.h, N, K, False))
+        out.append(_Context("h", rec.h, N, K))
     return out
 
 
@@ -685,12 +690,11 @@ def audit_records(records, probable_primes: str = "allow") -> AuditReport:
     any_probable = False
     for idx, rec in enumerate(records, start=1):
         label = rec.label()
+        conjectural = rec.kind == "real-cyclotomic"
         for ctx in _record_contexts(rec):
             if ctx.N < 2:
                 continue
-            odd_part = ctx.N
-            while odd_part % 2 == 0:
-                odd_part //= 2
+            odd_part = ctx.N // (ctx.N & -ctx.N)
             odd_primes = factorize(odd_part).primes()
             for p, e in ctx.factors:
                 rank = rec.known_rank(p)
@@ -699,7 +703,7 @@ def audit_records(records, probable_primes: str = "allow") -> AuditReport:
                 hyp = RankHypothesis(p, e, rank)
                 flagged = probable_prime_only(p)
                 any_probable = any_probable or flagged
-                any_conjectural = any_conjectural or ctx.conjectural
+                any_conjectural = any_conjectural or conjectural
                 planned = []  # (theorem, verdict thunk)
                 if ctx.N % 2 == 1:
                     planned.append(("corollary1", partial(corollary1_verdict, ctx.N, hyp)))
@@ -718,7 +722,7 @@ def audit_records(records, probable_primes: str = "allow") -> AuditReport:
                     entries.append(
                         AuditEntry(
                             idx, label, ctx.h_kind, p, e, rank, theorem, v,
-                            ctx.conjectural, flagged,
+                            conjectural, flagged,
                         )
                     )
     notes = ["logarithms in the class-number bound are natural (base e)"]

@@ -14,7 +14,14 @@ pytest.
 
 Prints each mismatch, then the number of norms compared, the number of
 mismatches of each kind (norm, b1_chi, denominator) and both norm routes' total
-times, and last a line `digest <16 hex>`: the first 16 hex digits of the
+times. Then a line `last steps: <n> (<w> whole group, <c> by CRT with <p>
+primes), choices <16 hex>` on the last step of each descent that stops above
+order 2: the order |H| of the subgroup classnum._subgroup_order chose, which
+decides between the exact route (H the whole group) and the CRT, and the
+number of CRT primes orbit_norm drew; the hex is the first 16 hex digits of
+the sha256 over one line `u order |H| primes` per last step, in sweep order.
+Both functions are wrapped from here, so the norms are computed as without the
+sweep. Last comes a line `digest <16 hex>`: the first 16 hex digits of the
 sha256 over one line `u order exponents numerator denominator` per odd orbit,
 in sweep order (exponents those of the orbit's first member, comma-separated).
 Exits 1 on any mismatch. --no-oracle runs orbit_norm alone, with no
@@ -34,6 +41,7 @@ import sys
 import time
 from fractions import Fraction
 
+from cycloclass import classnum
 from cycloclass.abelian import characters, galois_orbits
 from cycloclass.arith import _decimal, euler_phi, factorize
 from cycloclass.classnum import b1_chi, orbit_norm
@@ -52,6 +60,26 @@ def _conductor(text: str) -> int:
     return u
 
 
+def _record_last_steps() -> list:
+    """Wrap classnum._subgroup_order and classnum._norm_primes in place; the
+    list returned holds [q, |H|, primes drawn] of the latest last step, with
+    q = None until _subgroup_order is next called."""
+    step = [None, None, 0]
+    choose, draw = classnum._subgroup_order, classnum._norm_primes
+
+    def subgroup_order(B, q, bits):
+        step[:] = [q, choose(B, q, bits), 0]
+        return step[1]
+
+    def norm_primes(d):
+        for item in draw(d):
+            step[2] += 1
+            yield item
+
+    classnum._subgroup_order, classnum._norm_primes = subgroup_order, norm_primes
+    return step
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Sweep odd-orbit norms against the oracles.")
     parser.add_argument("n", type=int, nargs="?", default=1000, help="sweep 3 <= u <= N")
@@ -62,7 +90,9 @@ def main(argv: list[str]) -> int:
     oracle = not args.no_oracle
     count = mismatches = b1_mismatches = den_mismatches = 0
     new_s = oracle_s = 0.0
-    digest = hashlib.sha256()
+    digest, choices = hashlib.sha256(), hashlib.sha256()
+    step = _record_last_steps()
+    steps = whole = crt_primes = 0
     for u in itertools.chain(range(3, args.n + 1), args.extra):
         if u % 4 == 2:
             continue
@@ -70,10 +100,17 @@ def main(argv: list[str]) -> int:
             chi = ob.members[0]
             if oracle:
                 cyclotomic_polynomial(ob.order)
+            step[0] = None
             t0 = time.perf_counter()
             new = orbit_norm(ob)
             new_s += time.perf_counter() - t0
             count += 1
+            q, h, primes = step
+            if q is not None:
+                steps += 1
+                whole += h == q - 1
+                crt_primes += primes
+                choices.update(f"{u} {ob.order} {h} {primes}\n".encode())
             exponents = ",".join(map(str, chi.exponents))
             line = f"{u} {ob.order} {exponents} {_decimal(new.numerator)} {new.denominator}\n"
             digest.update(line.encode())
@@ -103,6 +140,10 @@ def main(argv: list[str]) -> int:
         )
     else:
         print(f"{swept}: {count} odd-orbit norms, not compared; orbit_norm {new_s:.1f} s")
+    print(
+        f"last steps: {steps} ({whole} whole group, {steps - whole} by CRT with "
+        f"{crt_primes} primes), choices {choices.hexdigest()[:16]}"
+    )
     print(f"digest {digest.hexdigest()[:16]}")
     return 1 if mismatches or b1_mismatches or den_mismatches else 0
 

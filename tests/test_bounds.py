@@ -18,7 +18,6 @@ from cycloclass.bounds import (
     _power,
     _round,
     class_number_bound,
-    field_bound,
 )
 
 REL_WIDTH = Fraction(1, 2**100)
@@ -109,6 +108,19 @@ def test_enormous_discriminant_converges_at_default_precision():
     assert r.precision_bits == 128
 
 
+def test_one_pass_at_128_bits_reaches_the_largest_degree():
+    # the bracket on ln|D| is ~2^-120 wide and the power m - 1 widens it
+    # (m - 1)-fold: at m = 100 000 every interval still meets 2^-100, with
+    # the budget of 2^-103.3 that the class_number_bound docstring states
+    m = bounds._MAX_DEGREE
+    fact = math.factorial(m - 1)
+    for abs_disc in (2, 3, 5, (1 << 137) + 27):
+        class_number_bound(abs_disc, m)
+        lo, hi = bounds._interval(abs_disc, m, fact, 128)
+        assert lo > 0 and (hi - lo) / lo < REL_WIDTH, abs_disc
+        assert math.log2((hi - lo) / lo) < -103.3, abs_disc
+
+
 def test_exceeds_uses_certified_upper_endpoint():
     r = class_number_bound(59, 2)  # H = 62.6403...
     assert not r.exceeds(59)
@@ -124,12 +136,12 @@ def test_display_ten_significant_digits():
 
 def test_field_bound_routes_through_spec_invariants():
     K = cyclotomic_field_spec(5)  # degree 4, |D| = 125
-    r = field_bound(K)
+    r = class_number_bound(K.abs_discriminant, K.degree)
     assert r.abs_disc == 125 and r.degree == 4
     assert abs(r.H_fraction - _decimal_oracle(125, 4)) / r.H_fraction < Fraction(1, 10**9)
     # the rational field: trivial character group, H = 1 exactly
     Q = AbelianFieldSpec(3, ((0,),))
-    assert field_bound(Q).H_fraction == 1
+    assert class_number_bound(Q.abs_discriminant, Q.degree).H_fraction == 1
 
 
 def test_determinism_across_calls():
@@ -168,7 +180,7 @@ def test_printed_bound_is_the_least_ten_digit_decimal():
         xs += [x, x - Fraction(1, 10**50), x + Fraction(1, 10**50)]
     assert len(xs) > 2000
     for x in xs:
-        text = _decimal_ceiling(x, 10)
+        text = _decimal_ceiling(x)
         printed = Fraction(text)
         E = _leading_exponent(printed)
         mantissa = printed / Fraction(10) ** (E - 9)
@@ -193,7 +205,7 @@ def test_printed_bound_of_a_large_dyadic_matches_full_conversion():
     qs = [1, 3, 10**9 + 7] + [rng.getrandbits(136) | 1 for _ in range(20)]
     for q in qs:
         for x in (Fraction(q << 20000), Fraction(q, 1 << 20000)):
-            assert Fraction(_decimal_ceiling(x, 10)) == _converted_ceiling(x, 10), q
+            assert Fraction(_decimal_ceiling(x)) == _converted_ceiling(x, 10), q
 
 
 def _interval_oracle(abs_disc: int, m: int, fact: int, prec: int) -> list[Fraction]:

@@ -52,6 +52,23 @@ def test_hminus_verbose_shows_structure(capsys):
     assert "orbit" in out
 
 
+# the 16 tabulated prime-power conductors of the bundled dataset, and 572
+TABLE_CONDUCTORS = (59, 71, 79, 83, 103, 107, 121, 127, 131, 139, 151, 163, 167, 179, 191, 199,
+                    572)
+
+
+def test_hminus_verbose_of_the_table_conductors_is_byte_identical(capsys):
+    # every value, factorization and orbit norm the table audit rests on
+    out = ""
+    for u in TABLE_CONDUCTORS:
+        rc, text, err = run(capsys, "hminus", str(u), "--verbose")
+        assert (rc, err) == (EXIT_OK, ""), u
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d71b60f8c5276319f9e33e371a7af1101426cea0e722699bc288488fdaeb8863"
+    )
+
+
 def test_hminus_rejects_bad_conductor(capsys):
     rc, _, err = run(capsys, "hminus", "0")
     assert rc == EXIT_USAGE and err.strip()
@@ -151,8 +168,8 @@ def test_printed_bounds_are_upper_bounds(capsys, monkeypatch):
     shown = []
     display = BoundResult.display
 
-    def recording(self, digits=10):
-        text = display(self, digits)
+    def recording(self):
+        text = display(self)
         shown.append((self, text))
         return text
 
@@ -380,6 +397,15 @@ def test_audit_missing_file_exits_2(tmp_path, capsys):
     assert rc == EXIT_USAGE and err.strip()
 
 
+def test_audit_non_utf8_file_exits_2(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not UTF-8 text: one line naming the offset
+    f = tmp_path / "recs.jsonl"
+    f.write_bytes(b"\xff\xfe{}\n")
+    rc, out, err = run(capsys, "audit", str(f))
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == f"error: {f}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_audit_empty_file_exits_2(tmp_path, capsys):
     f = tmp_path / "empty.jsonl"
     f.write_text("\n")
@@ -423,9 +449,14 @@ def test_verify_paper_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-# sha256 of stdout for the outputs that define behaviour, recorded when the
-# field specs still held one DirichletCharacter per member
+# sha256 of stdout for the outputs that define behaviour; the structured
+# reports and the lattices were recorded when the field specs still held one
+# DirichletCharacter per member
 PINNED_STDOUT = {
+    ("verify-paper", "--probable-primes", "allow"):
+        "66feac10d5f0a70c0755347c16dbddf6cb985a2f4c09e6d8c1961c350e0143e3",
+    ("verify-paper", "--probable-primes", "reject"):
+        "6a06d33feb5e536dbe197a7f11bb9da85260b2494ee836a53003e88b03af6000",
     ("verify-paper", "--format", "structured", "--probable-primes", "allow"):
         "a4f53e82df2895b88f29efecc789375be532ae451a4966b639f21a40bde0ec66",
     ("verify-paper", "--format", "structured", "--probable-primes", "reject"):

@@ -15,11 +15,11 @@ from cycloclass.congruence import (
     RankHypothesis,
     Verdict,
     corollary1_verdict,
-    encode_int,
     feasible_ranks,
     theorem1_audit,
     theorem2_audit,
 )
+from cycloclass.tables import encode_int
 
 PRIMES = [p for p in range(2, 200) if is_prime(p)]
 ODD_PRIMES = [p for p in PRIMES if p % 2 == 1]

@@ -111,9 +111,9 @@ def _records():
         (record, "source", record_repr),
         (entry, "verdict", entry_repr),
         (
-            _Context("h-", ((3, 1),), 22, None, False),
+            _Context("h-", ((3, 1),), 22, None),
             "K",
-            "_Context(h_kind='h-', factors=((3, 1),), N=22, K=None, conjectural=False)",
+            "_Context(h_kind='h-', factors=((3, 1),), N=22, K=None)",
         ),
         (
             AuditReport((record,), (entry,), "allow", ()),

@@ -410,6 +410,20 @@ def test_audit_cyclotomic_h_derives_descent_from_the_field():
     assert (e.verdict.witness["F_abs_disc"], e.verdict.witness["F_degree"]) == (59, 2)
 
 
+def test_witness_discriminants_are_ints_and_only_jsonl_writes_hex():
+    # 80 of the bundled theorem2 witnesses carry an |disc F| above 2^256:
+    # the verdict holds the int, and to_jsonl alone writes it as hex
+    report = audit_records(builtin_paper_dataset())
+    discs = [e.verdict.witness["F_abs_disc"] for e in report.entries
+             if "F_abs_disc" in e.verdict.witness]
+    assert len(discs) == 204 and all(type(d) is int for d in discs)
+    wide = [d for d in discs if d.bit_length() > 256]
+    assert len(wide) == 80
+    written = [json.loads(line)["witness"] for line in report.to_jsonl().splitlines()[:-1]]
+    written = [w["F_abs_disc"] for w in written if "F_abs_disc" in w]
+    assert written == [hex(d) if d.bit_length() > 256 else d for d in discs]
+
+
 def test_audit_drops_field_whose_stated_disc_contradicts_it():
     # the sextic subfield of Q(zeta_13) has |disc| = 13^5: stated so, the
     # descent subfield Q(sqrt(13)) is derived; stated otherwise, it is not

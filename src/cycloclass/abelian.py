@@ -8,10 +8,12 @@ A subfield of Q(zeta_u) is its character group X < prod Z/o_i, held as the
 Hermite-normal-form rows of its preimage lattice in Z^k.  Its invariants come
 from the rows without listing X: the size of X's image at every level of
 _UnitData is read from the column gcds of the rows, and, for the two
-coordinates of 2^e (e >= 3), from one gcd of 2x2 minors.  A character's
-conductor is that of the cyclic field it cuts out (conductor-discriminant),
-read on first use: once per Galois orbit.  DirichletCharacter objects are
-built only where character values are needed (B_1 and Galois orbits).
+coordinates of 2^e (e >= 3), from the product of the two pivots there: the
+rows are canonical HNF, and 2, as u's least prime, holds columns 0 and 1.
+A character's conductor is that of the cyclic field it cuts out
+(conductor-discriminant), read on first use: once per Galois orbit.
+DirichletCharacter objects are built only where character values are needed
+(B_1 and Galois orbits).
 characters(u) builds them generator by generator: each generator has a table
 of o_i/gcd(e, o_i) and of the parity of e against -1 over its exponents e, and
 a character's order and parity combine one entry per generator.  A
@@ -259,8 +261,9 @@ class AbelianFieldSpec(_FieldSpec):
     size of X's image mod the level's m_i, n - n/s characters have v_p(f_chi)
     above that level: so |disc| = prod f_chi (conductor-discriminant) gains
     p^(n - n/s), and the conductor (lcm of the f_chi) gains p when s > 1.
-    Every s is a column gcd of the rows or, at levels 0-1 of 2^e (e >= 3), one
-    gcd of 2x2 minors (_level_sizes).
+    Every s is read from a column gcd of the rows or, at levels 0-1 of 2^e
+    (e >= 3), from the product of the two pivots there: 2, as u's least
+    prime, holds columns 0 and 1 of the canonical HNF rows (_level_sizes).
     """
 
     __slots__ = ()
@@ -363,14 +366,15 @@ def _count_subgroups(orders: tuple[int, ...]) -> int:
     return total
 
 
-def _in_span(v: list[int], rows: list[tuple[int, ...]], start: int) -> bool:
-    """Whether v (zero before column `start`) is an integer combination of
-    the echelon rows, whose pivots sit on columns start, start+1, ..., k-1."""
-    for i, row in enumerate(rows, start):
+def _in_span(v: list[int], rows: list[tuple[int, ...]]) -> bool:
+    """Whether v is an integer combination of the echelon rows, row i with
+    its pivot on column i (HNF rows, or their tails past a column)."""
+    for i, row in enumerate(rows):
         q, rem = divmod(v[i], row[i])
         if rem:
             return False
-        v = [a - q * b for a, b in zip(v, row)]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
     return True
 
 
@@ -383,7 +387,9 @@ def _subgroups(orders: tuple[int, ...], order: int | None = None):
     (+) o_i Z and Z^k has exactly one such basis (Cohen, GTM 138, 2.4), so
     each subgroup is yielded once.  Rows are chosen last-first; row i is kept
     only if o_i e_i lies in the lattice, i.e. (o_i/d_i) * tail is in the span
-    of the rows below it.
+    of the rows below it.  That vector and those rows are zero before column
+    i + 1, so the test runs on the tails alone: the rows' tails and the
+    candidate tails are built once per level, for every d_i.
     """
 
     divisors = [[1] for _ in orders]
@@ -397,13 +403,15 @@ def _subgroups(orders: tuple[int, ...], order: int | None = None):
                 yield tuple(below)
             return
         o = orders[i]
+        pivots = [r[j] for j, r in enumerate(below, i + 1)]
+        tails = list(itertools.product(*map(range, pivots)))
+        rows = [r[i + 1:] for r in below]
         for d in divisors[i]:
             m = o // d
             if order is not None and order % (size * m):
                 continue
-            pivots = [r[j] for j, r in enumerate(below, i + 1)]
-            for tail in itertools.product(*map(range, pivots)):
-                if _in_span([0] * (i + 1) + [m * t for t in tail], below, i + 1):
+            for tail in tails:
+                if _in_span([m * t for t in tail], rows):
                     yield from extend(i - 1, [(0,) * i + (d,) + tail] + below, size * m)
 
     yield from extend(len(orders) - 1, [], 1)
@@ -440,21 +448,22 @@ def _order(rows: tuple[tuple[int, ...], ...], orders: tuple[int, ...]) -> int:
 
 def _level_sizes(data: _UnitData, rows: tuple[tuple[int, ...], ...]):
     """Yield (p, sizes) for each p | u: the size s of X's image mod the m_i of
-    each level of p, read from the HNF rows of X's preimage lattice L.
+    each level of p, read from the canonical HNF rows of X's preimage lattice
+    L (as _subgroups yields them and _hnf returns them).
 
     A level with one m > 1, at coordinate i, sees L's projection g_i Z, g_i
     the gcd of o_i and column i: s = m / gcd(m, g_i).  Only levels 0-1 of 2^e
-    (e >= 3) see two coordinates a, b, both with ms = (o_a, o_b): there s =
-    o_a o_b / det M, M spanned by the rows' (a, b) entries and (o_a, 0),
-    (0, o_b), and det M the gcd of their 2x2 minors."""
+    (e >= 3) see two coordinates, both with ms = (o_0, o_1): 2 is u's least
+    prime, so they are columns 0 and 1, where only the HNF rows 0 and 1 have
+    entries, (d_0, t) and (0, d_1).  L's projection there is the lattice they
+    span (it holds (o_0, 0) and (0, o_1), as L holds o_i e_i), of determinant
+    d_0 d_1, the product of the two pivots: s = o_0 o_1 / (d_0 d_1)."""
     g = [math.gcd(o, *col) for o, col in zip(data.orders, zip(*rows))]
     for p, idx, levels in data.components:
         if len(idx) == 2:
-            (a, b), (oa, ob) = idx, levels[0]
-            pairs = [(r[a], r[b]) for r in rows] + [(oa, 0), (0, ob)]
-            det = math.gcd(*(x * w - y * v for (x, y), (v, w) in itertools.combinations(pairs, 2)))
-            both = oa * ob // det
-            yield p, [both, both] + [m // math.gcd(m, g[b]) for _, m in levels[2:]]
+            o0, o1 = levels[0]
+            both = o0 * o1 // (rows[0][0] * rows[1][1])
+            yield p, [both, both] + [m // math.gcd(m, g[1]) for _, m in levels[2:]]
         else:
             (i,) = idx
             yield p, [m // math.gcd(m, g[i]) for (m,) in levels]
@@ -496,7 +505,7 @@ def descent_subfield(K: AbelianFieldSpec, n: int) -> AbelianFieldSpec:
     specs = [
         _field_spec(K.modulus, rows)
         for rows in _subgroups(_searchable_orders(K.modulus), K.degree // n)
-        if all(_in_span(row, K.rows, 0) for row in rows)
+        if all(_in_span(row, K.rows) for row in rows)
     ]
     return min(specs, key=AbelianFieldSpec._sort_key)
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 _PREC = 128
-_TARGET_REL_WIDTH = Fraction(1, 2**100)
+_TARGET_REL_BITS = 100  # class_number_bound's target: (hi - lo) / lo < 2^-100
 # (m - 1)! and the interval grow faster than m; no field built here has degree
 # above phi(100 000) = 40 000
 _MAX_DEGREE = 100_000
@@ -53,11 +53,14 @@ class BoundResult(NamedTuple):
         return f"{_decimal_ceiling(self.H_fraction)}{marker}"
 
 
+@lru_cache(maxsize=None)
 def _decimal_ceiling(x: Fraction) -> str:
     """The least decimal >= x > 0 with 10 significant digits: the `decimal`
     quotient rounded toward +inf. With E the exponent of its leading digit it
     prints in fixed point when -5 < E < 10 (e.g. 62.64031880, 0.001234567890),
-    else as d.ddd...e+E or d.ddd...e-E (e.g. 1.234567890e+19)."""
+    else as d.ddd...e+E or d.ddd...e-E (e.g. 1.234567890e+19). Cached per
+    value: the subfields of one degree and |D| share a bound, and a lattice
+    lists many of them (380 rows and 107 bounds for u = 480)."""
     # x = (a/b) * 2^e with a, b odd: Decimal(int) takes time quadratic in
     # its size, so only the odd parts are converted, and 2^|e| is applied exactly
     a, b = x.numerator, x.denominator
@@ -190,9 +193,11 @@ def class_number_bound(abs_disc: int, m: int) -> BoundResult:
         note = "m=1: formula reduces to sqrt(|D|); hypothesis check deferred to user"
 
     lo, hi = _interval(abs_disc, m, math.factorial(m - 1), _PREC)
-    if not (lo > 0 and (hi - lo) / lo < _TARGET_REL_WIDTH):
+    # (hi - lo) / lo < 2^-100 with lo = a/b and hi = c/d, on the integers
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if not (a > 0 and (c * b - a * d) << _TARGET_REL_BITS < a * d):
         raise AssertionError(f"H({abs_disc}, {m}) not bracketed to 2^-100 at {_PREC} bits")
-    if hi < 1:
+    if c < d:
         # A class number is always >= 1; the formula can dip below for small
         # |D| at degrees no actual field attains.
         return _exact_result(

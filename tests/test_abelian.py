@@ -498,6 +498,19 @@ def test_enumerated_rows_are_fixed_points_of_hnf():
             assert _hnf(tuple(map(tuple, rows)), orders) == rows, (u, rows)
 
 
+def test_restricted_enumeration_is_the_filtered_full_one():
+    # _subgroups(orders, order) skips the divisors whose size cannot divide
+    # the order and tests tails on the tail columns alone: it lists the full
+    # enumeration's subgroups of that order, in the same order
+    for u in ORACLE_MODULI + [480, 840]:
+        orders = _unit_data(u).orders
+        size = math.prod(orders)
+        full = list(_subgroups(orders))
+        for n in (1, *factorize(size).primes()):
+            expect = [rows for rows in full if _order(rows, orders) == size // n]
+            assert list(_subgroups(orders, size // n)) == expect, (u, n)
+
+
 def _count_hnf_calls(monkeypatch) -> list[int]:
     calls = [0]
     real = abelian._hnf
@@ -618,8 +631,10 @@ def _level_sizes_by_hnf(data, rows) -> list[tuple[int, list[int]]]:
 
 
 def test_level_sizes_match_per_level_hnf():
-    # column gcds and the 2x2-minor gcd give every level the size an HNF of
-    # that level's projection gives, hence the same conductor and |disc|
+    # column gcds and, at levels 0-1 of 2^e (e >= 3), the product of the two
+    # pivots give every level the size an HNF of that level's projection
+    # gives, hence the same conductor and |disc|; the pivot reading needs
+    # canonical HNF rows, with 2 on columns 0 and 1 as u's least prime
     for u in ORACLE_MODULI + [480]:
         data = _unit_data(u)
         for rows in _subgroups(data.orders):

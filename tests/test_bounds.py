@@ -121,6 +121,31 @@ def test_one_pass_at_128_bits_reaches_the_largest_degree():
         assert math.log2((hi - lo) / lo) < -103.3, abs_disc
 
 
+def test_bracket_and_clamp_checks_on_the_endpoints(monkeypatch):
+    # class_number_bound checks the endpoints' integer numerators and
+    # denominators: lo = 0 and a relative width of exactly 2^-100 are
+    # AssertionErrors, a width just below is a result, and an upper
+    # endpoint just below 1 (not at 1) is clamped to 1
+    def bound_with(lo, hi):
+        monkeypatch.setattr(bounds, "_interval", lambda *args: [lo, hi])
+        return class_number_bound.__wrapped__(59, 2)  # past the cache
+
+    lo = Fraction(5, 3)
+    with pytest.raises(AssertionError):
+        bound_with(Fraction(0), lo)
+    with pytest.raises(AssertionError):
+        bound_with(lo, lo + lo * REL_WIDTH)
+    hi = lo + lo * REL_WIDTH - Fraction(1, 2**300)
+    r = bound_with(lo, hi)
+    assert (r.H_fraction, r.lower_fraction, r.rounded_up, r.note) == (hi, lo, True, None)
+    below_one = 1 - Fraction(1, 2**128)
+    r = bound_with(below_one * (1 - REL_WIDTH / 2), below_one)
+    assert (r.H_fraction, r.lower_fraction, r.rounded_up) == (1, 1, False)
+    assert "clamped" in r.note
+    r = bound_with(1 - REL_WIDTH / 2, Fraction(1))
+    assert (r.H_fraction, r.rounded_up, r.note) == (1, True, None)
+
+
 def test_exceeds_uses_certified_upper_endpoint():
     r = class_number_bound(59, 2)  # H = 62.6403...
     assert not r.exceeds(59)

@@ -14,8 +14,9 @@ import pytest
 
 import cycloclass
 from cycloclass import cli
+from cycloclass.abelian import subfields
 from cycloclass.arith import PrimeFactorization
-from cycloclass.bounds import BoundResult, class_number_bound
+from cycloclass.bounds import BoundResult, _decimal_ceiling, class_number_bound
 from cycloclass.classnum import OrbitNorm, RelativeClassNumber
 from cycloclass.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
@@ -471,6 +472,20 @@ def test_pinned_outputs_are_byte_identical(capsys):
         rc, out, err = run(capsys, *argv)
         assert (rc, err) == (EXIT_OK, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_subfields_renders_each_distinct_bound_once(capsys):
+    # the 380 rows of subfields 480 show 107 distinct bounds; _decimal_ceiling
+    # renders each once (one cache miss per value), and the output is the
+    # pinned one
+    _decimal_ceiling.cache_clear()
+    rc, out, err = run(capsys, "subfields", "480")
+    assert (rc, err) == (EXIT_OK, "")
+    info = _decimal_ceiling.cache_info()
+    shown = {class_number_bound(F.abs_discriminant, F.degree).H_fraction
+             for F in subfields(480)}
+    assert (info.misses, info.hits + info.misses) == (len(shown), 380) == (107, 380)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[("subfields", "480")]
 
 
 def _python(script):

@@ -226,10 +226,8 @@ def _pollard_pm1(n: int) -> int | None:
 
 
 def _pollard_rho(n: int) -> int:
-    """Brent-cycle Pollard rho: a nontrivial factor of composite n, deterministic
-    in n. Checks the time limit once per batch of steps."""
-    if n % 2 == 0:
-        return 2
+    """Brent-cycle Pollard rho: a nontrivial factor of odd composite n,
+    deterministic in n. Checks the time limit once per batch of steps."""
     rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)
@@ -264,6 +262,23 @@ def _pollard_rho(n: int) -> int:
         # Degenerate cycle; retry with fresh deterministic parameters.
 
 
+# 10^20·log10(2), rounded down: it undercounts (b - 1)·log10(2) by less than
+# b·10^-20, which stays far below one digit for any integer that fits in memory.
+_LOG10_2_E20 = 30102999566398119521
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n >= 1, read from its bits, without
+    converting n to decimal. With b = n.bit_length(), 2^(b-1) <= n < 2^b, so
+    e = floor((b - 1)·log10(2)), taken with a lower bound on log10(2), is the
+    digit count less one or less two; one exact comparison with 10^(e+1)
+    settles which."""
+    if n < 1:
+        raise ValueError(f"_decimal_digits expects n >= 1, got {n}")
+    e = (n.bit_length() - 1) * _LOG10_2_E20 // 10**20
+    return e + 2 if n >= 10 ** (e + 1) else e + 1
+
+
 def _decimal(x: int | Fraction) -> str:
     """str(x) of an integer or a fraction, through Decimal: CPython's limit on
     int-to-str conversion (4300 digits by default) does not cover it."""
@@ -285,14 +300,17 @@ class PrimeFactorization(NamedTuple):
         cls, value: int, exponents: dict[int, int], cofactor: int = 1
     ) -> PrimeFactorization:
         """The verified factorization of value from prime exponents and the
-        product of its unsplit pieces. A listed prime can divide an unsplit
-        piece (m = p^2 C splits as p and pC), so listed primes are divided out
-        of the cofactor, and a prime remainder is listed."""
+        product of its unsplit pieces. Each listed prime is divided out of the
+        cofactor and counted: it can divide an unsplit piece (m = p^2 C splits
+        as p and pC), and a caller can list primes at exponent 0 with the whole
+        value as the cofactor. A prime whose exponent stays 0 is dropped, and a
+        prime remainder is listed."""
         exponents = dict(exponents)
         for p in exponents:
             while cofactor % p == 0:
                 cofactor //= p
                 exponents[p] += 1
+        exponents = {p: e for p, e in exponents.items() if e}
         if cofactor > 1 and is_prime(cofactor):
             exponents[cofactor] = 1
             cofactor = 1
@@ -329,7 +347,7 @@ class PrimeFactorization(NamedTuple):
         """'p' or 'p^e' per listed prime, then 'C<digits>' for a cofactor."""
         out = [f"{_decimal(p)}^{e}" if e > 1 else _decimal(p) for p, e in self.factors]
         if self.cofactor > 1:
-            out.append(f"C{Decimal(self.cofactor).adjusted() + 1}")
+            out.append(f"C{_decimal_digits(self.cofactor)}")
         return out
 
     def __str__(self) -> str:

@@ -531,28 +531,23 @@ class RelativeClassNumber(NamedTuple):
 def _factor_from_pieces(h: int, pieces: list[int]) -> PrimeFactorization:
     """The factorization of h from the factorizations of pieces whose product
     every prime of h divides, smallest piece first, so that a time-out leaves
-    only the hardest unsplit. Each prime found is divided out of h exactly.
+    only the hardest unsplit. The pieces' primes, complete or partial, go to
+    PrimeFactorization.assemble with h itself as the cofactor, which divides
+    each out of h exactly and drops those that the denominators cancel.
 
     Out of time in one piece, the others still run, each stopping at its first
     check; then raises TimeLimitExceeded naming the first stage that stopped,
     with h's factorization as `partial`, its unsplit rest the cofactor.
     """
-    exponents: dict[int, int] = {}
-    rest, stage = h, ""
+    primes: list[int] = []
+    stage = ""
     for piece in sorted(pieces):
         try:
-            primes = factorize(piece).primes()
+            primes += factorize(piece).primes()
         except TimeLimitExceeded as exc:
-            primes = exc.partial.primes()
+            primes += exc.partial.primes()
             stage = stage or exc.stage
-        for p in primes:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            if e:
-                exponents[p] = e
-    fact = PrimeFactorization.assemble(h, exponents, rest)
+    fact = PrimeFactorization.assemble(h, dict.fromkeys(primes, 0), h)
     if fact.cofactor > 1:
         raise TimeLimitExceeded(f"{stage} stopped on {fact.terms()[-1]}", fact, stage)
     return fact

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
 
-from .arith import _decimal, probable_prime_only
+from .arith import _decimal, _decimal_digits, probable_prime_only
 from .abelian import normalize_conductor, subfields
 from .bounds import class_number_bound
 from .classnum import IntegralityError, TimeLimitExceeded, relative_class_number
@@ -92,7 +91,7 @@ def cmd_subfields(args) -> int:
     for F in fields:
         disc = F.abs_discriminant
         bound = class_number_bound(disc, F.degree).display()
-        disc_s = str(disc) if disc < 10**24 else f"~10^{Decimal(disc).adjusted()}"
+        disc_s = str(disc) if disc < 10**24 else f"~10^{_decimal_digits(disc) - 1}"
         print(f"{F.degree:>7}  {F.conductor:>9}  {disc_s:>24}  {bound}")
     return EXIT_OK
 

@@ -15,13 +15,14 @@ Class-number keys hold factor lists [[p, e], ...] with p prime and strictly
 increasing; [] means the value 1; an absent key means the value is unknown.
 Allowed keys per kind: cyclotomic may carry h_minus/h_plus/h (h_plus refers
 to the maximal real subfield), real-cyclotomic carries h_plus, abelian
-carries h.  p_ranks maps a prime (as a string key) to its known class-group
-p-rank.  subfield_h lists quadratic-subfield class numbers, each entry
-{"disc": d, "h": [[p, e], ...]} for an exact value or {"disc": d,
-"h_divisors": [p, ...]} for known prime divisors.  descents supplies explicit
-descent data [{"n": odd prime, "abs_disc": |disc F|, "degree": [F:Q]}] for
-abelian records whose subfields this library cannot derive.  source is a
-free-form provenance string.
+carries h.  p_ranks maps a prime (as a string key in plain decimal digits,
+with no sign, space or leading zero) to its known class-group p-rank.
+subfield_h lists quadratic-subfield class numbers, each entry {"disc": d,
+"h": [[p, e], ...]} for an exact value or {"disc": d, "h_divisors": [p, ...]}
+for known prime divisors.  descents supplies explicit descent data
+[{"n": odd prime, "abs_disc": |disc F|, "degree": [F:Q]}] for abelian
+records whose subfields this library cannot derive.  source is a free-form
+provenance string.  A key repeated in any object is refused.
 
 The audit applies, per (record, class-number kind, prime):
 
@@ -47,7 +48,7 @@ from typing import NamedTuple
 from .arith import (
     PrimeFactorization,
     TimeLimitExceeded,
-    _decimal,
+    _decimal_digits,
     euler_phi,
     factorize,
     is_prime,
@@ -181,7 +182,7 @@ def _show(v: int) -> str:
     and above it by its number of digits only."""
     if v.bit_length() <= _INLINE_INT_BITS:
         return str(v)
-    return f"{'-' if v < 0 else ''}<{len(_decimal(abs(v)))}-digit integer>"
+    return f"{'-' if v < 0 else ''}<{_decimal_digits(abs(v))}-digit integer>"
 
 
 # A listed prime above this is refused before is_prime, which cannot be
@@ -382,6 +383,8 @@ def _record_from_obj(obj, where: str) -> ClassNumberRecord:
                 p = int(key)
             except ValueError:
                 raise _fail(where, f"p_ranks key {key!r} is not an integer") from None
+            if key != str(p):
+                raise _fail(where, f"p_ranks key {key!r} is not in plain decimal digits")
             _check_prime_size(p, where, "p_ranks key")
             if p < 2 or not is_prime(p):
                 raise _fail(where, f"p_ranks key {_show(p)} is not prime")
@@ -424,6 +427,19 @@ def _record_from_obj(obj, where: str) -> ClassNumberRecord:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key: json.loads alone
+    would keep its last value without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise TableFormatError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_records(text: str) -> tuple[ClassNumberRecord, ...]:
     """Parse JSONL record text; raises TableFormatError with a line number
     on the first malformed record."""
@@ -433,9 +449,11 @@ def parse_records(text: str) -> tuple[ClassNumberRecord, ...]:
             continue
         where = f"line {i}"
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise _fail(where, f"invalid JSON ({exc.msg} at column {exc.colno})") from None
+        except TableFormatError as exc:
+            raise _fail(where, str(exc)) from None
         except (ValueError, RecursionError) as exc:  # past the digit limit, or nested too deep
             raise _fail(where, f"unreadable JSON ({str(exc).partition(';')[0]})") from None
         records.append(_record_from_obj(obj, where))
@@ -520,7 +538,8 @@ def _record_contexts(rec: ClassNumberRecord) -> list[_Context]:
 def _resolve_two_part(rec: ClassNumberRecord, ctx: _Context, p: int) -> tuple[bool | None, dict]:
     """Whether p divides h(L) for the 2-power-degree subfield L by the
     record's subfield_h data, None when the data do not decide it, and the
-    witness extras."""
+    witness extras. L is found from the reconstructed field; only a field
+    that cannot be reconstructed falls back to |disc| = conductor."""
     if not rec.subfield_h:
         return None, {}
     entry = matched_by = None
@@ -535,7 +554,7 @@ def _resolve_two_part(rec: ClassNumberRecord, ctx: _Context, p: int) -> tuple[bo
                 (s for s in rec.subfield_h if abs(s.disc) == L.abs_discriminant), None
             )
             matched_by = f"|disc| = {L.abs_discriminant} of the 2-power subfield"
-    if entry is None and rec.conductor is not None:
+    elif rec.conductor is not None:
         entry = next((s for s in rec.subfield_h if abs(s.disc) == rec.conductor), None)
         matched_by = f"|disc| = conductor {rec.conductor} (field not reconstructible)"
     if entry is None:

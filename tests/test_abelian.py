@@ -240,6 +240,16 @@ def test_primitive_root_is_the_smallest():
     assert abelian._primitive_root_mod_pk(2, 1) % 2 == 1
 
 
+def test_primitive_root_lifts_when_it_is_not_primitive_mod_p_squared():
+    # 5 is the least primitive root mod 40487, but 5^40486 = 1 (mod 40487^2),
+    # so mod 40487^2 the root is 5 + 40487
+    p = 40487
+    assert abelian._primitive_root_mod_pk(p, 1) == 5
+    assert pow(5, p - 1, p * p) == 1
+    assert abelian._primitive_root_mod_pk(p, 2) == 40492
+    assert multiplicative_order(40492, p * p) == p * (p - 1)
+
+
 def test_unit_data_refuses_generator_of_wrong_order(monkeypatch):
     # 2 has order 3 mod 7, not 6: the order check stands in for a span check
     monkeypatch.setattr(abelian, "_primitive_root_mod_pk", lambda p, e: 2)

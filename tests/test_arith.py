@@ -17,6 +17,7 @@ from cycloclass.arith import (
     PrimeFactorization,
     TimeLimitExceeded,
     _check,
+    _decimal_digits,
     _has_order,
     _pm1_batches,
     _pollard_pm1,
@@ -338,6 +339,41 @@ def test_prime_factorization_assemble_strips_cofactor():
         PrimeFactorization(2 * 14, ((2, 1),), 14).verify()  # shares a listed prime
 
 
+def test_assemble_drops_a_listed_prime_that_does_not_divide():
+    # primes listed at exponent 0 with the whole value as the cofactor are
+    # divided out and counted; 11 divides nothing and is dropped, and the
+    # prime rest 7 is listed
+    value = 3**2 * 5 * 7
+    fact = PrimeFactorization.assemble(value, {3: 0, 5: 0, 11: 0}, value)
+    assert fact == (value, ((3, 2), (5, 1), (7, 1)), 1)
+    fact = PrimeFactorization.assemble(3 * 35, {2: 0, 3: 0}, 3 * 35)
+    assert fact == (3 * 35, ((3, 1),), 35)
+
+
+def test_verify_rejects_a_zero_exponent():
+    with pytest.raises(ValueError, match="exponent < 1 for prime 2"):
+        PrimeFactorization(3, ((2, 0), (3, 1))).verify()
+
+
+def test_decimal_digits_is_the_length_of_the_decimal_string():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in range(1, 1000):
+            assert _decimal_digits(n) == len(str(n)), n
+        for k in range(1, 5001):
+            for n in (10**k - 1, 10**k, 10**k + 1):
+                assert _decimal_digits(n) == len(str(n)), n
+        rng = random.Random(33)
+        for _ in range(300):
+            n = rng.getrandbits(rng.randrange(1, 30_000)) | 1
+            assert _decimal_digits(n) == len(str(n)), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(ValueError):
+        _decimal_digits(0)
+
+
 def test_terms_count_cofactor_digits_past_the_str_limit():
     # a 5000-digit cofactor, above CPython's default limit of 4300 digits for
     # int-to-str conversion: its digits are counted exactly, no str() needed
@@ -392,6 +428,14 @@ def test_multiplicative_order_rejects_nonunit():
         multiplicative_order(6, 9)
     with pytest.raises(ValueError):
         multiplicative_order(0, 7)
+
+
+def test_domain_errors_and_the_trivial_modulus():
+    for call in (lambda: factorize(0), lambda: euler_phi(0),
+                 lambda: multiplicative_order(3, 0)):
+        with pytest.raises(ValueError):
+            call()
+    assert multiplicative_order(3, 1) == 1
 
 
 def test_multiplicative_order_known():

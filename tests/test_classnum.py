@@ -243,6 +243,14 @@ def test_orbit_norm_checks_the_denominator_on_its_exact_routes(monkeypatch):
     assert str(exc.value) == "N(B_1) of order 2 and conductor 15 times 1 is not an integer: -1/15"
 
 
+def test_relative_class_number_refuses_a_non_integer_product(monkeypatch):
+    # every orbit norm stubbed as 1/3: the product times Q*w = 118 is not an
+    # integer, so no value is returned
+    monkeypatch.setattr(classnum, "orbit_norm", lambda ob: Fraction(1, 3))
+    with pytest.raises(IntegralityError, match=r"h\^-\(59\) is not a positive integer"):
+        relative_class_number(59)
+
+
 def test_orbit_norm_bound_holds():
     # |Res(Phi_d, c0)| < 2^_norm_bound_bits(c0, d), c0 the coefficients of
     # f * B_1 over their gcd, and the bound that production takes, from the

@@ -17,7 +17,7 @@ from cycloclass import cli
 from cycloclass.abelian import subfields
 from cycloclass.arith import PrimeFactorization
 from cycloclass.bounds import BoundResult, _decimal_ceiling, class_number_bound
-from cycloclass.classnum import OrbitNorm, RelativeClassNumber
+from cycloclass.classnum import IntegralityError, OrbitNorm, RelativeClassNumber
 from cycloclass.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -73,6 +73,22 @@ def test_hminus_verbose_of_the_table_conductors_is_byte_identical(capsys):
 def test_hminus_rejects_bad_conductor(capsys):
     rc, _, err = run(capsys, "hminus", "0")
     assert rc == EXIT_USAGE and err.strip()
+
+
+def test_hminus_rejects_a_non_integer_conductor(capsys):
+    rc, out, err = run(capsys, "hminus", "abc")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "'abc' is not an integer" in err
+
+
+def test_hminus_reports_an_integrality_failure(capsys, monkeypatch):
+    def failing(u, time_limit):
+        raise IntegralityError("h^-(59) is not a positive integer", Fraction(1, 3))
+
+    monkeypatch.setattr(cli, "relative_class_number", failing)
+    rc, out, err = run(capsys, "hminus", "59")
+    assert (rc, out) == (EXIT_FAIL, "")
+    assert err == "integrality failure: h^-(59) is not a positive integer: 1/3\n"
 
 
 def test_out_of_range_modulus_refused_up_front(capsys):
@@ -464,6 +480,8 @@ PINNED_STDOUT = {
         "b66d90ee7c9cac966e9f6910d7f0c7d43da8be0ed20f4e123b5dd6691412e0b1",
     ("subfields", "480"): "47923390a2d14108ea825e65c58578dd33a6dcbc6082131a8ee89ef34a330c9c",
     ("subfields", "571"): "4f908ccdcea4ea893ab7948ff212ea876e8279d48df93b9f569e76f6af69e9fb",
+    # |disc| up to ~10^315648, far past the 4300-digit int-to-str limit
+    ("subfields", "65537"): "13dc4d84fc23fb966225a9044d70c4add4e7e68cd7c78071f075aad4fe6f360d",
 }
 
 

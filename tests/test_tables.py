@@ -241,11 +241,21 @@ _DESCENT = {"n": 3, "abs_disc": 5, "degree": 3}
          "h_minus: a prime of 1025 bits exceeds the largest listed prime, 2^1024"),
         (dict(GOOD, p_ranks={str((1 << 1024) + 1): 1}),
          "p_ranks key of 1025 bits exceeds the largest listed prime, 2^1024"),
+        (dict(GOOD, p_ranks={"03": 1}), "p_ranks key '03' is not in plain decimal digits"),
+        (dict(GOOD, p_ranks={"+3": 1}), "p_ranks key '+3' is not in plain decimal digits"),
+        (dict(GOOD, p_ranks={" 59 ": 1}), "p_ranks key ' 59 ' is not in plain decimal digits"),
+        (dict(GOOD, p_ranks={"2_33": 1}), "p_ranks key '2_33' is not in plain decimal digits"),
+        (dict(GOOD, p_ranks={"3": 1, "03": 1}), "p_ranks key '03' is not in plain decimal digits"),
+        ('{"field": {"kind": "cyclotomic", "u": 59, "u": 71}, "h_minus": [], "source": "x"}',
+         "duplicate key 'u'"),
+        ('{"field": {"kind": "cyclotomic", "u": 59}, "h_minus": [[3, 1]], "h_minus": [],'
+         ' "source": "x"}', "duplicate key 'h_minus'"),
     ],
 )
 def test_parse_diagnostics(obj, message):
+    # a str is a raw line, for what json.dumps cannot write: repeated keys
     with pytest.raises(TableFormatError) as info:
-        parse_records("\n" + _line(obj))
+        parse_records("\n" + (obj if isinstance(obj, str) else _line(obj)))
     assert str(info.value) == f"line 2: {message}"
 
 
@@ -387,6 +397,23 @@ def test_audit_two_part_conductor_fallback_for_unrealizable_field():
     )
     assert e.verdict.status == INCONCLUSIVE
     assert "not derivable" in e.verdict.witness["reason"]
+
+
+def test_audit_two_part_takes_no_conductor_fallback_for_a_reconstructed_field():
+    # the cyclic degree-10 field of conductor 9011 is reconstructed, and its
+    # quadratic subfield is Q(sqrt(-9011)): data about Q(sqrt(9011)), another
+    # field, must not decide the two-part branch
+    text = _line({
+        "field": {"kind": "abelian", "degree": 10, "conductor": 9011},
+        "h": [[3, 1]],
+        "subfield_h": [{"disc": 9011, "h": []}],
+        "source": "x",
+    })
+    report = audit_records(parse_records(text))
+    (e,) = [e for e in report.entries if e.theorem == "theorem1"]
+    assert e.verdict.status == INCONCLUSIVE
+    assert e.verdict.witness["reason"] == "p | h(L) for the 2-power-degree subfield is not recorded"
+    assert "matched_by" not in e.verdict.witness
 
 
 def test_audit_does_not_reconstruct_field_above_conductor_limit():

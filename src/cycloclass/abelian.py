@@ -14,11 +14,13 @@ A character's conductor is that of the cyclic field it cuts out
 (conductor-discriminant), read on first use: once per Galois orbit.
 DirichletCharacter objects are built only where character values are needed
 (B_1 and Galois orbits).
-characters(u) builds them generator by generator: each generator has a table
-of o_i/gcd(e, o_i) and of the parity of e against -1 over its exponents e, and
-a character's order and parity combine one entry per generator.  A
-character's primitive character chi* mod its conductor f is read from its
-exponents alone (DirichletCharacter.primitive), and B_1 sums chi* over one
+characters(u) builds them in one pass over the last generator's exponents:
+each head generator has a table of o_i/gcd(e, o_i) and of the parity of e
+against -1 over its exponents e, combined into one row per exponent tuple of
+the head, and every exponent of the last generator goes straight into its
+character, its entry combined with the row inline.  A character's
+primitive character chi* mod its conductor f is read from its exponents
+alone (DirichletCharacter.primitive), and B_1 sums chi* over one
 walk of the units mod f, _UnitData.units, built on the first b1_chi of
 conductor f (never for subfields or the audit) and shared by every character
 of that conductor, whatever its modulus; a unit's position in the walk gives
@@ -190,18 +192,31 @@ def characters(u: int) -> list[DirichletCharacter]:
     Generator i contributes, for each exponent e < o_i, the order
     o_i/gcd(e, o_i) of chi(g_i) and whether chi(-1) gains a sign (e odd where
     -1 has exponent o_i/2); a character's order is the lcm and its parity the
-    sum of its entries.  The exponents are in range by construction, so each
-    character is set up directly, without DirichletCharacter's checks."""
+    sum of its entries.  The head generators combine their tables into rows;
+    the last generator's exponents go straight into the characters, each
+    entry computed inline, so no phi(u)-long list is built besides the
+    result.  The exponents are in range by construction, so each character is
+    set up directly, without DirichletCharacter's checks."""
     data = _unit_data(u)
-    rows = [((), 1, False)]  # (exponents, order, is_odd) on the generators so far
-    for o, m in zip(data.orders, data.minus_one):
-        table = [(e, o // math.gcd(e, o), m > 0 and e % 2 == 1) for e in range(o)]
+    new = tuple.__new__
+    if not data.orders:  # u = 1: the trivial character alone
+        return [new(DirichletCharacter, (u, (), 1, False))]
+    *head, (o, m) = zip(data.orders, data.minus_one)
+    rows = [((), 1, False)]  # (exponents, order, is_odd) on the head generators
+    for oh, mh in head:
+        table = [(e, oh // math.gcd(e, oh), mh > 0 and e % 2 == 1) for e in range(oh)]
         rows = [
             (exps + (e,), math.lcm(d, de), odd != flips)
             for exps, d, odd in rows
             for e, de, flips in table
         ]
-    return [tuple.__new__(DirichletCharacter, (u, *row)) for row in rows]
+    flips = m > 0
+    return [
+        new(DirichletCharacter,
+            (u, exps + (e,), math.lcm(d, o // math.gcd(e, o)), odd != (flips and e % 2 == 1)))
+        for exps, d, odd in rows
+        for e in range(o)
+    ]
 
 
 class CharacterOrbit(NamedTuple):

@@ -8,15 +8,15 @@ whether a given prime was only probabilistically certified.
 
 factorize is one splitter with three stages: trial division by the primes
 below 10^4, one Pollard p - 1 stage with smoothness bound 20000, and
-Brent-Pollard rho. Trial division and p - 1 share one list of the primes
-below 20000, sieved on first use. Trial division takes the primes in blocks,
-one gcd per block telling whether any of them divides; p - 1 batches their
-prime powers once. The time limit is ambient: within(seconds) sets it, and
-_check, the package's only clock reading, raises once it has passed. Checked
-once per batch of p - 1 or rho steps, it stops the splitter: what it found
-then comes back, with the unsplit rest as a composite cofactor, on the
-TimeLimitExceeded it raises. As an lru_cache, factorize stores nothing for a
-call that raises.
+Brent-Pollard rho. Trial division and p - 1 share one list of the primes below
+20000, sieved over the odd numbers on first use. Trial division takes the
+primes in blocks, one gcd per block telling whether any of them divides; p - 1
+batches their prime powers once. The time limit is ambient: within(seconds)
+sets it, and _check, the package's only clock reading, raises once it has
+passed. Checked once per batch of p - 1 or rho steps, it stops the splitter:
+what it found then comes back, with the unsplit rest as a composite cofactor,
+on the TimeLimitExceeded it raises. As an lru_cache, factorize stores nothing
+for a call that raises.
 """
 
 from __future__ import annotations
@@ -144,13 +144,15 @@ def _check(stage: str) -> None:
 
 @lru_cache(maxsize=None)
 def _small_primes() -> tuple[int, ...]:
-    """The primes below _PM1_BOUND, sieved on first use."""
-    sieve = bytearray([1]) * _PM1_BOUND
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(_PM1_BOUND - 1) + 1):
+    """The primes below _PM1_BOUND, sieved over the odd numbers on first use."""
+    half = _PM1_BOUND // 2  # entry i stands for 2i + 1
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(_PM1_BOUND - 1) - 1) // 2 + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, _PM1_BOUND, i)))
-    return tuple(itertools.compress(range(_PM1_BOUND), sieve))
+            p, start = 2 * i + 1, 2 * i * (i + 1)  # start: the entry of p * p
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    return (2, *itertools.compress(range(1, _PM1_BOUND, 2), sieve))
 
 
 @lru_cache(maxsize=None)

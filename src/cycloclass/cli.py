@@ -17,6 +17,7 @@ runs out of time or fails an internal consistency check, 2 on unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .arith import _decimal, _decimal_digits, probable_prime_only
@@ -141,7 +142,9 @@ def _positive_int(text: str) -> int:
     return v
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cycloclass",
         description="Exact relative class numbers of cyclotomic fields, "

@@ -440,6 +440,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# One decoder for every line: json.loads builds a new one per call with a hook.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_records(text: str) -> tuple[ClassNumberRecord, ...]:
     """Parse JSONL record text; raises TableFormatError with a line number
     on the first malformed record."""
@@ -449,7 +453,10 @@ def parse_records(text: str) -> tuple[ClassNumberRecord, ...]:
             continue
         where = f"line {i}"
         try:
-            obj = json.loads(line, object_pairs_hook=_unique_keys)
+            if line.startswith("\ufeff"):  # json.loads refuses it, decode does not
+                raise json.JSONDecodeError(
+                    "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            obj = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise _fail(where, f"invalid JSON ({exc.msg} at column {exc.colno})") from None
         except TableFormatError as exc:

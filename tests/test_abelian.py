@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -260,9 +261,11 @@ def test_unit_data_refuses_generator_of_wrong_order(monkeypatch):
 
 
 def test_characters_match_the_constructor():
-    # characters() sets order and parity from per-generator tables and skips
-    # the constructor; moduli with no, one and two generators at 2^k
-    for u in (3, 4, 5, 8, 16, 63, 80, 480, 572, 1680, 4620):
+    # characters() sets order and parity from per-generator tables, the last
+    # generator's inline, and skips the constructor; moduli with no generator
+    # (1), one (1009: 1008 characters), two at 2^k, and six (27720, so five
+    # head generators build rows)
+    for u in (1, 3, 4, 5, 8, 16, 63, 80, 480, 572, 1009, 1680, 4620, 27720):
         exps = itertools.product(*map(range, _unit_data(u).orders))
         want = [DirichletCharacter(u, e) for e in exps]
         got = characters(u)
@@ -273,6 +276,21 @@ def test_characters_match_the_constructor():
                 ref.modulus, ref.exponents, ref.order, ref.is_odd, ref.conductor
             ), (u, ref.exponents)
             assert chi == ref and hash(chi) == hash(ref) and repr(chi) == repr(ref)
+
+
+def test_characters_build_no_list_besides_the_result():
+    # the last generator's exponents go straight into the characters: the
+    # peak while building characters(1009) stays within 5% of what the
+    # returned list holds, so no phi(u)-long list is built besides it
+    _unit_data(1009)
+    tracemalloc.start()
+    try:
+        chars = characters(1009)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chars) == 1008
+    assert peak <= 1.05 * held, (peak, held)
 
 
 def test_character_order_against_scan():

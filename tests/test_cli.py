@@ -530,6 +530,40 @@ def test_bounds_need_no_mpmath():
     assert hashlib.sha256(audit.encode()).hexdigest() == digest
 
 
+_CALLS = (["hminus", "abc"], ["subfields", "480"], ["verify-paper", "--format", "structured"])
+
+
+def _calls_in_one_process(calls):
+    # each call's exit code, stdout digest and stderr, in one fresh interpreter
+    script = (
+        "import contextlib, hashlib, io\n"
+        "from cycloclass.cli import main\n"
+        f"for argv in {list(calls)!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        rc = main(argv)\n"
+        "    print(rc, hashlib.sha256(out.getvalue().encode()).hexdigest(), ascii(err.getvalue()))\n"
+    )
+    return _python(script).splitlines()
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    # build_parser is cached: a usage error, subfields 480 and the structured
+    # verify-paper, one after another, answer as each does in a fresh process
+    assert cli.build_parser() is cli.build_parser()
+    together = _calls_in_one_process(_CALLS)
+    assert together == [line for argv in _CALLS for line in _calls_in_one_process([argv])]
+    empty = hashlib.sha256(b"").hexdigest()
+    structured = PINNED_STDOUT[("verify-paper", "--format", "structured", "--probable-primes", "allow")]
+    assert [line.split(" ", 2)[:2] for line in together] == [
+        [str(EXIT_USAGE), empty],
+        [str(EXIT_OK), PINNED_STDOUT[("subfields", "480")]],
+        [str(EXIT_OK), structured],
+    ]
+    assert "'abc' is not an integer" in together[0]
+    assert together[1].endswith(" ''") and together[2].endswith(" ''")
+
+
 def test_no_command_prints_usage(capsys):
     rc, _, err = run(capsys, )
     assert rc == EXIT_USAGE

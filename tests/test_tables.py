@@ -259,6 +259,16 @@ def test_parse_diagnostics(obj, message):
     assert str(info.value) == f"line 2: {message}"
 
 
+def test_parse_refuses_a_leading_byte_order_mark():
+    # as json.loads does: the diagnostic names the BOM, on any line
+    for text, where in (('\ufeff{"a": 1}\n', "line 1"), ('\n\ufeff' + _line(GOOD), "line 2")):
+        with pytest.raises(TableFormatError) as info:
+            parse_records(text)
+        assert str(info.value) == (
+            f"{where}: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig) at column 1)"
+        )
+
+
 def test_builtin_dataset_shape():
     records = builtin_paper_dataset()
     assert len(records) == 49
